@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "btree/b_plus_tree.h"
 #include "common/random.h"
 #include "costmodel/access_probability.h"
 #include "core/format.h"
@@ -17,7 +16,6 @@
 #include "geom/metrics.h"
 #include "geom/volumes.h"
 #include "obs/metrics.h"
-#include "pyramid/pyramid_technique.h"
 #include "quant/bit_stream.h"
 #include "quant/grid_quantizer.h"
 #include "sched/fetch_plan.h"
@@ -157,45 +155,6 @@ void BM_SplitTreeOptimizer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_SplitTreeOptimizer)->Unit(benchmark::kMillisecond);
-
-void BM_BPlusTreeScan(benchmark::State& state) {
-  MemoryStorage storage;
-  DiskModel disk;
-  const size_t n = 100000;
-  std::vector<double> keys(n);
-  std::vector<uint8_t> payloads(n * 4);
-  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i);
-  BPlusTree::Options options;
-  options.payload_bytes = 4;
-  auto tree = BPlusTree::Build(keys, payloads, storage, "bt", disk, options);
-  if (!tree.ok()) state.SkipWithError("build failed");
-  size_t visited = 0;
-  for (auto _ : state) {
-    visited = 0;
-    benchmark::DoNotOptimize(
-        (*tree)->Scan(1000.0, 3000.0, [&](double, const uint8_t*) {
-          ++visited;
-          return Status::OK();
-        }));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(visited));
-}
-BENCHMARK(BM_BPlusTreeScan);
-
-void BM_PyramidValue(benchmark::State& state) {
-  const size_t dims = static_cast<size_t>(state.range(0));
-  const Dataset data = GenerateUniform(1024, dims, 9);
-  for (auto _ : state) {
-    double sum = 0;
-    for (size_t i = 0; i < data.size(); ++i) {
-      sum += PyramidTechnique::PyramidValue(data[i]);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * data.size());
-}
-BENCHMARK(BM_PyramidValue)->Arg(4)->Arg(16);
 
 // Observability overhead: the per-event cost of the instrumentation the
 // rest of the library sprinkles on its hot paths. With IQ_OBS_DISABLED

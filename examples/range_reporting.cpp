@@ -1,7 +1,7 @@
-// Range reporting across all five structures: "find every measurement
-// inside this box / this radius" — the workload where the structures'
-// characters differ the most. All answers are exact and identical; only
-// the simulated I/O cost differs.
+// Range reporting across the IQ-tree, X-tree and VA-file: "find every
+// measurement inside this box / this radius" — the workload where the
+// structures' characters differ the most. All answers are exact and
+// identical; only the simulated I/O cost differs.
 
 #include <algorithm>
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "core/iq_tree.h"
 #include "data/generators.h"
 #include "io/storage.h"
-#include "pyramid/pyramid_technique.h"
 #include "vafile/va_file.h"
 #include "xtree/x_tree.h"
 
@@ -27,15 +26,14 @@ int main() {
 
   auto iq_tree = IqTree::Build(data, storage, "iq", disk, {});
   auto x_tree = XTree::Build(data, storage, "x", disk, {});
-  auto pyramid = PyramidTechnique::Build(data, storage, "p", disk, {});
   VaFile::Options va_options;
   va_options.bits_per_dim = 6;
   auto va = VaFile::Build(data, storage, "va", disk, va_options);
-  if (!iq_tree.ok() || !x_tree.ok() || !pyramid.ok() || !va.ok()) {
+  if (!iq_tree.ok() || !x_tree.ok() || !va.ok()) {
     std::fprintf(stderr, "build failed\n");
     return 1;
   }
-  std::printf("indexed %zu 9-d weather measurements in 4 structures\n\n",
+  std::printf("indexed %zu 9-d weather measurements in 3 structures\n\n",
               kPoints);
 
   auto timed = [&](auto&& fn) {
@@ -58,24 +56,20 @@ int main() {
         timed([&] { return (*iq_tree)->WindowQuery(window); });
     auto [x_ids, x_time] =
         timed([&] { return (*x_tree)->WindowQuery(window); });
-    auto [p_ids, p_time] =
-        timed([&] { return (*pyramid)->WindowQuery(window); });
     auto [va_ids, va_time] =
         timed([&] { return (*va)->WindowQuery(window); });
-    if (!iq_ids.ok() || !x_ids.ok() || !p_ids.ok() || !va_ids.ok()) {
+    if (!iq_ids.ok() || !x_ids.ok() || !va_ids.ok()) {
       std::fprintf(stderr, "window query failed\n");
       return 1;
     }
     const std::set<PointId> reference(iq_ids->begin(), iq_ids->end());
     const bool agree =
         reference == std::set<PointId>(x_ids->begin(), x_ids->end()) &&
-        reference == std::set<PointId>(p_ids->begin(), p_ids->end()) &&
         reference == std::set<PointId>(va_ids->begin(), va_ids->end());
     std::printf("window probe %zu: %zu hits (all structures agree: %s)\n",
                 pi, reference.size(), agree ? "yes" : "NO");
-    std::printf("  IQ-tree %.4fs | X-tree %.4fs | Pyramid %.4fs | "
-                "VA-file %.4fs\n",
-                iq_time, x_time, p_time, va_time);
+    std::printf("  IQ-tree %.4fs | X-tree %.4fs | VA-file %.4fs\n",
+                iq_time, x_time, va_time);
 
     // The same neighborhood as a metric ball.
     auto [iq_ball, ball_time] =

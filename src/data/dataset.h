@@ -46,8 +46,7 @@ class Dataset {
   /// dimensions map to 0.5) and returns the original bounds, so queries
   /// can be mapped into the normalized space with MapIntoUnitCube.
   /// Real-world data must be normalized before indexing: the canonical
-  /// data space of this library (and a hard requirement of the
-  /// Pyramid-Technique) is the unit cube.
+  /// data space of this library is the unit cube.
   Mbr NormalizeToUnitCube();
 
  private:

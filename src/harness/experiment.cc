@@ -3,8 +3,6 @@
 #include <limits>
 
 #include "io/storage.h"
-#include "pyramid/pyramid_technique.h"
-#include "rstar/r_star_tree.h"
 #include "scan/seq_scan.h"
 #include "vafile/va_file.h"
 #include "xtree/x_tree.h"
@@ -75,27 +73,6 @@ Result<MethodStats> Experiment::RunXTree() const {
                    tree->ComputeStats().num_data_pages);
 }
 
-Result<MethodStats> Experiment::RunRStarTree() const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  RStarTree::Options options;
-  options.metric = metric_;
-  IQ_ASSIGN_OR_RETURN(auto tree, RStarTree::Build(data_, storage, "r", disk,
-                                                  options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (k_ == 1) {
-      IQ_RETURN_NOT_OK(tree->NearestNeighbor(queries_[i]).status());
-    } else {
-      IQ_RETURN_NOT_OK(tree->KNearestNeighbors(queries_[i], k_).status());
-    }
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(),
-                   tree->ComputeStats().num_data_pages);
-}
-
 Result<MethodStats> Experiment::RunVaFile(unsigned bits_per_dim) const {
   MemoryStorage storage;
   DiskModel disk(disk_);
@@ -152,116 +129,6 @@ Result<MethodStats> Experiment::RunSeqScan() const {
     disk.InvalidateHead();
   }
   return Summarize(disk.stats(), queries_.size(), scan->size());
-}
-
-Result<MethodStats> Experiment::RunPyramid() const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  PyramidTechnique::Options options;
-  options.metric = metric_;
-  IQ_ASSIGN_OR_RETURN(auto pyramid,
-                      PyramidTechnique::Build(data_, storage, "p", disk,
-                                              options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (k_ == 1) {
-      IQ_RETURN_NOT_OK(pyramid->NearestNeighbor(queries_[i]).status());
-    } else {
-      IQ_RETURN_NOT_OK(
-          pyramid->KNearestNeighbors(queries_[i], k_).status());
-    }
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(), pyramid->size());
-}
-
-namespace {
-
-/// The window of side `side` centered on `q`, clipped to [0, 1]^d.
-Mbr WindowAround(PointView q, double side) {
-  std::vector<float> lb(q.size()), ub(q.size());
-  for (size_t j = 0; j < q.size(); ++j) {
-    lb[j] = static_cast<float>(
-        std::max(0.0, static_cast<double>(q[j]) - side / 2));
-    ub[j] = static_cast<float>(
-        std::min(1.0, static_cast<double>(q[j]) + side / 2));
-  }
-  return Mbr::FromBounds(std::move(lb), std::move(ub));
-}
-
-}  // namespace
-
-Result<MethodStats> Experiment::RunIqTreeWindows(double side) const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  IqTree::Options options;
-  options.metric = metric_;
-  IQ_ASSIGN_OR_RETURN(auto tree, IqTree::Build(data_, storage, "iq", disk,
-                                               options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    IQ_RETURN_NOT_OK(
-        tree->WindowQuery(WindowAround(queries_[i], side)).status());
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(), tree->num_pages());
-}
-
-Result<MethodStats> Experiment::RunXTreeWindows(double side) const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  XTree::Options options;
-  options.metric = metric_;
-  IQ_ASSIGN_OR_RETURN(auto tree, XTree::Build(data_, storage, "x", disk,
-                                              options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    IQ_RETURN_NOT_OK(
-        tree->WindowQuery(WindowAround(queries_[i], side)).status());
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(),
-                   tree->ComputeStats().num_data_pages);
-}
-
-Result<MethodStats> Experiment::RunPyramidWindows(double side) const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  PyramidTechnique::Options options;
-  options.metric = metric_;
-  IQ_ASSIGN_OR_RETURN(auto pyramid,
-                      PyramidTechnique::Build(data_, storage, "p", disk,
-                                              options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    IQ_RETURN_NOT_OK(
-        pyramid->WindowQuery(WindowAround(queries_[i], side)).status());
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(), pyramid->size());
-}
-
-Result<MethodStats> Experiment::RunVaFileWindows(
-    double side, unsigned bits_per_dim) const {
-  MemoryStorage storage;
-  DiskModel disk(disk_);
-  VaFile::Options options;
-  options.metric = metric_;
-  options.bits_per_dim = bits_per_dim;
-  IQ_ASSIGN_OR_RETURN(auto va, VaFile::Build(data_, storage, "va", disk,
-                                             options));
-  disk.ResetStats();
-  disk.InvalidateHead();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    IQ_RETURN_NOT_OK(
-        va->WindowQuery(WindowAround(queries_[i], side)).status());
-    disk.InvalidateHead();
-  }
-  return Summarize(disk.stats(), queries_.size(), va->size());
 }
 
 }  // namespace iq

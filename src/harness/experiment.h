@@ -46,10 +46,6 @@ class Experiment {
 
   Result<MethodStats> RunXTree() const;
 
-  /// The classic R*-tree (the family the X-tree extends) — not in the
-  /// paper's figures, used by the baselines ablation.
-  Result<MethodStats> RunRStarTree() const;
-
   /// VA-file at a specific bits-per-dimension setting.
   Result<MethodStats> RunVaFile(unsigned bits_per_dim) const;
 
@@ -62,19 +58,6 @@ class Experiment {
                                         unsigned* best_bits = nullptr) const;
 
   Result<MethodStats> RunSeqScan() const;
-
-  /// The Pyramid-Technique (paper §5 [5]) — window-query specialist;
-  /// used by the pyramid ablation.
-  Result<MethodStats> RunPyramid() const;
-
-  /// Window-query workloads: average simulated time for one window per
-  /// query point (a cube of the given side centered on the query,
-  /// clipped to the data space), per technique.
-  Result<MethodStats> RunIqTreeWindows(double side) const;
-  Result<MethodStats> RunXTreeWindows(double side) const;
-  Result<MethodStats> RunPyramidWindows(double side) const;
-  Result<MethodStats> RunVaFileWindows(double side,
-                                       unsigned bits_per_dim) const;
 
  private:
   const Dataset& data_;

@@ -10,15 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include "btree/b_plus_tree.h"
 #include "common/random.h"
 #include "core/format.h"
 #include "core/iq_tree.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
-#include "pyramid/pyramid_technique.h"
 #include "quant/bit_stream.h"
-#include "rstar/r_star_tree.h"
 #include "scan/seq_scan.h"
 #include "vafile/va_file.h"
 #include "xtree/x_tree.h"
@@ -73,8 +70,8 @@ TEST(DecoderRobustnessTest, AllOpensRejectGarbageFiles) {
     DiskModel disk(DiskParameters{0.010, 0.002, 2048});
     // Write garbage under every file name each structure expects.
     for (const char* name :
-         {"g.dir", "g.qpg", "g.dat", "g.xdir", "g.xpg", "g.rdir", "g.rpg",
-          "g.vaa", "g.vav", "g.scn", "g.bpd", "g.bpl", "g.pyr"}) {
+         {"g.dir", "g.qpg", "g.dat", "g.xdir", "g.xpg", "g.vaa", "g.vav",
+          "g.scn"}) {
       auto file = storage.Create(name);
       ASSERT_TRUE(file.ok());
       const auto bytes = RandomBytes(rng, 64 + rng.Index(4096));
@@ -82,11 +79,8 @@ TEST(DecoderRobustnessTest, AllOpensRejectGarbageFiles) {
     }
     EXPECT_FALSE(IqTree::Open(storage, "g", disk).ok());
     EXPECT_FALSE(XTree::Open(storage, "g", disk).ok());
-    EXPECT_FALSE(RStarTree::Open(storage, "g", disk).ok());
     EXPECT_FALSE(VaFile::Open(storage, "g", disk).ok());
     EXPECT_FALSE(SeqScan::Open(storage, "g", disk).ok());
-    EXPECT_FALSE(BPlusTree::Open(storage, "g", disk).ok());
-    EXPECT_FALSE(PyramidTechnique::Open(storage, "g", disk).ok());
     EXPECT_FALSE(ReadDataset(storage, "g.dir").ok());
   }
 }

@@ -8,8 +8,6 @@
 
 #include "core/iq_tree.h"
 #include "data/generators.h"
-#include "pyramid/pyramid_technique.h"
-#include "rstar/r_star_tree.h"
 #include "vafile/va_file.h"
 #include "xtree/x_tree.h"
 
@@ -40,23 +38,11 @@ TEST_F(EdgeCasesTest, KLargerThanDatabaseReturnsEverything) {
   ASSERT_TRUE(x_got.ok());
   EXPECT_EQ(x_got->size(), 25u);
 
-  auto r = RStarTree::Build(data, storage_, "r", disk_, {});
-  ASSERT_TRUE(r.ok());
-  auto r_got = (*r)->KNearestNeighbors(q, 100);
-  ASSERT_TRUE(r_got.ok());
-  EXPECT_EQ(r_got->size(), 25u);
-
   auto va = VaFile::Build(data, storage_, "va", disk_, {});
   ASSERT_TRUE(va.ok());
   auto va_got = (*va)->KNearestNeighbors(q, 100);
   ASSERT_TRUE(va_got.ok());
   EXPECT_EQ(va_got->size(), 25u);
-
-  auto p = PyramidTechnique::Build(data, storage_, "p", disk_, {});
-  ASSERT_TRUE(p.ok());
-  auto p_got = (*p)->KNearestNeighbors(q, 100);
-  ASSERT_TRUE(p_got.ok());
-  EXPECT_EQ(p_got->size(), 25u);
 }
 
 TEST_F(EdgeCasesTest, MassDuplicatesStayExact) {
@@ -126,12 +112,10 @@ TEST_F(EdgeCasesTest, ZeroRadiusRangeFindsExactMatchesOnly) {
 
 TEST_F(EdgeCasesTest, OneDimensionalData) {
   // d = 1 exercises every formula at its degenerate end (binomials,
-  // ball volumes, pyramid with 2 pyramids).
+  // ball volumes).
   Dataset data = GenerateUniform(2000, 1, 4);
   auto tree = IqTree::Build(data, storage_, "t", disk_, {});
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  auto pyramid = PyramidTechnique::Build(data, storage_, "p", disk_, {});
-  ASSERT_TRUE(pyramid.ok());
   const std::vector<float> q{0.42f};
   double best = 1e300;
   for (size_t i = 0; i < data.size(); ++i) {
@@ -140,9 +124,6 @@ TEST_F(EdgeCasesTest, OneDimensionalData) {
   auto iq_nn = (*tree)->NearestNeighbor(q);
   ASSERT_TRUE(iq_nn.ok());
   EXPECT_NEAR(iq_nn->distance, best, 1e-6);
-  auto p_nn = (*pyramid)->NearestNeighbor(q);
-  ASSERT_TRUE(p_nn.ok());
-  EXPECT_NEAR(p_nn->distance, best, 1e-6);
 }
 
 TEST_F(EdgeCasesTest, LargeBlockSmallData) {

@@ -96,24 +96,5 @@ TEST(ExperimentTest, KnnSupported) {
   EXPECT_GT(iq->avg_query_time_s, 0.0);
 }
 
-TEST(ExperimentTest, WindowHarnessesProduceTimes) {
-  Dataset data = GenerateUniform(3010, 8, 6);
-  const Dataset queries = data.TakeTail(10);
-  Experiment experiment(data, queries, DiskParameters{0.010, 0.002, 4096});
-  for (auto result :
-       {experiment.RunIqTreeWindows(0.2), experiment.RunXTreeWindows(0.2),
-        experiment.RunPyramidWindows(0.2),
-        experiment.RunVaFileWindows(0.2, 5)}) {
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_GT(result->avg_query_time_s, 0.0);
-  }
-  auto pyramid_nn = experiment.RunPyramid();
-  ASSERT_TRUE(pyramid_nn.ok());
-  EXPECT_GT(pyramid_nn->avg_query_time_s, 0.0);
-  auto rstar = experiment.RunRStarTree();
-  ASSERT_TRUE(rstar.ok());
-  EXPECT_GT(rstar->avg_query_time_s, 0.0);
-}
-
 }  // namespace
 }  // namespace iq

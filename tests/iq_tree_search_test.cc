@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,11 @@ struct SearchCase {
   bool optimized_access;
   bool quantize;
 };
+
+// Without this, gtest prints the case as a raw byte dump whose first
+// bytes are the `name` pointer, so the listed test name would change
+// with every load address.
+void PrintTo(const SearchCase& c, std::ostream* os) { *os << c.name; }
 
 class IqSearchCorrectness : public ::testing::TestWithParam<SearchCase> {};
 

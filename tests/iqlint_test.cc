@@ -3,6 +3,7 @@
 // fixture corpus under tools/iqlint/testdata/ is exercised end-to-end
 // (binary, exit codes) by the iqlint_fixtures shell test.
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -166,6 +167,30 @@ TEST(Layering, FileModuleOverrideApplies) {
   CheckLayering(files, config, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_NE(out[0].message.find("module 'format'"), std::string::npos);
+}
+
+TEST(Layering, ProjectModulesMatchSrcDirectories) {
+  // The layering check skips undeclared src/ directories, so the
+  // checked-in DAG must name exactly the real ones (plus the modules
+  // that exist only through a file override) or drift goes unnoticed.
+  const std::filesystem::path src =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "src";
+  ASSERT_TRUE(std::filesystem::is_directory(src)) << src;
+  std::set<std::string> expected;
+  for (const auto& entry : std::filesystem::directory_iterator(src)) {
+    if (entry.is_directory()) {
+      expected.insert(entry.path().filename().string());
+    }
+  }
+  const LintConfig config = ProjectConfig();
+  for (const auto& [file, module] : config.file_module_overrides) {
+    expected.insert(module);
+  }
+  std::set<std::string> declared;
+  for (const auto& [module, deps] : config.module_deps) {
+    declared.insert(module);
+  }
+  EXPECT_EQ(declared, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -38,12 +38,9 @@ LintConfig ProjectConfig() {
       {"shard", {"concurrency"}},
       {"maint", {"shard"}},
       {"xtree", {"data", "core"}},
-      {"btree", {"io"}},
-      {"pyramid", {"btree", "data"}},
-      {"rstar", {"data", "core"}},
       {"vafile", {"quant", "data"}},
       {"scan", {"data", "quant"}},
-      {"harness", {"core", "xtree", "rstar", "pyramid", "vafile", "scan"}},
+      {"harness", {"core", "xtree", "vafile", "scan"}},
   };
   // core/format.* builds as its own iq_format library below
   // iq_analysis, despite living in the core/ directory.
