@@ -4,7 +4,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
-#include <unordered_map>
+#include <span>
 
 #include "common/hot_path.h"
 #include "core/iq_tree.h"
@@ -47,6 +47,40 @@ struct ExactPage {
 inline bool CloserNeighbor(const Neighbor& a, const Neighbor& b) {
   return a.distance < b.distance;
 }
+
+/// A page the kNN planner still considers: its MINDIST and directory
+/// index (§2.2 priority order).
+struct PendingPage {
+  double mindist;
+  uint32_t dir_index;
+};
+
+/// Dense qpage-block -> directory-index lookup of one query, built over
+/// the directory pinned for it. Blocks no entry owns (gaps, and blocks
+/// appended after the lookup was built) read as kNone.
+class BlockIndex {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  void Build(const std::vector<DirEntry>& dir, uint64_t num_blocks) {
+    dir_index_.assign(num_blocks, kNone);
+    for (size_t i = 0; i < dir.size(); ++i) {
+      if (dir[i].qpage_block < num_blocks) {
+        dir_index_[dir[i].qpage_block] = static_cast<uint32_t>(i);
+      }
+    }
+  }
+
+  uint32_t operator[](uint64_t block) const {
+    return block < dir_index_.size() ? dir_index_[block] : kNone;
+  }
+
+  /// Number of blocks the lookup covers.
+  uint64_t size() const { return dir_index_.size(); }
+
+ private:
+  std::vector<uint32_t> dir_index_;
+};
 
 }  // namespace
 
@@ -96,7 +130,7 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, "knn", ParentSpan());
     root_span_ = root.id();
     root.AddAttr("k", static_cast<double>(k));
-    ScanDirectory();
+    ScanDirectory(/*plan_batches=*/options_.optimized_access);
     MinHeap heap;
     for (size_t i = 0; i < tree_.dir_.size(); ++i) {
       heap.push(QueueEntry{page_mindist_[i], static_cast<uint32_t>(i),
@@ -149,7 +183,7 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, "range", ParentSpan());
     root_span_ = root.id();
     root.AddAttr("radius", radius);
-    ScanDirectory();
+    ScanDirectory(/*plan_batches=*/false);
     // The page set is known in advance: all pages whose MBR intersects
     // the query ball. Fetch them with the optimal known-set plan (§2).
     std::vector<uint64_t> blocks;
@@ -176,9 +210,8 @@ class IqTreeSearcher {
                          PlanCost(std::span(&run, 1), tree_.disk_->params()));
       batch_span.AddAttr("io_s", TraceNow() - io_before);
       for (uint64_t b = 0; b < run.count; ++b) {
-        const auto it = block_to_dir_.find(run.first + b);
-        if (it == block_to_dir_.end()) continue;  // over-read gap page
-        const size_t dir_index = it->second;
+        const uint32_t dir_index = block_index_[run.first + b];
+        if (dir_index == BlockIndex::kNone) continue;  // over-read gap
         if (page_mindist_[dir_index] > radius) continue;
         IQ_RETURN_NOT_OK(CollectInBall(dir_index,
                                        buf.data() + b * block_size_, radius,
@@ -219,38 +252,80 @@ class IqTreeSearcher {
   }
 
   /// The charged level-1 directory scan plus in-memory MINDIST setup,
-  /// as one traced span.
-  void ScanDirectory() {
+  /// as one traced span. `plan_batches` also sets up the §2.1 planner's
+  /// state (kNN with optimized access only).
+  void ScanDirectory(bool plan_batches) {
     obs::ScopedSpan span(tracer_, "dir_scan", root_span_);
     const double io_before = TraceNow();
     tree_.ChargeDirectoryScan();
-    InitPages();
+    InitPages(plan_batches);
     span.AddAttr("pages", static_cast<double>(tree_.dir_.size()));
     span.AddAttr("io_s", TraceNow() - io_before);
   }
 
-  void InitPages() {
+  void InitPages(bool plan_batches) {
     const size_t n = tree_.dir_.size();
     page_mindist_.resize(n);
     processed_.assign(n, 0);
     if (options_.page_stats != nullptr) {
       touches_.assign(n, obs::PageTouch{});
     }
-    block_to_dir_.clear();
-    block_to_dir_.reserve(n);
+    block_index_.Build(tree_.dir_, tree_.qpages_->NumBlocks());
     for (size_t i = 0; i < n; ++i) {
       page_mindist_[i] = MinDist(q_, tree_.dir_[i].mbr, metric_);
-      block_to_dir_[tree_.dir_[i].qpage_block] = i;
     }
-    if (options_.optimized_access) {
-      // Pages sorted by MINDIST: the prefix with smaller MINDIST than a
-      // candidate page is exactly its higher-priority set (§2.2).
-      order_by_mindist_.resize(n);
-      for (size_t i = 0; i < n; ++i) order_by_mindist_[i] = i;
-      std::sort(order_by_mindist_.begin(), order_by_mindist_.end(),
-                [&](size_t a, size_t b) {
-                  return page_mindist_[a] < page_mindist_[b];
-                });
+    if (!plan_batches) return;
+    // All pages sorted by MINDIST. The comparator must stay MINDIST-only:
+    // tied pages enter the eq. 3 product in the order std::sort leaves
+    // them, and IqSearchGoldenPlanTest pins the resulting plans.
+    by_mindist_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      by_mindist_[i] =
+          PendingPage{page_mindist_[i], static_cast<uint32_t>(i)};
+    }
+    std::sort(by_mindist_.begin(), by_mindist_.end(),
+              [](const PendingPage& a, const PendingPage& b) {
+                return a.mindist < b.mindist;
+              });
+    next_by_mindist_ = 0;
+    pending_.clear();
+    pending_.reserve(kMaxPrunerRegions);
+    pending_regions_.clear();
+    pending_regions_.reserve(kMaxPrunerRegions);
+  }
+
+  /// Brings the planner's pending window up to date: drops the pages
+  /// processed since the last call, then tops it up in MINDIST order to
+  /// kMaxPrunerRegions unprocessed pages, or all that remain. A
+  /// candidate's higher-priority set (§2.2) is then the window's prefix
+  /// with smaller MINDIST: when the window is full, every page past it
+  /// lies beyond the kMaxPrunerRegions cap anyway. A page's pruner
+  /// region, with its eq. 3 moments cache, stays in the window until the
+  /// page is processed, so its moments are computed at most once.
+  IQ_HOT_NOALLOC
+  void RefillPending() {
+    size_t kept = 0;
+    for (size_t p = 0; p < pending_.size(); ++p) {
+      if (processed_[pending_[p].dir_index]) continue;
+      pending_[kept] = pending_[p];
+      pending_regions_[kept] = pending_regions_[p];
+      ++kept;
+    }
+    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(kept),
+                   pending_.end());
+    pending_regions_.erase(
+        pending_regions_.begin() + static_cast<ptrdiff_t>(kept),
+        pending_regions_.end());
+    while (pending_.size() < kMaxPrunerRegions &&
+           next_by_mindist_ < by_mindist_.size()) {
+      const PendingPage page = by_mindist_[next_by_mindist_++];
+      if (processed_[page.dir_index]) continue;
+      const DirEntry& entry = tree_.dir_[page.dir_index];
+      // iqlint: allow(hotpath-alloc): reserved to kMaxPrunerRegions at
+      // query setup, and the window never holds more.
+      pending_.push_back(page);
+      // iqlint: allow(hotpath-alloc): as above.
+      pending_regions_.push_back(PrunerRegion{&entry.mbr, entry.count});
     }
   }
 
@@ -280,30 +355,31 @@ class IqTreeSearcher {
   }
 
   /// Access probability of the page at file position `block` for the
-  /// current query state (the scheduler's callback).
+  /// current query state (the scheduler's callback). The pending window
+  /// must have been refilled since the last page was processed.
+  IQ_HOT_NOALLOC
   double AccessProbability(uint64_t block, uint64_t pivot_block) {
     if (block == pivot_block) return 1.0;
-    const auto it = block_to_dir_.find(block);
-    if (it == block_to_dir_.end()) return 0.0;
-    const size_t dir_index = it->second;
-    if (processed_[dir_index]) return 0.0;
+    const uint32_t dir_index = block_index_[block];
+    if (dir_index == BlockIndex::kNone || processed_[dir_index]) return 0.0;
     const double md = page_mindist_[dir_index];
     if (md >= PruneDistance()) return 0.0;
-    scratch_regions_.clear();
-    for (size_t j : order_by_mindist_) {
-      if (page_mindist_[j] >= md) break;
-      if (processed_[j]) continue;
-      scratch_regions_.push_back(
-          PrunerRegion{&tree_.dir_[j].mbr, tree_.dir_[j].count});
-      if (scratch_regions_.size() >= kMaxPrunerRegions) break;
-    }
+    const auto higher =
+        std::lower_bound(pending_.begin(), pending_.end(), md,
+                         [](const PendingPage& p, double v) {
+                           return p.mindist < v;
+                         });
+    const std::span<const PrunerRegion> regions(
+        pending_regions_.data(),
+        static_cast<size_t>(higher - pending_.begin()));
     // A page still in the priority list can always turn out to be
     // needed, and mistakenly skipping it costs a whole seek while
     // over-reading it costs one transfer; keep a floor under the
-    // estimate so near-certain-looking skips stay cheap to hedge.
+    // estimate so near-certain-looking skips stay cheap to hedge. The
+    // product only falls, so it stops as soon as it crosses the floor.
     return std::max(kMinCandidateProbability,
-                    PageAccessProbability(q_, md, scratch_regions_,
-                                          metric_));
+                    PageAccessProbability(q_, md, regions, metric_,
+                                          kMinCandidateProbability));
   }
 
   /// The paper's time-optimized load step (§2.1): batch the pivot page
@@ -315,11 +391,16 @@ class IqTreeSearcher {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = TraceNow();
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
+    RefillPending();
+    // The lookup covers the blocks of the pinned directory; blocks a
+    // concurrent page swap appends later hold none of its pages.
+    IQ_HOT_NOALLOC_BEGIN;
     const BatchRange range = PlanNnBatch(
-        pivot_block, tree_.qpages_->NumBlocks(), tree_.disk_->params(),
+        pivot_block, block_index_.size(), tree_.disk_->params(),
         [&](uint64_t block) {
           return AccessProbability(block, pivot_block);
         });
+    IQ_HOT_NOALLOC_END;
     buf->resize(range.count() * block_size_);
     IQ_RETURN_NOT_OK(
         tree_.qpages_->ReadRange(range.first, range.count(), buf->data()));
@@ -333,10 +414,8 @@ class IqTreeSearcher {
     batch_span.AddAttr("io_s", TraceNow() - io_before);
     size_t pruned = 0;
     for (uint64_t b = 0; b < range.count(); ++b) {
-      const auto it = block_to_dir_.find(range.first + b);
-      if (it == block_to_dir_.end()) continue;
-      const size_t dir_index = it->second;
-      if (processed_[dir_index]) continue;
+      const uint32_t dir_index = block_index_[range.first + b];
+      if (dir_index == BlockIndex::kNone || processed_[dir_index]) continue;
       // Pages already pruned by the current result are transferred but
       // not decoded.
       if (dir_index != pivot_dir_index &&
@@ -537,9 +616,15 @@ class IqTreeSearcher {
   /// Per-directory-entry telemetry of this query, indexed by dir_index;
   /// empty unless options_.page_stats is set (see CollectingPageStats).
   std::vector<obs::PageTouch> touches_;
-  std::vector<size_t> order_by_mindist_;
-  std::unordered_map<uint64_t, size_t> block_to_dir_;
-  std::vector<PrunerRegion> scratch_regions_;
+  BlockIndex block_index_;
+  /// §2.1 planner state (kNN with optimized access): every page in
+  /// MINDIST order with a cursor past those already taken into the
+  /// pending window, and the window itself (see RefillPending) with the
+  /// pages' pruner regions at the same positions.
+  std::vector<PendingPage> by_mindist_;
+  size_t next_by_mindist_ = 0;
+  std::vector<PendingPage> pending_;
+  std::vector<PrunerRegion> pending_regions_;
 
   std::vector<Neighbor> results_;
   double results_top_ = std::numeric_limits<double>::infinity();
@@ -615,13 +700,11 @@ Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
   ChargeDirectoryScan();
   QuantPageCodec codec(meta_.dims, disk_->params().block_size);
   std::vector<uint64_t> blocks;
-  std::unordered_map<uint64_t, size_t> block_to_dir;
-  for (size_t i = 0; i < dir_.size(); ++i) {
-    if (window.Intersects(dir_[i].mbr)) {
-      blocks.push_back(dir_[i].qpage_block);
-      block_to_dir[dir_[i].qpage_block] = i;
-    }
+  for (const DirEntry& entry : dir_) {
+    if (window.Intersects(entry.mbr)) blocks.push_back(entry.qpage_block);
   }
+  BlockIndex block_index;
+  block_index.Build(dir_, qpages_->NumBlocks());
   std::sort(blocks.begin(), blocks.end());
   const std::vector<FetchRun> runs =
       PlanKnownSetFetch(blocks, disk_->params());
@@ -640,10 +723,10 @@ Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
     buf.resize(run.count * block_size);
     IQ_RETURN_NOT_OK(qpages_->ReadRange(run.first, run.count, buf.data()));
     for (uint64_t b = 0; b < run.count; ++b) {
-      const auto it = block_to_dir.find(run.first + b);
-      if (it == block_to_dir.end()) continue;
-      const size_t dir_index = it->second;
+      const uint32_t dir_index = block_index[run.first + b];
+      if (dir_index == BlockIndex::kNone) continue;
       const DirEntry& entry = dir_[dir_index];
+      if (!window.Intersects(entry.mbr)) continue;  // over-read page
       const uint8_t* page = buf.data() + b * block_size;
       if (entry.quant_bits >= kExactBits) {
         IQ_RETURN_NOT_OK(codec.DecodeExact(page, &ids, &coords));

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/hot_path.h"
 #include "geom/volumes.h"
 
 namespace iq {
@@ -29,6 +30,32 @@ void SquaredDeviationMoments(double a, double b, double* mean,
 double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 }  // namespace
+
+DistanceMoments SquaredDistanceMoments(PointView q, const Mbr& box) {
+  assert(q.size() == box.dims());
+  DistanceMoments m;
+  for (size_t i = 0; i < q.size(); ++i) {
+    double mean, variance;
+    SquaredDeviationMoments(box.lb(i) - q[i], box.ub(i) - q[i], &mean,
+                            &variance);
+    m.mean += mean;
+    m.variance += variance;
+  }
+  m.stddev = std::sqrt(m.variance);
+  m.ready = true;
+  return m;
+}
+
+IQ_HOT_NOALLOC
+double FractionFromMoments(const DistanceMoments& m, double r) {
+  if (r <= 0) return 0.0;
+  const double target = r * r;
+  if (m.variance <= 1e-30) {
+    return m.mean <= target ? 1.0 : 0.0;
+  }
+  const double z = (target - m.mean) / m.stddev;
+  return std::clamp(NormalCdf(z), 0.0, 1.0);
+}
 
 double IntersectionFraction(PointView q, double r, const Mbr& box,
                             Metric metric) {
@@ -57,30 +84,24 @@ double IntersectionFraction(PointView q, double r, const Mbr& box,
   // dimensionalities the IQ-tree targets (CLT over d terms), and well
   // behaved in both the high-overlap and the disjoint regime, unlike
   // bounding-box surrogates.
-  double sum_mean = 0.0;
-  double sum_variance = 0.0;
-  for (size_t i = 0; i < d; ++i) {
-    double mean, variance;
-    SquaredDeviationMoments(box.lb(i) - q[i], box.ub(i) - q[i], &mean,
-                            &variance);
-    sum_mean += mean;
-    sum_variance += variance;
-  }
-  const double target = r * r;
-  if (sum_variance <= 1e-30) {
-    return sum_mean <= target ? 1.0 : 0.0;
-  }
-  const double z = (target - sum_mean) / std::sqrt(sum_variance);
-  return std::clamp(NormalCdf(z), 0.0, 1.0);
+  return FractionFromMoments(SquaredDistanceMoments(q, box), r);
 }
 
+IQ_HOT_NOALLOC
 double PageAccessProbability(PointView q, double target_mindist,
                              std::span<const PrunerRegion> higher_priority,
                              Metric metric, double floor) {
   double prob = 1.0;
   for (const PrunerRegion& region : higher_priority) {
-    const double fraction =
-        IntersectionFraction(q, target_mindist, *region.box, metric);
+    double fraction;
+    if (metric == Metric::kL2) {
+      if (!region.moments.ready) {
+        region.moments = SquaredDistanceMoments(q, *region.box);
+      }
+      fraction = FractionFromMoments(region.moments, target_mindist);
+    } else {
+      fraction = IntersectionFraction(q, target_mindist, *region.box, metric);
+    }
     if (fraction <= 0.0) continue;
     if (fraction >= 1.0) return 0.0;
     // Eq. 3: probability that none of the region's points falls into

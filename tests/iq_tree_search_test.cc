@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <ostream>
 #include <set>
 
@@ -191,6 +193,116 @@ TEST(IqSearchIoTest, QuantizationReadsFewerBlocksThanExactHighDim) {
   const double with_quant = run(**tree_q);
   const double without = run(**tree_e);
   EXPECT_LT(with_quant, without);
+}
+
+// Golden plan: the time-optimized search's page batches (§2.1) on a
+// fixed CAD-like workload, pinned bitwise. Every query's QueryStats and
+// simulated-disk charge (seeks, io_time_s) plus its results are folded
+// into one FNV-1a digest; the totals make a mismatch readable. A change
+// to the access probabilities (§2.2), the higher-priority set or the
+// batching arithmetic moves at least one value. The expected values
+// were recorded from the planner that recomputed every region's eq. 3
+// moments per call, before it was made incremental.
+struct GoldenPlan {
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  size_t batches = 0;
+  size_t blocks_transferred = 0;
+  size_t pages_decoded = 0;
+  size_t cells_enqueued = 0;
+  size_t refinements = 0;
+  uint64_t seeks = 0;
+  double io_time_s = 0.0;
+
+  void Mix(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xFF;
+      digest *= 1099511628211ull;  // FNV-1a prime
+    }
+  }
+};
+
+GoldenPlan RunGoldenPlan(Metric metric) {
+  constexpr size_t kQueries = 200;
+  Dataset data = GenerateCadLike(30000 + kQueries, 16, 77);
+  const Dataset queries = data.TakeTail(kQueries);
+  MemoryStorage storage;
+  DiskModel disk(DiskParameters{0.010, 0.002, 4096});
+  IqTree::Options options;
+  options.metric = metric;
+  options.optimize_for_k = 10;
+  auto tree = IqTree::Build(data, storage, "t", disk, options);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  GoldenPlan plan;
+  if (!tree.ok()) return plan;
+  IqSearchOptions search;
+  search.optimized_access = true;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    disk.ResetStats();
+    disk.InvalidateHead();
+    auto got = (*tree)->KNearestNeighbors(queries[qi], 10, search);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok()) return plan;
+    const IqTree::QueryStats stats = (*tree)->last_query_stats();
+    const IoStats io = disk.stats();
+    for (uint64_t word :
+         {uint64_t{stats.batches}, uint64_t{stats.blocks_transferred},
+          uint64_t{stats.pages_decoded}, uint64_t{stats.cells_enqueued},
+          uint64_t{stats.refinements}, io.seeks,
+          std::bit_cast<uint64_t>(io.io_time_s)}) {
+      plan.Mix(word);
+    }
+    for (const Neighbor& n : *got) {
+      plan.Mix(n.id);
+      plan.Mix(std::bit_cast<uint64_t>(n.distance));
+    }
+    plan.batches += stats.batches;
+    plan.blocks_transferred += stats.blocks_transferred;
+    plan.pages_decoded += stats.pages_decoded;
+    plan.cells_enqueued += stats.cells_enqueued;
+    plan.refinements += stats.refinements;
+    plan.seeks += io.seeks;
+    plan.io_time_s += io.io_time_s;
+  }
+  return plan;
+}
+
+void ExpectGoldenPlan(const GoldenPlan& got, const GoldenPlan& want) {
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.blocks_transferred, want.blocks_transferred);
+  EXPECT_EQ(got.pages_decoded, want.pages_decoded);
+  EXPECT_EQ(got.cells_enqueued, want.cells_enqueued);
+  EXPECT_EQ(got.refinements, want.refinements);
+  EXPECT_EQ(got.seeks, want.seeks);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.io_time_s),
+            std::bit_cast<uint64_t>(want.io_time_s))
+      << got.io_time_s << " vs " << want.io_time_s;
+  EXPECT_EQ(got.digest, want.digest);
+}
+
+TEST(IqSearchGoldenPlanTest, L2KnnPlansAreUnchanged) {
+  GoldenPlan want;
+  want.batches = 2265;
+  want.blocks_transferred = 9615;
+  want.pages_decoded = 8022;
+  want.cells_enqueued = 386;
+  want.refinements = 23;
+  want.seeks = 2445;
+  want.io_time_s = 0x1.d10624dd2f1acp+5;
+  want.digest = 0xf257d873eab5dc03ull;
+  ExpectGoldenPlan(RunGoldenPlan(Metric::kL2), want);
+}
+
+TEST(IqSearchGoldenPlanTest, LMaxKnnPlansAreUnchanged) {
+  GoldenPlan want;
+  want.batches = 722;
+  want.blocks_transferred = 7828;
+  want.pages_decoded = 5669;
+  want.cells_enqueued = 603;
+  want.refinements = 22;
+  want.seeks = 941;
+  want.io_time_s = 0x1.3c147ae147adep+5;
+  want.digest = 0x856eca5a012489a2ull;
+  ExpectGoldenPlan(RunGoldenPlan(Metric::kLMax), want);
 }
 
 }  // namespace

@@ -46,7 +46,10 @@
 #             is tolerated so the first run of a new suite passes.
 #             Also runs bench/micro_filter and gates its kernel-vs-
 #             reference relative-cost ratios against BENCH_filter.json
-#             (wall-clock based, so the tolerance is wide), and
+#             (wall-clock based, so the tolerance is wide),
+#             bench/micro_planner, whose optimized/standard CPU ratio
+#             is gated wide and whose simulated io_s rows are gated
+#             tightly against BENCH_planner.json, and
 #             bench/micro_obs, which self-gates the flight recorder's
 #             hot-path overhead at 2% and is tracked in BENCH_obs.json
 #
@@ -361,6 +364,25 @@ SEED
             < "$BENCH_TMP/filter.out"
         "$ROOT/build-release/tools/json_check" --require schema_version \
             --require suite --require benches < "$BENCH_TMP/filter.json"
+        echo "==> bench: NN batch-planner micro (bench/micro_planner)"
+        cmake --build "$ROOT/build-release" -j "$JOBS" --target micro_planner
+        IQBENCH_SUITE=planner IQBENCH_GIT_REV="$GIT_REV" \
+            "$ROOT/build-release/bench/micro_planner" \
+            > "$BENCH_TMP/planner.out"
+        # Two gates over one run. cpu_ratio (optimized / standard CPU ms
+        # per query) cancels the host's speed but still rides on the
+        # scheduler, hence the wide tolerance; the io_s rows
+        # (micro_planner_io) are deterministic simulated seconds.
+        grep '"bench":"micro_planner",' "$BENCH_TMP/planner.out" | \
+            "$ROOT/build-release/tools/bench_aggregate" --suite planner \
+            --out "$BENCH_TMP/planner-cpu.json" --git-rev "$GIT_REV" \
+            --baseline "$ROOT/BENCH_planner.json" --tolerance 50
+        grep '"bench":"micro_planner_io",' "$BENCH_TMP/planner.out" | \
+            "$ROOT/build-release/tools/bench_aggregate" --suite planner \
+            --out "$BENCH_TMP/planner-io.json" --git-rev "$GIT_REV" \
+            --baseline "$ROOT/BENCH_planner.json" --tolerance 1
+        "$ROOT/build-release/tools/json_check" --require schema_version \
+            --require suite --require benches < "$BENCH_TMP/planner-io.json"
         echo "==> bench: sharded scatter-gather micro (bench/micro_shard)"
         cmake --build "$ROOT/build-release" -j "$JOBS" --target micro_shard
         # Simulated-I/O and pruning-fraction series: deterministic per
