@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +230,15 @@ TEST(ShardedSearcherTest, OffersOneAggregateRecordPerQueryToSlowLog) {
   EXPECT_GT(record.predicted.total(), 0.0);
   ASSERT_TRUE(f.sharded->RangeSearch(queries[1], 0.3, options).ok());
   EXPECT_EQ(log.offered(), 2u);
+  // Window queries are never offered: their shard searches record no
+  // I/O spans, so a record would carry 0 s of observed I/O and drag
+  // the adaptive threshold down.
+  const Mbr window = Mbr::FromBounds(std::vector<float>(4, 0.1f),
+                                     std::vector<float>(4, 0.9f));
+  auto ids = f.sharded->WindowQuery(window, options);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_FALSE(ids->empty());
+  EXPECT_EQ(log.offered(), 2u);
 }
 
 /// Satellite fix (ISSUE 8): sharded fan-out multiplies span volume, so
@@ -256,77 +266,135 @@ TEST(ShardedSearcherTest, TracerDropsPropagateToStatsAndSlowLog) {
   EXPECT_TRUE(log.Snapshot()[0].truncated);
 }
 
-/// The tentpole contract of ISSUE 9: one sharded query records one
-/// stitched span tree — `sharded_knn` root, `wave<i>` children, and a
-/// `shard<i>` span per shard (pruned shards as zero-cost annotated
-/// leaves) with the shard's whole IQ-tree subtree grafted underneath —
-/// and the tree's sums agree with ShardQueryStats exactly.
+/// The sharded query kinds the stitched-trace contract covers.
+enum class QueryKind { kKnn, kRange, kWindow };
+
+const char* RootSpanName(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kKnn:
+      return "sharded_knn";
+    case QueryKind::kRange:
+      return "sharded_range";
+    case QueryKind::kWindow:
+      return "sharded_window";
+  }
+  return "";
+}
+
+/// Runs one sharded query of `kind` (k = 3, r = 0.3, or the window
+/// [q - 0.2, q + 0.2]) and returns whether it succeeded.
+bool RunShardedQuery(const ShardedSearcher& sharded, QueryKind kind,
+                     PointView q, const ShardedSearchOptions& options) {
+  switch (kind) {
+    case QueryKind::kKnn:
+      return sharded.KNearestNeighbors(q, 3, options).ok();
+    case QueryKind::kRange:
+      return sharded.RangeSearch(q, 0.3, options).ok();
+    case QueryKind::kWindow: {
+      std::vector<float> lo(q.size());
+      std::vector<float> hi(q.size());
+      for (size_t d = 0; d < q.size(); ++d) {
+        lo[d] = q[d] - 0.2f;
+        hi[d] = q[d] + 0.2f;
+      }
+      return sharded.WindowQuery(Mbr::FromBounds(lo, hi), options).ok();
+    }
+  }
+  return false;
+}
+
+/// One sharded query of any kind records one stitched span tree — a
+/// `sharded_<kind>` root, `wave<i>` children, and a `shard<i>` span per
+/// shard (pruned shards as zero-cost annotated leaves) with the shard's
+/// whole IQ-tree subtree grafted underneath (kNN/range; the single
+/// tree's window query is untraced) — and the tree's sums agree with
+/// ShardQueryStats exactly.
 TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
   Dataset data = GenerateClustered(400, 4, 37, {});
   Dataset queries = data.TakeTail(4);
   Fixture f = MakeFixture(data, 4, ShardPlan::kRankPartition);
 
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    obs::QueryTracer tracer;
-    ShardedSearchOptions options;
-    options.tracer = &tracer;
-    ASSERT_TRUE(f.sharded->KNearestNeighbors(queries[qi], 3, options).ok());
-    const ShardQueryStats stats = f.sharded->last_query_stats();
-    const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  for (QueryKind kind :
+       {QueryKind::kKnn, QueryKind::kRange, QueryKind::kWindow}) {
+    const std::string root_name = RootSpanName(kind);
+    // The per-shard IQ-tree root each queried shard grafts ("" for
+    // window: no per-shard subtree).
+    const std::string subtree = kind == QueryKind::kKnn     ? "knn"
+                                : kind == QueryKind::kRange ? "range"
+                                                            : "";
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(root_name + " query " + std::to_string(qi));
+      obs::QueryTracer tracer;
+      ShardedSearchOptions options;
+      options.tracer = &tracer;
+      ASSERT_TRUE(RunShardedQuery(*f.sharded, kind, queries[qi], options));
+      const ShardQueryStats stats = f.sharded->last_query_stats();
+      const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
 
-    // Exactly one root, and it is the sharded facade's span.
-    size_t roots = 0;
-    for (const obs::SpanRecord& span : spans) {
-      if (span.parent == obs::kNoSpan) {
-        ++roots;
-        EXPECT_EQ(span.name, "sharded_knn");
-      }
-    }
-    EXPECT_EQ(roots, 1u);
-
-    // Every shard<i> span is accounted for: queried ones carry io_s
-    // and hang under a wave<i> span with the per-shard `knn` subtree
-    // beneath; pruned ones are zero-cost leaves under the root.
-    size_t shard_spans = 0;
-    size_t pruned_spans = 0;
-    size_t knn_subtrees = 0;
-    for (size_t i = 0; i < spans.size(); ++i) {
-      const obs::SpanRecord& span = spans[i];
-      if (span.name.rfind("shard", 0) == 0 &&
-          span.name.rfind("sharded", 0) != 0) {
-        ++shard_spans;
-        bool pruned = false;
-        for (const auto& [key, value] : span.attrs) {
-          if (key == "pruned") pruned = value > 0;
-        }
-        if (pruned) {
-          ++pruned_spans;
-          EXPECT_EQ(spans[span.parent].name, "sharded_knn");
-        } else {
-          EXPECT_EQ(spans[span.parent].name.rfind("wave", 0), 0u);
+      // Exactly one root, and it is the sharded facade's span.
+      size_t roots = 0;
+      for (const obs::SpanRecord& span : spans) {
+        if (span.parent == obs::kNoSpan) {
+          ++roots;
+          EXPECT_EQ(span.name, root_name);
         }
       }
-      if (span.name == "knn") {
-        ++knn_subtrees;
-        ASSERT_NE(span.parent, obs::kNoSpan);
-        EXPECT_EQ(spans[span.parent].name.rfind("shard", 0), 0u);
+      EXPECT_EQ(roots, 1u);
+
+      // Every shard<i> span is accounted for: queried ones carry io_s
+      // and hang under a wave<i> span with the per-shard subtree
+      // beneath; pruned ones are zero-cost leaves under the root.
+      size_t shard_spans = 0;
+      size_t pruned_spans = 0;
+      size_t subtrees = 0;
+      for (size_t i = 0; i < spans.size(); ++i) {
+        const obs::SpanRecord& span = spans[i];
+        if (span.name.rfind("shard", 0) == 0 &&
+            span.name.rfind("sharded", 0) != 0) {
+          ++shard_spans;
+          bool pruned = false;
+          for (const auto& [key, value] : span.attrs) {
+            if (key == "pruned") pruned = value > 0;
+          }
+          if (pruned) {
+            ++pruned_spans;
+            EXPECT_EQ(spans[span.parent].name, root_name);
+          } else {
+            EXPECT_EQ(spans[span.parent].name.rfind("wave", 0), 0u);
+          }
+        }
+        if (!subtree.empty() && span.name == subtree) {
+          ++subtrees;
+          ASSERT_NE(span.parent, obs::kNoSpan);
+          EXPECT_EQ(spans[span.parent].name.rfind("shard", 0), 0u);
+        }
+      }
+      EXPECT_EQ(shard_spans, stats.shards_queried + stats.shards_pruned);
+      EXPECT_EQ(pruned_spans, stats.shards_pruned);
+      if (!subtree.empty()) {
+        EXPECT_EQ(subtrees, stats.shards_queried);
+      }
+      EXPECT_EQ(stats.shards_queried + stats.shards_pruned,
+                stats.shards_total);
+
+      // The stitched tree's io_s sums equal the aggregated stats
+      // bit-exactly (same values folded in the same gather order).
+      EXPECT_EQ(obs::AggregateSpansByPrefix(spans, "shard", "io_s"),
+                stats.io_s_sum);
+      EXPECT_EQ(obs::AggregateSpansByPrefix(spans, "shard", "pruned"),
+                static_cast<double>(stats.shards_pruned));
+      EXPECT_EQ(obs::AggregateSpans(spans, "page", nullptr),
+                static_cast<double>(stats.totals.pages_decoded));
+      if (kind == QueryKind::kWindow) {
+        // The single tree's WindowQuery reports no per-query stats.
+        EXPECT_EQ(stats.totals.pages_decoded, 0u);
+        EXPECT_EQ(stats.totals.blocks_transferred, 0u);
+        EXPECT_EQ(stats.totals.batches, 0u);
+        EXPECT_EQ(stats.totals.refinements, 0u);
+        EXPECT_EQ(stats.totals.cells_enqueued, 0u);
       }
     }
-    EXPECT_EQ(shard_spans, stats.shards_queried + stats.shards_pruned);
-    EXPECT_EQ(pruned_spans, stats.shards_pruned);
-    EXPECT_EQ(knn_subtrees, stats.shards_queried);
-    EXPECT_EQ(stats.shards_queried + stats.shards_pruned,
-              stats.shards_total);
-
-    // The stitched tree's io_s sums equal the aggregated stats
-    // bit-exactly (same values folded in the same gather order).
-    EXPECT_EQ(obs::AggregateSpansByPrefix(spans, "shard", "io_s"),
-              stats.io_s_sum);
-    EXPECT_EQ(obs::AggregateSpansByPrefix(spans, "shard", "pruned"),
-              static_cast<double>(stats.shards_pruned));
-    EXPECT_EQ(obs::AggregateSpans(spans, "page", nullptr),
-              static_cast<double>(stats.totals.pages_decoded));
   }
 }
 
