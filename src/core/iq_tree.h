@@ -47,16 +47,13 @@ struct IqSearchOptions {
   /// so one query yields one stitched tree (docs/observability.md,
   /// "Sharded queries"). Ignored without a tracer.
   obs::SpanId parent_span = obs::kNoSpan;
-  /// Span cap of the *private* tracer created for slow-log-only
-  /// queries (no `tracer` set). A caller-provided tracer carries its
-  /// own cap.
-  size_t tracer_max_spans = 1 << 16;
   /// Optional slow-query sink (docs/observability.md): every finished
   /// NN/k-NN/range query is offered with its span tree and the cost
   /// model's predicted breakdown; the log retains outliers. When no
-  /// `tracer` is set, the query runs with a private tracer so the log
-  /// still sees full span trees. Thread-safe; one log may be shared
-  /// across a ParallelQueryRunner batch.
+  /// `tracer` is set, the query runs with a private tracer (with
+  /// QueryTracer's default span cap) so the log still sees full span
+  /// trees. Thread-safe; one log may be shared across a
+  /// ParallelQueryRunner batch.
   obs::SlowQueryLog* slow_log = nullptr;
   /// Optional per-page telemetry sink (obs/page_stats.h): the query
   /// reports, per touched directory entry, how many decodes and

@@ -101,7 +101,7 @@ class IqTreeSearcher {
     // its own tracer gets a private one so the log stays self-serve.
     if (obs::kEnabled && options_.slow_log != nullptr &&
         tracer_ == nullptr) {
-      private_tracer_.emplace(options_.tracer_max_spans);
+      private_tracer_.emplace();
       tracer_ = &*private_tracer_;
     }
   }

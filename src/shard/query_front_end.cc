@@ -21,19 +21,6 @@ double ElapsedSeconds(Clock::time_point start) {
 
 }  // namespace
 
-/// One query's stitched-trace bookkeeping. The private tracer keeps
-/// slow-log-only queries (no caller tracer) fully stitched: handing it
-/// to the searcher as if it were the caller's makes parent_span work
-/// and lets the searcher's slow-log offer see the frontend spans.
-struct QueryFrontEnd::QueryTrace {
-  obs::QueryTracer* tracer IQ_UNGUARDED(
-      "per-query stack object owned by one caller thread") = nullptr;
-  std::unique_ptr<obs::QueryTracer> owned IQ_UNGUARDED(
-      "per-query stack object owned by one caller thread");
-  obs::SpanId root IQ_UNGUARDED(
-      "per-query stack object owned by one caller thread") = obs::kNoSpan;
-};
-
 QueryFrontEnd::QueryFrontEnd(const ShardedSearcher& searcher)
     : QueryFrontEnd(searcher, Options()) {}
 
@@ -121,13 +108,54 @@ void QueryFrontEnd::Release() const {
   cv_.Signal();
 }
 
-Status QueryFrontEnd::PrepareSearch(Clock::time_point start,
-                                    ShardedSearchOptions& options) const {
-  if (options.deadline_s <= 0) {
-    options.deadline_s = options_.default_deadline_s;
+template <typename T, typename Search>
+Result<T> QueryFrontEnd::Run(const ShardedSearchOptions& options,
+                             const Search& search) const {
+  const Clock::time_point start = Clock::now();
+  ShardedSearchOptions effective = options;
+  if (effective.deadline_s <= 0) {
+    effective.deadline_s = options_.default_deadline_s;
   }
-  if (options.deadline_s > 0) {
-    const double remaining = options.deadline_s - ElapsedSeconds(start);
+  // A slow-log-only query (no caller tracer) gets a private tracer,
+  // handed to the searcher as if it were the caller's: its sharded_*
+  // root then stitches under the frontend span, and the searcher's
+  // slow-log offer sees the frontend spans too.
+  std::unique_ptr<obs::QueryTracer> owned;
+  if (effective.tracer == nullptr && effective.slow_log != nullptr &&
+      obs::kEnabled) {
+    owned = std::make_unique<obs::QueryTracer>(kShardedTracerMaxSpans);
+    effective.tracer = owned.get();
+  }
+  obs::QueryTracer* const tracer = effective.tracer;
+  obs::ScopedSpan frontend(tracer, "frontend", effective.parent_span);
+
+  Status admit;
+  {
+    obs::ScopedSpan queue(tracer, "queue_wait", frontend.id());
+    admit = Admit(start, effective.deadline_s);
+    const double wait_s = obs::kEnabled ? ElapsedSeconds(start) : 0.0;
+    queue.AddAttr("wait_s", wait_s);
+    queue_wait_->Observe(wait_s);
+  }
+  {
+    obs::ScopedSpan decision(tracer, "admission", frontend.id());
+    decision.AddAttr("admitted", admit.ok() ? 1 : 0);
+    decision.AddAttr("rejected", admit.IsUnavailable() ? 1 : 0);
+    decision.AddAttr("deadline_exceeded",
+                     admit.IsDeadlineExceeded() ? 1 : 0);
+  }
+  if (!admit.ok()) {
+    // The post-mortem for a query that never ran: why was it turned
+    // away, and what was the front end doing at the time.
+    obs::FlightRecorder::Global().TriggerDump(
+        admit.IsUnavailable() ? "rejected" : "deadline_exceeded");
+    return admit;
+  }
+  AdmissionSlot slot{this};
+
+  // The time spent queued counts against the budget.
+  if (effective.deadline_s > 0) {
+    const double remaining = effective.deadline_s - ElapsedSeconds(start);
     if (remaining <= 0) {
       deadline_exceeded_->Increment();
       if (obs::kEnabled) {
@@ -139,138 +167,38 @@ Status QueryFrontEnd::PrepareSearch(Clock::time_point start,
       return Status::DeadlineExceeded(
           "query deadline expired before execution");
     }
-    options.deadline_s = remaining;
+    effective.deadline_s = remaining;
   }
-  return Status::OK();
-}
-
-Status QueryFrontEnd::BeginQuery(Clock::time_point start,
-                                 ShardedSearchOptions& options,
-                                 QueryTrace& trace) const {
-  trace.tracer = options.tracer;
-  if (trace.tracer == nullptr && options.slow_log != nullptr &&
-      obs::kEnabled) {
-    trace.owned =
-        std::make_unique<obs::QueryTracer>(options.tracer_max_spans);
-    trace.tracer = trace.owned.get();
+  effective.parent_span = frontend.id();
+  Result<T> result = search(effective);
+  if (!result.ok() && result.status().IsDeadlineExceeded()) {
+    deadline_exceeded_->Increment();
   }
-  obs::QueryTracer* tracer = trace.tracer;
-  if (tracer != nullptr) {
-    trace.root = tracer->BeginSpan("frontend", options.parent_span);
-  }
-
-  const obs::SpanId queue_span =
-      tracer != nullptr ? tracer->BeginSpan("queue_wait", trace.root)
-                        : obs::kNoSpan;
-  const Status admit = Admit(start, options.deadline_s);
-  const double wait_s = obs::kEnabled ? ElapsedSeconds(start) : 0.0;
-  if (tracer != nullptr && queue_span != obs::kNoSpan) {
-    tracer->AddAttr(queue_span, "wait_s", wait_s);
-    tracer->EndSpan(queue_span);
-  }
-  queue_wait_->Observe(wait_s);
-
-  if (tracer != nullptr) {
-    const obs::SpanId decision = tracer->BeginSpan("admission", trace.root);
-    if (decision != obs::kNoSpan) {
-      tracer->AddAttr(decision, "admitted", admit.ok() ? 1 : 0);
-      tracer->AddAttr(decision, "rejected", admit.IsUnavailable() ? 1 : 0);
-      tracer->AddAttr(decision, "deadline_exceeded",
-                      admit.IsDeadlineExceeded() ? 1 : 0);
-      tracer->EndSpan(decision);
-    }
-  }
-  if (!admit.ok()) {
-    // The post-mortem for a query that never ran: why was it turned
-    // away, and what was the front end doing at the time.
-    obs::FlightRecorder::Global().TriggerDump(
-        admit.IsUnavailable() ? "rejected" : "deadline_exceeded");
-    EndQuery(trace);
-    return admit;
-  }
-  // Hand the searcher the stitched trace: its sharded_* root becomes a
-  // child of the frontend span, even for a front-end-private tracer.
-  options.tracer = tracer;
-  options.parent_span = trace.root;
-  return Status::OK();
-}
-
-void QueryFrontEnd::EndQuery(QueryTrace& trace) const {
-  if (trace.tracer != nullptr && trace.root != obs::kNoSpan) {
-    trace.tracer->EndSpan(trace.root);
-  }
+  return result;
 }
 
 Result<std::vector<Neighbor>> QueryFrontEnd::KNearestNeighbors(
     PointView q, size_t k, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
-  ShardedSearchOptions effective = options;
-  if (effective.deadline_s <= 0) {
-    effective.deadline_s = options_.default_deadline_s;
-  }
-  QueryTrace trace;
-  IQ_RETURN_NOT_OK(BeginQuery(start, effective, trace));
-  AdmissionSlot slot{this};
-  Status prepared = PrepareSearch(start, effective);
-  if (!prepared.ok()) {
-    EndQuery(trace);
-    return prepared;
-  }
-  Result<std::vector<Neighbor>> result =
-      searcher_.KNearestNeighbors(q, k, effective);
-  if (!result.ok() && result.status().IsDeadlineExceeded()) {
-    deadline_exceeded_->Increment();
-  }
-  EndQuery(trace);
-  return result;
+  return Run<std::vector<Neighbor>>(
+      options, [&](const ShardedSearchOptions& effective) {
+    return searcher_.KNearestNeighbors(q, k, effective);
+  });
 }
 
 Result<std::vector<Neighbor>> QueryFrontEnd::RangeSearch(
     PointView q, double radius, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
-  ShardedSearchOptions effective = options;
-  if (effective.deadline_s <= 0) {
-    effective.deadline_s = options_.default_deadline_s;
-  }
-  QueryTrace trace;
-  IQ_RETURN_NOT_OK(BeginQuery(start, effective, trace));
-  AdmissionSlot slot{this};
-  Status prepared = PrepareSearch(start, effective);
-  if (!prepared.ok()) {
-    EndQuery(trace);
-    return prepared;
-  }
-  Result<std::vector<Neighbor>> result =
-      searcher_.RangeSearch(q, radius, effective);
-  if (!result.ok() && result.status().IsDeadlineExceeded()) {
-    deadline_exceeded_->Increment();
-  }
-  EndQuery(trace);
-  return result;
+  return Run<std::vector<Neighbor>>(
+      options, [&](const ShardedSearchOptions& effective) {
+    return searcher_.RangeSearch(q, radius, effective);
+  });
 }
 
 Result<std::vector<PointId>> QueryFrontEnd::WindowQuery(
     const Mbr& window, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
-  ShardedSearchOptions effective = options;
-  if (effective.deadline_s <= 0) {
-    effective.deadline_s = options_.default_deadline_s;
-  }
-  QueryTrace trace;
-  IQ_RETURN_NOT_OK(BeginQuery(start, effective, trace));
-  AdmissionSlot slot{this};
-  Status prepared = PrepareSearch(start, effective);
-  if (!prepared.ok()) {
-    EndQuery(trace);
-    return prepared;
-  }
-  Result<std::vector<PointId>> result =
-      searcher_.WindowQuery(window, effective);
-  if (!result.ok() && result.status().IsDeadlineExceeded()) {
-    deadline_exceeded_->Increment();
-  }
-  EndQuery(trace);
-  return result;
+  return Run<std::vector<PointId>>(
+      options, [&](const ShardedSearchOptions& effective) {
+    return searcher_.WindowQuery(window, effective);
+  });
 }
 
 }  // namespace iq

@@ -78,23 +78,18 @@ class QueryFrontEnd {
   }
 
  private:
-  /// Trace state of one query's stay in the front end: the effective
-  /// tracer (the caller's, or a private one so slow-log-only queries
-  /// still stitch), the open `frontend` root span, and the measured
-  /// queue wait. Defined in the .cc.
-  struct QueryTrace;
+  /// The one admission path behind every query kind: opens the
+  /// `frontend` root span, wraps Admit in a `queue_wait` child, records
+  /// the decision in an `admission` child plus the flight recorder (a
+  /// rejection triggers a dump), applies the default deadline and
+  /// charges the queue wait against it, then calls `search(options)`
+  /// with the stitched trace (tracer + parent_span) and the remaining
+  /// budget. Any admission failure is the query's result. Defined in
+  /// the .cc.
+  template <typename T, typename Search>
+  Result<T> Run(const ShardedSearchOptions& options,
+                const Search& search) const IQ_EXCLUDES(mu_);
 
-  /// Runs admission with full tracing: opens the `frontend` root span,
-  /// wraps Admit in a `queue_wait` child, records the decision in an
-  /// `admission` child plus the flight recorder (a rejection triggers
-  /// a dump), and on success points `options` at the stitched trace
-  /// (tracer + parent_span). Any failure status is the query's result.
-  Status BeginQuery(std::chrono::steady_clock::time_point start,
-                    ShardedSearchOptions& options, QueryTrace& trace) const
-      IQ_EXCLUDES(mu_);
-
-  /// Closes the `frontend` span (call after the searcher returned).
-  void EndQuery(QueryTrace& trace) const;
   /// Blocks until admitted (slot free), rejected (queue full), or the
   /// deadline expires while queued. `start` anchors the deadline at
   /// query arrival so queue wait counts against the budget.
@@ -107,12 +102,6 @@ class QueryFrontEnd {
     const QueryFrontEnd* front_end;
     ~AdmissionSlot() { front_end->Release(); }
   };
-
-  /// Applies the default deadline and charges the time already spent
-  /// queued against the remaining budget; DeadlineExceeded when the
-  /// budget is gone before the searcher is even called.
-  Status PrepareSearch(std::chrono::steady_clock::time_point start,
-                       ShardedSearchOptions& options) const;
 
   const ShardedSearcher& searcher_;
   const Options options_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -77,6 +79,34 @@ bool HeapByDistance(const Neighbor& a, const Neighbor& b) {
   return a.distance < b.distance;
 }
 
+/// The pruning bound of a merge that can never prune (range, window,
+/// and kNN before its heap holds k neighbors).
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
+/// A screen's verdict on one non-empty shard: keep it as a candidate
+/// at `mindist`, or prune it with `bound` as the evidence (negative
+/// when the prune is not distance-based).
+struct Screening {
+  bool keep;
+  double mindist;
+  double bound;
+};
+
+/// A shard that survived screening, ordered by (mindist, index).
+struct Candidate {
+  double mindist = 0;
+  size_t index = 0;
+};
+
+/// What one fan-out worker brings back from its shard.
+template <typename Hit>
+struct WorkerOut {
+  Status status;
+  std::vector<Hit> hits;
+  IqTree::QueryStats stats;
+  double io_s = 0;
+};
+
 void AddQueryStats(IqTree::QueryStats& totals,
                    const IqTree::QueryStats& shard) {
   totals.pages_decoded += shard.pages_decoded;
@@ -135,11 +165,6 @@ Result<std::unique_ptr<ShardedSearcher>> ShardedSearcher::Open(
       return Status::Corruption("shard " + info.name +
                                 " point count disagrees with manifest");
     }
-    if (options.cache_blocks_per_shard > 0) {
-      shard.cache = std::make_unique<BlockCache>(
-          options.disk.block_size, options.cache_blocks_per_shard);
-      shard.tree->set_block_cache(shard.cache.get());
-    }
     shard.bounds = info.bounds;
     shard.points = info.points;
     shard.queries = obs::MetricRegistry::Global().GetCounter(
@@ -162,46 +187,53 @@ void ShardedSearcher::FinishQuery(const ShardQueryStats& agg) const {
   last_query_stats_ = agg;
 }
 
-Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
-    PointView q, size_t k, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
-  if (q.size() != dims_) {
-    return Status::InvalidArgument("query dims mismatch in sharded knn");
-  }
-  if (k == 0) return std::vector<Neighbor>{};
+/// The labels of one query kind in the stitched trace: the `sharded_*`
+/// root span and its one attribute (`attr` null for none).
+struct ShardedSearcher::FanOut {
+  const char* const root;
+  const char* const attr;
+  const double value;
+};
 
+template <typename Hit, typename Screen, typename Search, typename Merge>
+Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
+                                      const ShardedSearchOptions& options,
+                                      const Screen& screen,
+                                      const Search& search,
+                                      const Merge& merge) const {
+  const Clock::time_point start = Clock::now();
   ShardQueryStats agg;
   agg.shards_total = shards_.size();
 
   obs::QueryTracer* tracer = options.tracer;
   std::unique_ptr<obs::QueryTracer> owned_tracer;
   if (tracer == nullptr && options.slow_log != nullptr) {
-    owned_tracer =
-        std::make_unique<obs::QueryTracer>(options.tracer_max_spans);
+    owned_tracer = std::make_unique<obs::QueryTracer>(kShardedTracerMaxSpans);
     tracer = owned_tracer.get();
   }
   // A caller-requested parent only makes sense in the caller's tracer.
   const obs::SpanId parent =
       owned_tracer == nullptr ? options.parent_span : obs::kNoSpan;
 
-  std::vector<Neighbor> heap;
-  heap.reserve(k);
   std::vector<obs::ShardCostSample> per_shard;
   Status error;
   {
-    obs::ScopedSpan root(tracer, "sharded_knn", parent);
-    root.AddAttr("k", static_cast<double>(k));
+    obs::ScopedSpan root(tracer, fan_out.root, parent);
+    if (fan_out.attr != nullptr) root.AddAttr(fan_out.attr, fan_out.value);
 
     std::vector<Candidate> candidates;
     candidates.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].points == 0) {
+      const Screening verdict = shards_[i].points == 0
+                                    ? Screening{false, 0.0, -1.0}
+                                    : screen(shards_[i].bounds);
+      if (!verdict.keep) {
         ++agg.shards_pruned;
-        RecordPrunedShard(tracer, root.id(), i, 0.0, -1.0);
+        RecordPrunedShard(tracer, root.id(), i, verdict.mindist,
+                          verdict.bound);
         continue;
       }
-      candidates.push_back(
-          Candidate{MinDist(q, shards_[i].bounds, metric_), i});
+      candidates.push_back(Candidate{verdict.mindist, i});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -214,24 +246,24 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
     shard_options.tracer = tracer;
 
     const size_t wave_width = pool_->num_threads();
+    double bound = kNoBound;
     size_t next = 0;
     size_t wave_index = 0;
     while (next < candidates.size() && error.ok()) {
       if (DeadlineExpired(start, options.deadline_s, agg.shards_queried)) {
         deadline_->Increment();
-        error = Status::DeadlineExceeded("sharded knn deadline exceeded");
+        error = Status::DeadlineExceeded(std::string(fan_out.root) +
+                                         " deadline exceeded");
         break;
       }
-      // Candidates are sorted by MINDIST: once the heap holds k
-      // neighbors and the next shard's MINDIST reaches the global kth
-      // distance, that shard and everything after it can only produce
-      // neighbors the single tree's AddResult would reject too.
-      if (heap.size() == k &&
-          candidates[next].mindist >= heap.front().distance) {
-        const double kth = heap.front().distance;
+      // Candidates are sorted by MINDIST: once the next shard's MINDIST
+      // reaches the merge's bound (kNN: the global kth distance), that
+      // shard and everything after it can only produce answers the
+      // single tree would reject too.
+      if (candidates[next].mindist >= bound) {
         for (size_t j = next; j < candidates.size(); ++j) {
           RecordPrunedShard(tracer, root.id(), candidates[j].index,
-                            candidates[j].mindist, kth);
+                            candidates[j].mindist, bound);
         }
         agg.shards_pruned += candidates.size() - next;
         break;
@@ -246,7 +278,7 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
           obs::FlightEventType::kWaveDispatch,
           static_cast<uint32_t>(wave_index),
           static_cast<double>(wave_end - next));
-      std::vector<std::future<WorkerOut>> futures;
+      std::vector<std::future<WorkerOut<Hit>>> futures;
       std::vector<obs::SpanId> shard_spans;
       futures.reserve(wave_end - next);
       shard_spans.reserve(wave_end - next);
@@ -263,26 +295,26 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
         shard_spans.push_back(shard_span);
         IqSearchOptions worker_options = shard_options;
         worker_options.parent_span = shard_span;
-        futures.push_back(
-            pool_->Submit([&shard, q, k, worker_options]() {
-              WorkerOut out;
-              const double t0 = shard.disk->Now();
-              Result<std::vector<Neighbor>> r =
-                  shard.tree->KNearestNeighbors(q, k, worker_options);
-              out.io_s = shard.disk->Now() - t0;
-              out.stats = shard.tree->last_query_stats();
-              if (r.ok()) {
-                out.neighbors = std::move(r).value();
-              } else {
-                out.status = r.status();
-              }
-              return out;
-            }));
+        // `search` outlives the task: every future of the wave is
+        // drained below before the next wave (or the return) starts.
+        futures.push_back(pool_->Submit([&shard, &search, worker_options]() {
+          WorkerOut<Hit> out;
+          const double t0 = shard.disk->Now();
+          Result<std::vector<Hit>> r =
+              search(*shard.tree, worker_options, out.stats);
+          out.io_s = shard.disk->Now() - t0;
+          if (r.ok()) {
+            out.hits = std::move(r).value();
+          } else {
+            out.status = r.status();
+          }
+          return out;
+        }));
       }
       // Gather in submission order: the merge below is then a pure
       // function of the candidate order, never of thread timing.
       for (size_t j = next; j < wave_end; ++j) {
-        WorkerOut out = futures[j - next].get();
+        WorkerOut<Hit> out = futures[j - next].get();
         const size_t index = candidates[j].index;
         ++agg.shards_queried;
         shards_[index].queries->Increment();
@@ -304,7 +336,53 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
         AddQueryStats(agg.totals, out.stats);
         agg.io_s_sum += out.io_s;
         agg.io_s_max = std::max(agg.io_s_max, out.io_s);
-        for (const Neighbor& n : out.neighbors) {
+        bound = merge(out.hits);
+      }
+      if (obs::kEnabled) {
+        waves_->Increment();
+        wave_width_->Observe(static_cast<double>(wave_end - next));
+        wave_seconds_->Observe(ElapsedSeconds(wave_start));
+      }
+      ++wave_index;
+      next = wave_end;
+    }
+  }
+
+  if (tracer != nullptr) {
+    agg.dropped_spans = tracer->dropped();
+    agg.truncated = agg.dropped_spans > 0;
+  }
+  if (options.slow_log != nullptr && tracer != nullptr) {
+    options.slow_log->Offer(tracer->Snapshot(), obs::kNoSpan, predicted_,
+                            agg.dropped_spans, std::move(per_shard));
+  }
+  FinishQuery(agg);
+  return error;
+}
+
+Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
+    PointView q, size_t k, const ShardedSearchOptions& options) const {
+  if (q.size() != dims_) {
+    return Status::InvalidArgument("query dims mismatch in sharded knn");
+  }
+  if (k == 0) return std::vector<Neighbor>{};
+
+  std::vector<Neighbor> heap;
+  heap.reserve(k);
+  IQ_RETURN_NOT_OK(ScatterGather<Neighbor>(
+      FanOut{"sharded_knn", "k", static_cast<double>(k)}, options,
+      [&](const Mbr& bounds) {
+        return Screening{true, MinDist(q, bounds, metric_), -1.0};
+      },
+      [q, k](const IqTree& tree, const IqSearchOptions& shard_options,
+             IqTree::QueryStats& stats) {
+        Result<std::vector<Neighbor>> r =
+            tree.KNearestNeighbors(q, k, shard_options);
+        stats = tree.last_query_stats();
+        return r;
+      },
+      [&heap, k](const std::vector<Neighbor>& hits) {
+        for (const Neighbor& n : hits) {
           if (heap.size() < k) {
             heap.push_back(n);
             std::push_heap(heap.begin(), heap.end(), HeapByDistance);
@@ -314,34 +392,14 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
             std::push_heap(heap.begin(), heap.end(), HeapByDistance);
           }
         }
-      }
-      if (obs::kEnabled) {
-        waves_->Increment();
-        wave_width_->Observe(static_cast<double>(wave_end - next));
-        wave_seconds_->Observe(ElapsedSeconds(wave_start));
-      }
-      ++wave_index;
-      next = wave_end;
-    }
-  }
-
-  if (tracer != nullptr) {
-    agg.dropped_spans = tracer->dropped();
-    agg.truncated = agg.dropped_spans > 0;
-  }
-  if (options.slow_log != nullptr && tracer != nullptr) {
-    options.slow_log->Offer(tracer->Snapshot(), obs::kNoSpan, predicted_,
-                            agg.dropped_spans, std::move(per_shard));
-  }
-  FinishQuery(agg);
-  if (!error.ok()) return error;
+        return heap.size() == k ? heap.front().distance : kNoBound;
+      }));
   std::sort(heap.begin(), heap.end(), ByDistanceThenId);
   return heap;
 }
 
 Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
     PointView q, double radius, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
   if (q.size() != dims_) {
     return Status::InvalidArgument("query dims mismatch in sharded range");
   }
@@ -349,254 +407,52 @@ Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
     return Status::InvalidArgument("negative range radius");
   }
 
-  ShardQueryStats agg;
-  agg.shards_total = shards_.size();
-
-  obs::QueryTracer* tracer = options.tracer;
-  std::unique_ptr<obs::QueryTracer> owned_tracer;
-  if (tracer == nullptr && options.slow_log != nullptr) {
-    owned_tracer =
-        std::make_unique<obs::QueryTracer>(options.tracer_max_spans);
-    tracer = owned_tracer.get();
-  }
-  const obs::SpanId parent =
-      owned_tracer == nullptr ? options.parent_span : obs::kNoSpan;
-
   std::vector<Neighbor> results;
-  std::vector<obs::ShardCostSample> per_shard;
-  Status error;
-  {
-    obs::ScopedSpan root(tracer, "sharded_range", parent);
-    root.AddAttr("radius", radius);
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].points == 0) {
-        ++agg.shards_pruned;
-        RecordPrunedShard(tracer, root.id(), i, 0.0, -1.0);
-        continue;
-      }
-      const double mindist = MinDist(q, shards_[i].bounds, metric_);
-      if (mindist > radius) {
-        ++agg.shards_pruned;
-        RecordPrunedShard(tracer, root.id(), i, mindist, radius);
-        continue;
-      }
-      candidates.push_back(Candidate{mindist, i});
-    }
-
-    IqSearchOptions shard_options;
-    shard_options.optimized_access = options.optimized_access;
-    shard_options.tracer = tracer;
-
-    const size_t wave_width = pool_->num_threads();
-    size_t next = 0;
-    size_t wave_index = 0;
-    while (next < candidates.size() && error.ok()) {
-      if (DeadlineExpired(start, options.deadline_s, agg.shards_queried)) {
-        deadline_->Increment();
-        error = Status::DeadlineExceeded("sharded range deadline exceeded");
-        break;
-      }
-      const size_t wave_end =
-          std::min(candidates.size(), next + wave_width);
-      const Clock::time_point wave_start = Clock::now();
-      obs::ScopedSpan wave(tracer, IndexedName("wave", wave_index),
-                           root.id());
-      wave.AddAttr("shards", static_cast<double>(wave_end - next));
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kWaveDispatch,
-          static_cast<uint32_t>(wave_index),
-          static_cast<double>(wave_end - next));
-      std::vector<std::future<WorkerOut>> futures;
-      std::vector<obs::SpanId> shard_spans;
-      futures.reserve(wave_end - next);
-      shard_spans.reserve(wave_end - next);
-      for (size_t j = next; j < wave_end; ++j) {
-        const Shard& shard = shards_[candidates[j].index];
-        obs::SpanId shard_span = obs::kNoSpan;
-        if (tracer != nullptr) {
-          shard_span = tracer->BeginSpan(
-              IndexedName("shard", candidates[j].index), wave.id());
-        }
-        shard_spans.push_back(shard_span);
-        IqSearchOptions worker_options = shard_options;
-        worker_options.parent_span = shard_span;
-        futures.push_back(
-            pool_->Submit([&shard, q, radius, worker_options]() {
-              WorkerOut out;
-              const double t0 = shard.disk->Now();
-              Result<std::vector<Neighbor>> r =
-                  shard.tree->RangeSearch(q, radius, worker_options);
-              out.io_s = shard.disk->Now() - t0;
-              out.stats = shard.tree->last_query_stats();
-              if (r.ok()) {
-                out.neighbors = std::move(r).value();
-              } else {
-                out.status = r.status();
-              }
-              return out;
-            }));
-      }
-      for (size_t j = next; j < wave_end; ++j) {
-        WorkerOut out = futures[j - next].get();
-        const size_t index = candidates[j].index;
-        ++agg.shards_queried;
-        shards_[index].queries->Increment();
-        if (tracer != nullptr && shard_spans[j - next] != obs::kNoSpan) {
-          tracer->AddAttr(shard_spans[j - next], "mindist",
-                          candidates[j].mindist);
-          tracer->AddAttr(shard_spans[j - next], "io_s", out.io_s);
-          tracer->EndSpan(shard_spans[j - next]);
-        }
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventType::kShardQuery,
-            static_cast<uint32_t>(index), candidates[j].mindist, out.io_s);
-        if (!out.status.ok()) {
-          if (error.ok()) error = out.status;
-          continue;
-        }
-        per_shard.push_back(obs::ShardCostSample{
-            index, shards_[index].predicted, out.io_s});
-        AddQueryStats(agg.totals, out.stats);
-        agg.io_s_sum += out.io_s;
-        agg.io_s_max = std::max(agg.io_s_max, out.io_s);
-        results.insert(results.end(), out.neighbors.begin(),
-                       out.neighbors.end());
-      }
-      if (obs::kEnabled) {
-        waves_->Increment();
-        wave_width_->Observe(static_cast<double>(wave_end - next));
-        wave_seconds_->Observe(ElapsedSeconds(wave_start));
-      }
-      ++wave_index;
-      next = wave_end;
-    }
-  }
-
-  if (tracer != nullptr) {
-    agg.dropped_spans = tracer->dropped();
-    agg.truncated = agg.dropped_spans > 0;
-  }
-  if (options.slow_log != nullptr && tracer != nullptr) {
-    options.slow_log->Offer(tracer->Snapshot(), obs::kNoSpan, predicted_,
-                            agg.dropped_spans, std::move(per_shard));
-  }
-  FinishQuery(agg);
-  if (!error.ok()) return error;
+  IQ_RETURN_NOT_OK(ScatterGather<Neighbor>(
+      FanOut{"sharded_range", "radius", radius}, options,
+      [&](const Mbr& bounds) {
+        const double mindist = MinDist(q, bounds, metric_);
+        return Screening{mindist <= radius, mindist, radius};
+      },
+      [q, radius](const IqTree& tree, const IqSearchOptions& shard_options,
+                  IqTree::QueryStats& stats) {
+        Result<std::vector<Neighbor>> r =
+            tree.RangeSearch(q, radius, shard_options);
+        stats = tree.last_query_stats();
+        return r;
+      },
+      [&results](const std::vector<Neighbor>& hits) {
+        results.insert(results.end(), hits.begin(), hits.end());
+        return kNoBound;
+      }));
   std::sort(results.begin(), results.end(), ByDistanceThenId);
   return results;
 }
 
 Result<std::vector<PointId>> ShardedSearcher::WindowQuery(
     const Mbr& window, const ShardedSearchOptions& options) const {
-  const Clock::time_point start = Clock::now();
   if (window.dims() != dims_) {
     return Status::InvalidArgument("window dims mismatch in sharded query");
   }
-
-  ShardQueryStats agg;
-  agg.shards_total = shards_.size();
-
-  // WindowQuery carries no per-shard IQ-tree spans (the single tree's
-  // WindowQuery is untraced too), but the facade still stitches its
-  // wave/shard skeleton with io_s so the fan-out shape is visible.
-  obs::QueryTracer* tracer = options.tracer;
-  const obs::SpanId parent = options.parent_span;
+  // The single tree's WindowQuery is untraced, so a window offer would
+  // carry 0 s of observed I/O and drag the slow log's adaptive
+  // threshold down; window queries are never offered. The facade still
+  // stitches its wave/shard skeleton with io_s into a caller's tracer.
+  ShardedSearchOptions unlogged = options;
+  unlogged.slow_log = nullptr;
 
   std::vector<PointId> ids;
-  Status error;
-  {
-    obs::ScopedSpan root(tracer, "sharded_window", parent);
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].points == 0 || !shards_[i].bounds.Intersects(window)) {
-        ++agg.shards_pruned;
-        RecordPrunedShard(tracer, root.id(), i, 0.0, -1.0);
-        continue;
-      }
-      candidates.push_back(Candidate{0, i});
-    }
-
-    const size_t wave_width = pool_->num_threads();
-    size_t next = 0;
-    size_t wave_index = 0;
-    while (next < candidates.size() && error.ok()) {
-      if (DeadlineExpired(start, options.deadline_s, agg.shards_queried)) {
-        deadline_->Increment();
-        error = Status::DeadlineExceeded("sharded window deadline exceeded");
-        break;
-      }
-      const size_t wave_end =
-          std::min(candidates.size(), next + wave_width);
-      const Clock::time_point wave_start = Clock::now();
-      obs::ScopedSpan wave(tracer, IndexedName("wave", wave_index),
-                           root.id());
-      wave.AddAttr("shards", static_cast<double>(wave_end - next));
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kWaveDispatch,
-          static_cast<uint32_t>(wave_index),
-          static_cast<double>(wave_end - next));
-      std::vector<std::future<WorkerOut>> futures;
-      std::vector<obs::SpanId> shard_spans;
-      futures.reserve(wave_end - next);
-      shard_spans.reserve(wave_end - next);
-      for (size_t j = next; j < wave_end; ++j) {
-        const Shard& shard = shards_[candidates[j].index];
-        obs::SpanId shard_span = obs::kNoSpan;
-        if (tracer != nullptr) {
-          shard_span = tracer->BeginSpan(
-              IndexedName("shard", candidates[j].index), wave.id());
-        }
-        shard_spans.push_back(shard_span);
-        futures.push_back(pool_->Submit([&shard, &window]() {
-          WorkerOut out;
-          const double t0 = shard.disk->Now();
-          Result<std::vector<PointId>> r = shard.tree->WindowQuery(window);
-          out.io_s = shard.disk->Now() - t0;
-          if (r.ok()) {
-            out.ids = std::move(r).value();
-          } else {
-            out.status = r.status();
-          }
-          return out;
-        }));
-      }
-      for (size_t j = next; j < wave_end; ++j) {
-        WorkerOut out = futures[j - next].get();
-        const size_t index = candidates[j].index;
-        ++agg.shards_queried;
-        shards_[index].queries->Increment();
-        if (tracer != nullptr && shard_spans[j - next] != obs::kNoSpan) {
-          tracer->AddAttr(shard_spans[j - next], "io_s", out.io_s);
-          tracer->EndSpan(shard_spans[j - next]);
-        }
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventType::kShardQuery,
-            static_cast<uint32_t>(index), 0.0, out.io_s);
-        if (!out.status.ok()) {
-          if (error.ok()) error = out.status;
-          continue;
-        }
-        agg.io_s_sum += out.io_s;
-        agg.io_s_max = std::max(agg.io_s_max, out.io_s);
-        ids.insert(ids.end(), out.ids.begin(), out.ids.end());
-      }
-      if (obs::kEnabled) {
-        waves_->Increment();
-        wave_width_->Observe(static_cast<double>(wave_end - next));
-        wave_seconds_->Observe(ElapsedSeconds(wave_start));
-      }
-      ++wave_index;
-      next = wave_end;
-    }
-  }
-
-  FinishQuery(agg);
-  if (!error.ok()) return error;
+  IQ_RETURN_NOT_OK(ScatterGather<PointId>(
+      FanOut{"sharded_window", nullptr, 0.0}, unlogged,
+      [&window](const Mbr& bounds) {
+        return Screening{bounds.Intersects(window), 0.0, -1.0};
+      },
+      [&window](const IqTree& tree, const IqSearchOptions&,
+                IqTree::QueryStats&) { return tree.WindowQuery(window); },
+      [&ids](const std::vector<PointId>& hits) {
+        ids.insert(ids.end(), hits.begin(), hits.end());
+        return kNoBound;
+      }));
   std::sort(ids.begin(), ids.end());
   return ids;
 }

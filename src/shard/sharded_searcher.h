@@ -18,7 +18,6 @@
 #include "geom/metrics.h"
 #include "geom/neighbor.h"
 #include "geom/point.h"
-#include "io/block_cache.h"
 #include "io/disk_model.h"
 #include "io/storage.h"
 #include "obs/calibration.h"
@@ -28,6 +27,12 @@
 #include "shard/shard_manifest.h"
 
 namespace iq {
+
+/// Span cap of the private tracer a sharded query (or QueryFrontEnd)
+/// creates for slow-log-only queries — 16x QueryTracer's default:
+/// fan-out multiplies span volume by the shard count, and a truncated
+/// trace is exactly the one the slow log exists to keep.
+inline constexpr size_t kShardedTracerMaxSpans = 1 << 20;
 
 /// Per-query options of the sharded facade — the sharded analogue of
 /// IqSearchOptions, plus a deadline.
@@ -46,16 +51,15 @@ struct ShardedSearchOptions {
   /// When `tracer` is set, the `sharded_*` root opens under this span
   /// — QueryFrontEnd grafts the whole query under its `frontend` span.
   obs::SpanId parent_span = obs::kNoSpan;
-  /// Span cap of the private tracer created for slow-log-only queries.
-  /// Defaults 16x higher than IqSearchOptions' (1M vs 64k): fan-out
-  /// multiplies span volume by the shard count, and a truncated trace
-  /// is exactly the one the slow log exists to keep.
-  size_t tracer_max_spans = 1 << 20;
-  /// Optional slow-query sink. As with IqSearchOptions, when no
-  /// `tracer` is set the query runs with a private tracer shared by the
-  /// whole fan-out, and the finished query is offered once with the
-  /// facade's aggregate trace (root = kNoSpan: every span counts) and
-  /// per-shard predicted-vs-observed cost samples.
+  /// Optional slow-query sink for kNN and range queries. As with
+  /// IqSearchOptions, when no `tracer` is set the query runs with a
+  /// private tracer (kShardedTracerMaxSpans) shared by the whole
+  /// fan-out, and the finished query is offered once with the facade's
+  /// aggregate trace (root = kNoSpan: every span counts) and per-shard
+  /// predicted-vs-observed cost samples. Window queries are never
+  /// offered: the single tree's WindowQuery records no `dir_scan`/
+  /// `batch` spans, so the record would carry 0 s of observed I/O and
+  /// drag the log's adaptive threshold down.
   /// When the caller supplies both a shared tracer and a slow log, the
   /// offered record covers everything in the shared tracer, not just
   /// this query — prefer the private-tracer mode for attribution.
@@ -91,10 +95,10 @@ struct ShardQueryStats {
 };
 
 /// Scatter-gather query facade over the shards of a ShardManifest:
-/// opens every shard's IQ-tree (each with its own DiskModel and
-/// optional BlockCache), fans queries out on an internal ThreadPool,
-/// prunes shards by manifest-MBR MINDIST against the current global
-/// kth distance, and merges per-shard results into one exact answer.
+/// opens every shard's IQ-tree (each with its own DiskModel), fans
+/// queries out on an internal ThreadPool, prunes shards by manifest-MBR
+/// MINDIST against the current global kth distance, and merges
+/// per-shard results into one exact answer.
 ///
 /// Correctness contract (tests/sharded_searcher_test.cc): results are
 /// bit-identical to a single IqTree built over the same point stream —
@@ -111,8 +115,6 @@ class ShardedSearcher {
     size_t threads = 4;
     /// Disk parameters for every per-shard DiskModel.
     DiskParameters disk;
-    /// Per-shard BlockCache capacity in blocks; 0 disables caching.
-    size_t cache_blocks_per_shard = 0;
   };
 
   /// Opens every shard listed in `manifest` from `storage`. The
@@ -163,7 +165,6 @@ class ShardedSearcher {
  private:
   struct Shard {
     std::unique_ptr<DiskModel> disk;
-    std::unique_ptr<BlockCache> cache;
     std::unique_ptr<IqTree> tree;
     Mbr bounds;
     uint64_t points = 0;
@@ -174,22 +175,27 @@ class ShardedSearcher {
     obs::CostBreakdown predicted;
   };
 
-  /// A shard that survived pruning, ordered by (mindist, index).
-  struct Candidate {
-    double mindist = 0;
-    size_t index = 0;
-  };
-
-  /// What one fan-out worker brings back from its shard.
-  struct WorkerOut {
-    Status status;
-    std::vector<Neighbor> neighbors;
-    std::vector<PointId> ids;
-    IqTree::QueryStats stats;
-    double io_s = 0;
-  };
+  /// The `sharded_*` root span and its attribute of one query kind.
+  /// Defined in the .cc.
+  struct FanOut;
 
   ShardedSearcher(const ShardManifest& manifest, const Options& options);
+
+  /// The one scatter–gather loop behind every query kind. Per shard,
+  /// `screen(bounds)` keeps or prunes it with its MINDIST; survivors
+  /// run in MINDIST order, in waves of the pool width, through
+  /// `search(tree, shard_options, stats)` (returns the shard's hits);
+  /// each shard's hits are folded by `merge(hits)`, which returns the
+  /// current pruning bound (remaining shards with MINDIST >= it are
+  /// skipped). Tracing, deadline, flight events, stats, wave metrics,
+  /// the slow-log offer and FinishQuery happen here once for all
+  /// kinds. Defined in the .cc.
+  template <typename Hit, typename Screen, typename Search, typename Merge>
+  Status ScatterGather(const FanOut& fan_out,
+                       const ShardedSearchOptions& options,
+                       const Screen& screen, const Search& search,
+                       const Merge& merge) const
+      IQ_EXCLUDES(query_stats_mu_);
 
   /// Publishes the aggregate stats and bumps the facade counters.
   void FinishQuery(const ShardQueryStats& agg) const

@@ -836,7 +836,7 @@ int Trace(const Args& args) {
   for (size_t i = 0; i < queries.size(); ++i) {
     // The sharded default cap (fan-out multiplies span volume; a
     // truncated trace would fail the consistency check by design).
-    obs::QueryTracer tracer(ShardedSearchOptions{}.tracer_max_spans);
+    obs::QueryTracer tracer(kShardedTracerMaxSpans);
     ShardedSearchOptions options;
     options.tracer = &tracer;
     if (range) {

@@ -276,12 +276,19 @@ SEED
                 | "$CHECK" --require schema_version --require mode \
                     --require rounds --require stats
             # `trace` exits non-zero when the stitched tree disagrees
-            # with the aggregated ShardQueryStats, so this line is the
-            # consistency gate as well as a JSON-shape check.
-            "$IQTOOL" trace --dir "$OBS_TMP" --manifest "$tree-m" \
-                --queries "$tree-ds" --limit 3 --k 3 --json \
-                | "$CHECK" --require schema_version --require queries \
-                    --require metrics --require consistent
+            # with the aggregated ShardQueryStats, so these runs are the
+            # consistency gate (kNN and range fan-outs) as well as a
+            # JSON-shape check. The output goes through a file, not a
+            # pipe, so `set -e` sees trace's own exit status.
+            for mode in "--k 3" "--radius 0.3"; do
+                # $mode is unquoted on purpose: a flag and its value.
+                "$IQTOOL" trace --dir "$OBS_TMP" --manifest "$tree-m" \
+                    --queries "$tree-ds" --limit 3 $mode --json \
+                    > "$OBS_TMP/$tree-trace.json"
+                "$CHECK" --require schema_version --require queries \
+                    --require metrics --require consistent \
+                    < "$OBS_TMP/$tree-trace.json"
+            done
             # Replay with zero in-flight slots and a short deadline:
             # every query expires in the queue, deterministically
             # provoking deadline-exceeded flight dumps (enabled build).
