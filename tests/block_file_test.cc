@@ -1,6 +1,8 @@
 #include "io/block_file.h"
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +83,61 @@ TEST_F(BlockFileTest, EmptyReadIsFree) {
   disk_.ResetStats();
   ASSERT_TRUE(bf->ReadRange(0, 0, nullptr).ok());
   EXPECT_EQ(disk_.stats().seeks, 0u);
+}
+
+// Many threads ReadRange over one BlockFile and one DiskModel: every
+// block comes back intact, and the shared accounting loses no charge
+// (blocks_read is exactly the sum of the requested counts). Under
+// IQ_SANITIZE=thread this is the race hunt for the read path.
+TEST_F(BlockFileTest, ConcurrentReadRangeKeepsPayloadAndAccounting) {
+  auto bf = Make();
+  constexpr uint64_t kBlocks = 64;
+  auto stamp = [](uint64_t block, size_t i) {
+    return static_cast<uint8_t>(block * 31 + i);
+  };
+  for (uint64_t b = 0; b < kBlocks; ++b) {
+    std::vector<uint8_t> payload(4096);
+    for (size_t i = 0; i < payload.size(); ++i) payload[i] = stamp(b, i);
+    ASSERT_TRUE(bf->AppendBlock(payload.data()).ok());
+  }
+  disk_.ResetStats();
+
+  constexpr size_t kThreads = 4;
+  constexpr int kReadsPerThread = 500;
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> requested{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint8_t> out(4 * 4096);
+      uint64_t state = 0x243f6a8885a308d3ULL * (t + 1);
+      for (int r = 0; r < kReadsPerThread; ++r) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const uint64_t first = (state >> 33) % (kBlocks - 4);
+        const uint64_t count = 1 + (state >> 20) % 4;
+        requested.fetch_add(count, std::memory_order_relaxed);
+        if (!bf->ReadRange(first, count, out.data()).ok()) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (uint64_t b = 0; b < count; ++b) {
+          for (size_t i = 0; i < 4096; ++i) {
+            if (out[b * 4096 + i] != stamp(first + b, i)) {
+              bad.fetch_add(1, std::memory_order_relaxed);
+              break;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  const IoStats stats = disk_.stats();
+  EXPECT_GT(stats.io_time_s, 0.0);
+  EXPECT_EQ(stats.blocks_read, requested.load());
+  EXPECT_EQ(stats.blocks_written, 0u);
 }
 
 }  // namespace
