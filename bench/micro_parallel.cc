@@ -1,8 +1,7 @@
 // Batch-query throughput of the concurrent query engine at 1/2/4/8
-// threads — the scaling baseline future PRs measure against. The tree,
-// disk model, and (optionally) block cache are shared across workers,
-// so this exercises exactly the synchronized state the thread-safety
-// annotations guard. Items processed = queries answered; compare
+// threads — the scaling baseline future PRs measure against. The tree
+// and disk model are shared across workers, so this exercises exactly
+// the synchronized state the thread-safety annotations guard. Items processed = queries answered; compare
 // items_per_second across the thread counts to read the scaling curve
 // (on a single-core host the curve is flat — the point is the
 // baseline, not the speedup).
@@ -16,7 +15,6 @@
 #include "concurrency/parallel_query_runner.h"
 #include "core/iq_tree.h"
 #include "data/generators.h"
-#include "io/block_cache.h"
 #include "io/storage.h"
 
 namespace iq {
@@ -69,27 +67,6 @@ void BM_ParallelKnnBatch(benchmark::State& state) {
                           static_cast<int64_t>(kQueries));
 }
 BENCHMARK(BM_ParallelKnnBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelKnnBatchWarmCache(benchmark::State& state) {
-  SharedTree& shared = Tree();
-  const size_t threads = static_cast<size_t>(state.range(0));
-  // Cache big enough to hold the whole second level: after the first
-  // batch every page read is a synchronized cache hit, which makes
-  // this the stress case for BlockCache's mutex, not the disk path.
-  BlockCache cache(kBlockSize, 4096);
-  shared.tree->set_block_cache(&cache);
-  ParallelQueryRunner runner(*shared.tree, threads);
-  for (auto _ : state) {
-    auto results = runner.KnnBatch(shared.queries, kKnn, {});
-    if (!results.ok()) state.SkipWithError("query failed");
-    benchmark::DoNotOptimize(results);
-  }
-  shared.tree->set_block_cache(nullptr);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kQueries));
-}
-BENCHMARK(BM_ParallelKnnBatchWarmCache)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelRangeBatch(benchmark::State& state) {

@@ -17,10 +17,9 @@ namespace iq {
 ///
 /// Concurrency contract (docs/concurrency.md): queries may run
 /// concurrently with each other — the mutable state they touch
-/// (DiskModel accounting, BlockCache LRU/stats, per-query stats
-/// publication) is internally synchronized — but NOT with updates.
-/// Insert/Remove/Reoptimize require external exclusion, single-writer
-/// style.
+/// (DiskModel accounting, per-query stats publication) is internally
+/// synchronized — but NOT with updates. Insert/Remove/Reoptimize
+/// require external exclusion, single-writer style.
 ///
 /// Every query is answered by the same sequential search code a direct
 /// IqTree call runs, so batch results are identical to calling

@@ -168,14 +168,10 @@ Status IqTree::Reoptimize() {
   }
   meta_.total_points = snapshot.size();
   // Recreate the two data files (reclaims garbage blocks and dead
-  // extents) and repopulate with the optimizer. The attached block
-  // cache, if any, carries over (stale entries of the old file id age
-  // out of the LRU naturally).
-  BlockCache* cache = qpages_->cache();
+  // extents) and repopulate with the optimizer.
   qpages_ = std::make_unique<BlockFile>();
   IQ_RETURN_NOT_OK(qpages_->Open(*storage_, QpgFileName(name_), *disk_,
                                  /*create=*/true));
-  qpages_->set_cache(cache);
   exact_ = std::make_unique<ExtentFile>();
   IQ_RETURN_NOT_OK(exact_->Open(*storage_, DatFileName(name_), *disk_,
                                 /*create=*/true));

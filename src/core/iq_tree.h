@@ -83,9 +83,9 @@ struct IqSearchOptions {
 ///   1. The const query methods — NearestNeighbor, KNearestNeighbors,
 ///      RangeSearch, WindowQuery — may run concurrently with each other
 ///      on one tree (the mutable state they touch is internally
-///      synchronized: DiskModel accounting, BlockCache, the
-///      last_query_stats_ publication). Each query pins the directory
-///      epoch by holding swap_mu_ shared for its whole run.
+///      synchronized: DiskModel accounting and the last_query_stats_
+///      publication). Each query pins the directory epoch by holding
+///      swap_mu_ shared for its whole run.
 ///   2. The Maint* page-swap methods — MaintRequantizeEntry,
 ///      MaintSplitEntry, MaintMergeEntries — may run concurrently with
 ///      queries: new blocks are appended (never overwriting live ones)
@@ -251,12 +251,6 @@ class IqTree {
   /// model (it is a full-index scan).
   Status Validate() const;
 
-  /// Attaches an LRU block cache to the quantized-page file (nullptr
-  /// detaches). Warm repeated queries stop paying for re-read pages;
-  /// the paper's measurements are cold-cache, so benches leave this
-  /// off unless they study caching (abl_cache).
-  void set_block_cache(BlockCache* cache) { qpages_->set_cache(cache); }
-
   /// The cost model's predicted per-query breakdown for this index —
   /// T_1st (eq. 22), T_2nd (eqns 16-21) and T_3rd (sum of eqns 6-15
   /// over the directory) in simulated seconds. This is the "predicted"
@@ -278,12 +272,6 @@ class IqTree {
   QueryStats last_query_stats() const IQ_EXCLUDES(query_stats_mu_) {
     MutexLock lock(&query_stats_mu_);
     return last_query_stats_;
-  }
-  /// Zeroes last_query_stats() — the uniform snapshot/Reset contract
-  /// shared with DiskModel and BlockCache.
-  void ResetQueryStats() const IQ_EXCLUDES(query_stats_mu_) {
-    MutexLock lock(&query_stats_mu_);
-    last_query_stats_ = QueryStats{};
   }
   const std::vector<DirEntry>& directory() const { return dir_; }
 

@@ -27,39 +27,8 @@ Status BlockFile::ReadRange(uint64_t first, uint64_t count, void* out) const {
                               ") past end of file with " +
                               std::to_string(NumBlocks()) + " blocks");
   }
-  const uint64_t bs = block_size();
-  if (cache_ == nullptr || cache_->capacity() == 0) {
-    disk_->ChargeRead(file_id_, first, count);
-    return ReadRaw(first, count, out);
-  }
-  // With a cache: serve hits for free, read through contiguous miss
-  // runs (each run is one disk access) and populate the cache.
-  uint8_t* bytes = static_cast<uint8_t*>(out);
-  uint64_t b = 0;
-  while (b < count) {
-    if (cache_->Lookup(file_id_, first + b, bytes + b * bs)) {
-      ++b;
-      continue;
-    }
-    uint64_t run = 1;
-    // Peek ahead without disturbing LRU/stats until we know the run:
-    // simplest correct approach is to extend while the next block also
-    // misses; Lookup on a hit both copies and counts, so test-by-read.
-    while (b + run < count &&
-           !cache_->Lookup(file_id_, first + b + run,
-                           bytes + (b + run) * bs)) {
-      ++run;
-    }
-    const bool next_was_hit = b + run < count;
-    disk_->ChargeRead(file_id_, first + b, run);
-    IQ_RETURN_NOT_OK(ReadRaw(first + b, run, bytes + b * bs));
-    for (uint64_t i = 0; i < run; ++i) {
-      cache_->Insert(file_id_, first + b + i, bytes + (b + i) * bs);
-    }
-    b += run;
-    if (next_was_hit) ++b;  // that block was already copied by Lookup
-  }
-  return Status::OK();
+  disk_->ChargeRead(file_id_, first, count);
+  return ReadRaw(first, count, out);
 }
 
 Status BlockFile::ReadRaw(uint64_t first, uint64_t count, void* out) const {
@@ -85,7 +54,6 @@ Status BlockFile::WriteBlock(uint64_t index, const void* data) {
     return Status::OutOfRange("write past end: block " + std::to_string(index));
   }
   disk_->ChargeWrite(file_id_, index, 1);
-  if (cache_ != nullptr) cache_->Insert(file_id_, index, data);
   return file_->Write(index * static_cast<uint64_t>(block_size()),
                       block_size(), data);
 }

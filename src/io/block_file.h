@@ -8,7 +8,6 @@
 
 #include "common/contract.h"
 #include "common/result.h"
-#include "io/block_cache.h"
 #include "io/disk_model.h"
 #include "io/storage.h"
 
@@ -23,11 +22,9 @@ namespace iq {
 /// blocks the caller does not need).
 ///
 /// Concurrency: ReadRange/ReadBlock are safe from many threads at once
-/// — the backing File reads positionally (pread-style), the DiskModel
-/// and the attached BlockCache synchronize internally, and the cached
-/// read-through at worst double-loads a block two threads both missed
-/// (Insert refreshes idempotently). Writes and set_cache need external
-/// exclusion, per the single-writer model (docs/concurrency.md).
+/// — the backing File reads positionally (pread-style) and the
+/// DiskModel synchronizes internally. Writes need external exclusion,
+/// per the single-writer model (docs/concurrency.md).
 ///
 /// Lifecycle: default-construct, then Open() exactly once before any
 /// I/O — the Open-before-I/O protocol (common/contract.h) that the
@@ -65,21 +62,13 @@ class BlockFile {
   /// Disk-model file id (used by schedulers to reason about the head).
   uint32_t file_id() const { return file_id_; }
 
-  /// Attaches an LRU block cache (not owned; nullptr detaches). Cache
-  /// hits are served without charging the disk model; misses read
-  /// through and populate the cache. Writes keep the cache coherent.
-  void set_cache(BlockCache* cache) { cache_ = cache; }
-  BlockCache* cache() const { return cache_; }
-
  private:
-  /// Reads from the backing file without touching disk accounting or
-  /// the cache.
+  /// Reads from the backing file without touching disk accounting.
   Status ReadRaw(uint64_t first, uint64_t count, void* out) const;
 
   std::shared_ptr<File> file_;
   DiskModel* disk_ = nullptr;
   uint32_t file_id_ = 0;
-  BlockCache* cache_ = nullptr;
 };
 
 }  // namespace iq

@@ -84,11 +84,6 @@ class DiskModel {
     stats_.Reset();
   }
 
-  /// Alias of ResetStats(): the uniform snapshot/Reset contract shared
-  /// with BlockCache::stats()/Reset() and IqTree::last_query_stats()/
-  /// ResetQueryStats(), so registry adapters treat all three alike.
-  void Reset() IQ_EXCLUDES(mu_) { ResetStats(); }
-
   /// Simulated clock (seconds of I/O performed so far).
   double Now() const IQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);

@@ -62,10 +62,6 @@ inline constexpr char kStorageReadBytesTotal[] = "iq_storage_read_bytes_total";
 inline constexpr char kStorageWrittenBytesTotal[] =
     "iq_storage_written_bytes_total";
 
-// --- block cache (src/io/block_cache.cc) ---------------------------------
-inline constexpr char kCacheHitsTotal[] = "iq_cache_hits_total";
-inline constexpr char kCacheMissesTotal[] = "iq_cache_misses_total";
-
 // --- IQ-tree query engine (src/core/iq_tree.cc) --------------------------
 inline constexpr char kQueryTotal[] = "iq_query_total";
 inline constexpr char kQueryPagesDecodedTotal[] =

@@ -242,7 +242,6 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
               });
 
     IqSearchOptions shard_options;
-    shard_options.optimized_access = options.optimized_access;
     shard_options.tracer = tracer;
 
     const size_t wave_width = pool_->num_threads();

@@ -35,10 +35,9 @@ namespace iq {
 inline constexpr size_t kShardedTracerMaxSpans = 1 << 20;
 
 /// Per-query options of the sharded facade — the sharded analogue of
-/// IqSearchOptions, plus a deadline.
+/// IqSearchOptions, plus a deadline. Every per-shard search uses the
+/// §2.1 batched page access.
 struct ShardedSearchOptions {
-  /// Forwarded to every per-shard search (IqSearchOptions).
-  bool optimized_access = true;
   /// Optional trace sink shared by all shards of the query. The query
   /// records ONE stitched span tree: a `sharded_*` root, one `wave<i>`
   /// child per fan-out wave, and under each wave a `shard<i>` span per

@@ -29,8 +29,15 @@ trap 'rm -rf "$DIR"' EXIT
     --radius 0.4 >/dev/null
 "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
     --json | grep -q '"queries"'
+# Batch mode shares one tracer: the dropped-span count and the number
+# of calibrated queries are always reported (no drops at this size).
 "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
-    --threads 2 --json | grep -q '"queries"'
+    --threads 2 --json > "$DIR/profile.json"
+grep -q '"queries"' "$DIR/profile.json"
+grep -Eq '"dropped_spans": ?0, ?"calibrated_queries": ?[0-9]+' \
+    "$DIR/profile.json"
+"$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
+    --threads 2 | grep -Eq '^dropped_spans=0, calibrated [0-9]+ of 4 queries$'
 "$IQTOOL" validate --dir "$DIR" --index idx | grep -q "^OK"
 "$IQTOOL" reopt --dir "$DIR" --index idx | grep -q "reoptimized"
 "$IQTOOL" validate --dir "$DIR" --index idx | grep -q "^OK"

@@ -1,9 +1,8 @@
 // ParallelQueryRunner correctness: batch results must be bit-identical
-// to the sequential path at every thread count, with and without a
-// shared BlockCache. Under IQ_SANITIZE=thread this doubles as the
-// "concurrent batch queries" stress of the hardening matrix — many
-// threads querying one IqTree, all charging one DiskModel and sharing
-// one cache.
+// to the sequential path at every thread count. Under
+// IQ_SANITIZE=thread this doubles as the "concurrent batch queries"
+// stress of the hardening matrix — many threads querying one IqTree,
+// all charging one DiskModel.
 
 #include "concurrency/parallel_query_runner.h"
 
@@ -14,7 +13,6 @@
 
 #include "core/iq_tree.h"
 #include "data/generators.h"
-#include "io/block_cache.h"
 #include "io/storage.h"
 
 namespace iq {
@@ -103,23 +101,6 @@ TEST_F(ParallelQueryRunnerTest, RangeIdenticalToSequential) {
                                 << " threads";
     }
   }
-}
-
-TEST_F(ParallelQueryRunnerTest, SharedBlockCacheDoesNotChangeResults) {
-  BuildTree(3000, 8, 23);
-  const IqSearchOptions options;
-  const auto expected = SequentialKnn(5, options);
-  // Small capacity forces concurrent eviction churn mid-query.
-  BlockCache cache(kBlockSize, 16);
-  tree_->set_block_cache(&cache);
-  ParallelQueryRunner runner(*tree_, 8);
-  for (int round = 0; round < 3; ++round) {
-    auto got = runner.KnnBatch(queries_, 5, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*got, expected) << "round " << round;
-  }
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
-  tree_->set_block_cache(nullptr);
 }
 
 TEST_F(ParallelQueryRunnerTest, RunnerIsReusableAcrossBatches) {

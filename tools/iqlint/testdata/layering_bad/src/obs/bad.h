@@ -1,4 +1,4 @@
 // obs must not reach up into io: io depends on obs, not the reverse.
-#include "io/block_cache.h"
+#include "io/block_file.h"
 
 inline int ObsBad() { return 1; }

@@ -536,7 +536,10 @@ int Profile(const Args& args) {
     // Batch mode: all queries share one tracer (it is thread-safe); the
     // trace holds one root span per query, interleaved in completion
     // order. Per-query stats consistency is a sequential-mode check —
-    // last_query_stats() only keeps whichever query finished last.
+    // last_query_stats() only keeps whichever query finished last. The
+    // tracer's span cap is shared too: a query whose root span was
+    // dropped is not calibrated, and one that lost only child spans is
+    // calibrated on a partial tree, so both counts are reported.
     obs::QueryTracer tracer;
     IqSearchOptions options;
     options.tracer = &tracer;
@@ -545,21 +548,35 @@ int Profile(const Args& args) {
                              : runner.KnnBatch(queries, k, options);
     if (!batch.ok()) return Fail(batch.status());
     const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+    size_t calibrated = 0;
     for (size_t i = 0; i < spans.size(); ++i) {
       if (spans[i].parent != obs::kNoSpan) continue;
       calibration.Record(
           predicted,
           obs::ObservedBreakdown(spans, static_cast<obs::SpanId>(i)));
+      ++calibrated;
+    }
+    const uint64_t dropped = tracer.dropped();
+    if (dropped > 0) {
+      std::fprintf(stderr,
+                   "warning: trace dropped %llu spans; calibrated %zu of "
+                   "%zu queries, some possibly on partial span trees\n",
+                   static_cast<unsigned long long>(dropped), calibrated,
+                   queries.size());
     }
     if (json) {
       w.BeginObject();
       w.Key("trace").Raw(obs::TraceToJson(spans));
-      w.Key("dropped_spans").Uint(tracer.dropped());
+      w.Key("dropped_spans").Uint(dropped);
+      w.Key("calibrated_queries").Uint(calibrated);
       w.EndObject();
     } else {
       std::printf("profiled %zu queries on %zu threads (one shared trace)\n",
                   queries.size(), threads);
       obs::PrintSpanTree(spans, std::cout);
+      std::printf("dropped_spans=%llu, calibrated %zu of %zu queries\n",
+                  static_cast<unsigned long long>(dropped), calibrated,
+                  queries.size());
     }
   } else {
     for (size_t i = 0; i < queries.size(); ++i) {

@@ -156,7 +156,7 @@ for step in $STEPS; do
         LINT_TMP="$(mktemp -d)"
         mkdir -p "$LINT_TMP/seeded"
         cp -r "$ROOT/src" "$LINT_TMP/seeded/src"
-        printf '#include "io/block_cache.h"\n' \
+        printf '#include "io/block_file.h"\n' \
             >> "$LINT_TMP/seeded/src/obs/metrics.h"          # back-edge
         cat >> "$LINT_TMP/seeded/src/core/iq_tree.cc" <<'SEED'
 namespace iq { namespace {
