@@ -1,10 +1,10 @@
 // Batch-query throughput of the concurrent query engine at 1/2/4/8
 // threads — the scaling baseline future PRs measure against. The tree
 // and disk model are shared across workers, so this exercises exactly
-// the synchronized state the thread-safety annotations guard. Items processed = queries answered; compare
-// items_per_second across the thread counts to read the scaling curve
-// (on a single-core host the curve is flat — the point is the
-// baseline, not the speedup).
+// the synchronized state the thread-safety annotations guard. Items
+// processed = queries answered; compare items_per_second across the
+// thread counts to read the scaling curve (on a single-core host the
+// curve is flat — the point is the baseline, not the speedup).
 
 #include <cstdio>
 #include <cstdlib>
