@@ -122,6 +122,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
   tree->name_ = name;
 
   IQ_RETURN_NOT_OK(tree->PopulateFromDataset(data, nullptr, options));
+  tree->dir_geom_ = tree->MakeDirGeometry();
 
   tree->dirty_ = true;
   IQ_RETURN_NOT_OK(tree->Flush());

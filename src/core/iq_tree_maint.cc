@@ -10,7 +10,8 @@
 ///      that pinned the old directory entry keeps reading intact data.
 ///   3. Publish the new directory entry under a brief exclusive
 ///      swap_mu_ section (queries hold swap_mu_ shared for their whole
-///      run) and bump dir_version_.
+///      run), refresh the query-only directory mirror and bump
+///      dir_version_.
 ///
 /// The old blocks become garbage; Reoptimize is the quiesce point that
 /// reclaims them. A crash before Flush leaves the persisted directory
@@ -63,8 +64,7 @@ Status IqTree::MaintRequantizeEntry(size_t dir_index, unsigned new_bits) {
   {
     WriterMutexLock lock(&swap_mu_);
     dir_[dir_index] = entry;
-    dir_version_.fetch_add(1, std::memory_order_release);
-    dirty_ = true;
+    PublishDirChange();
   }
   return DebugCheckInvariants();
 }
@@ -103,8 +103,7 @@ Status IqTree::MaintSplitEntry(size_t dir_index) {
     WriterMutexLock lock(&swap_mu_);
     dir_[dir_index] = left;
     dir_.push_back(right);
-    dir_version_.fetch_add(1, std::memory_order_release);
-    dirty_ = true;
+    PublishDirChange();
   }
   return DebugCheckInvariants();
 }
@@ -146,8 +145,7 @@ Status IqTree::MaintMergeEntries(size_t keep, size_t drop) {
     WriterMutexLock lock(&swap_mu_);
     dir_[keep] = entry;
     dir_.erase(dir_.begin() + static_cast<ptrdiff_t>(drop));
-    dir_version_.fetch_add(1, std::memory_order_release);
-    dirty_ = true;
+    PublishDirChange();
   }
   return DebugCheckInvariants();
 }

@@ -17,25 +17,29 @@ namespace iq {
 
 namespace {
 
-constexpr uint32_t kPageSlot = 0xFFFFFFFF;
 constexpr size_t kMaxPrunerRegions = 512;
 constexpr double kMinCandidateProbability = 0.10;
 
-/// Min-heap entry: either a whole page (slot == kPageSlot) or the cell
-/// approximation of one point of an already-decoded page.
-struct QueueEntry {
+/// Min-heap entry: the cell approximation of one point of an
+/// already-decoded page. Pages never enter this heap; they come from the
+/// searcher's (MINDIST, dir_index) page order. Ties go by (dir_index,
+/// slot), so a page's tied cells are refined in their third-level
+/// record order.
+struct CellEntry {
   double mindist;
   uint32_t dir_index;
   uint32_t slot;
 
-  bool operator>(const QueueEntry& other) const {
-    return mindist > other.mindist;
+  bool operator>(const CellEntry& other) const {
+    if (mindist != other.mindist) return mindist > other.mindist;
+    if (dir_index != other.dir_index) return dir_index > other.dir_index;
+    return slot > other.slot;
   }
 };
 
-using MinHeap =
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>;
+using CellHeap =
+    std::priority_queue<CellEntry, std::vector<CellEntry>,
+                        std::greater<CellEntry>>;
 
 struct ExactPage {
   std::vector<PointId> ids;
@@ -48,45 +52,27 @@ inline bool CloserNeighbor(const Neighbor& a, const Neighbor& b) {
   return a.distance < b.distance;
 }
 
-/// A page the kNN planner still considers: its MINDIST and directory
-/// index (§2.2 priority order).
+/// A page in the kNN search's priority order (§2.2): its MINDIST and
+/// directory index.
 struct PendingPage {
   double mindist;
   uint32_t dir_index;
 };
 
-/// Dense qpage-block -> directory-index lookup of one query, built over
-/// the directory pinned for it. Blocks no entry owns (gaps, and blocks
-/// appended after the lookup was built) read as kNone.
-class BlockIndex {
- public:
-  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-
-  void Build(const std::vector<DirEntry>& dir, uint64_t num_blocks) {
-    dir_index_.assign(num_blocks, kNone);
-    for (size_t i = 0; i < dir.size(); ++i) {
-      if (dir[i].qpage_block < num_blocks) {
-        dir_index_[dir[i].qpage_block] = static_cast<uint32_t>(i);
-      }
-    }
-  }
-
-  uint32_t operator[](uint64_t block) const {
-    return block < dir_index_.size() ? dir_index_[block] : kNone;
-  }
-
-  /// Number of blocks the lookup covers.
-  uint64_t size() const { return dir_index_.size(); }
-
- private:
-  std::vector<uint32_t> dir_index_;
-};
+/// Heap comparator of the page order: (MINDIST, dir_index) ascending, so
+/// tied pages come out by directory index.
+inline bool LaterPage(const PendingPage& a, const PendingPage& b) {
+  return a.mindist > b.mindist ||
+         (a.mindist == b.mindist && a.dir_index > b.dir_index);
+}
 
 }  // namespace
 
 /// Per-query state shared by NN, k-NN and range search over one IqTree.
 class IqTreeSearcher {
  public:
+  static constexpr uint32_t kNoEntry = IqTree::DirGeometry::kNoEntry;
+
   IqTreeSearcher(const IqTree& tree, PointView q,
                  const IqSearchOptions& options)
       : tree_(tree),
@@ -130,44 +116,53 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, "knn", ParentSpan());
     root_span_ = root.id();
     root.AddAttr("k", static_cast<double>(k));
-    ScanDirectory(/*plan_batches=*/options_.optimized_access);
-    MinHeap heap;
-    for (size_t i = 0; i < tree_.dir_.size(); ++i) {
-      heap.push(QueueEntry{page_mindist_[i], static_cast<uint32_t>(i),
-                           kPageSlot});
-    }
+    ScanDirectory(/*knn=*/true);
+    // HS search (§2.2) over two sources: the next unprocessed page of
+    // the page order and the cell heap; on equal MINDIST the page goes
+    // first.
+    CellHeap cells;
     std::vector<uint8_t> block(block_size_);
     std::vector<uint8_t> batch_buf;
-    while (!heap.empty() && heap.top().mindist < PruneDistance()) {
-      const QueueEntry top = heap.top();
-      heap.pop();
-      if (top.slot == kPageSlot) {
-        if (processed_[top.dir_index]) continue;
-        if (options_.optimized_access) {
-          IQ_RETURN_NOT_OK(LoadBatch(top.dir_index, &batch_buf, &heap));
-        } else {
-          obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-          const double io_before = TraceNow();
-          IQ_RETURN_NOT_OK(tree_.qpages_->ReadBlock(
-              tree_.dir_[top.dir_index].qpage_block, block.data()));
-          stats_.batches += 1;
-          stats_.blocks_transferred += 1;
-          batch_span.AddAttr(
-              "first_block",
-              static_cast<double>(tree_.dir_[top.dir_index].qpage_block));
-          batch_span.AddAttr("blocks", 1);
-          batch_span.AddAttr(
-              "pred_io_s",
-              BatchCost(BatchRange{tree_.dir_[top.dir_index].qpage_block,
-                                   tree_.dir_[top.dir_index].qpage_block},
-                        tree_.disk_->params()));
-          batch_span.AddAttr("io_s", TraceNow() - io_before);
-          IQ_RETURN_NOT_OK(ProcessPage(top.dir_index, block.data(), &heap,
-                                       batch_span.id()));
-        }
-      } else {
-        IQ_RETURN_NOT_OK(RefineSlot(top.dir_index, top.slot));
+    // MINDIST of a source with nothing left.
+    constexpr double kExhausted = std::numeric_limits<double>::infinity();
+    size_t next_page = 0;
+    while (true) {
+      // Skip the pages earlier batches already transferred.
+      while (next_page < NumOrdered() &&
+             processed_[OrderedPage(next_page).dir_index]) {
+        ++next_page;
       }
+      const double page_mindist =
+          next_page < NumOrdered() ? OrderedPage(next_page).mindist
+                                   : kExhausted;
+      const double cell_mindist =
+          cells.empty() ? kExhausted : cells.top().mindist;
+      if (!(std::min(page_mindist, cell_mindist) < PruneDistance())) break;
+      if (cell_mindist < page_mindist) {
+        const CellEntry top = cells.top();
+        cells.pop();
+        IQ_RETURN_NOT_OK(RefineSlot(top.dir_index, top.slot));
+        continue;
+      }
+      const PendingPage page = OrderedPage(next_page++);
+      if (options_.optimized_access) {
+        IQ_RETURN_NOT_OK(LoadBatch(page.dir_index, &batch_buf, &cells));
+        continue;
+      }
+      const uint32_t qpage_block = tree_.dir_[page.dir_index].qpage_block;
+      obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
+      const double io_before = TraceNow();
+      IQ_RETURN_NOT_OK(tree_.qpages_->ReadBlock(qpage_block, block.data()));
+      stats_.batches += 1;
+      stats_.blocks_transferred += 1;
+      batch_span.AddAttr("first_block", static_cast<double>(qpage_block));
+      batch_span.AddAttr("blocks", 1);
+      batch_span.AddAttr(
+          "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
+                                 tree_.disk_->params()));
+      batch_span.AddAttr("io_s", TraceNow() - io_before);
+      IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, block.data(), &cells,
+                                   batch_span.id()));
     }
     out->assign(results_.begin(), results_.end());
     std::sort(out->begin(), out->end(),
@@ -183,7 +178,7 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, "range", ParentSpan());
     root_span_ = root.id();
     root.AddAttr("radius", radius);
-    ScanDirectory(/*plan_batches=*/false);
+    ScanDirectory(/*knn=*/false);
     // The page set is known in advance: all pages whose MBR intersects
     // the query ball. Fetch them with the optimal known-set plan (§2).
     std::vector<uint64_t> blocks;
@@ -210,8 +205,8 @@ class IqTreeSearcher {
                          PlanCost(std::span(&run, 1), tree_.disk_->params()));
       batch_span.AddAttr("io_s", TraceNow() - io_before);
       for (uint64_t b = 0; b < run.count; ++b) {
-        const uint32_t dir_index = block_index_[run.first + b];
-        if (dir_index == BlockIndex::kNone) continue;  // over-read gap
+        const uint32_t dir_index = tree_.dir_geom_.EntryAt(run.first + b);
+        if (dir_index == kNoEntry) continue;  // over-read gap
         if (page_mindist_[dir_index] > radius) continue;
         IQ_RETURN_NOT_OK(CollectInBall(dir_index,
                                        buf.data() + b * block_size_, radius,
@@ -252,46 +247,64 @@ class IqTreeSearcher {
   }
 
   /// The charged level-1 directory scan plus in-memory MINDIST setup,
-  /// as one traced span. `plan_batches` also sets up the §2.1 planner's
-  /// state (kNN with optimized access only).
-  void ScanDirectory(bool plan_batches) {
+  /// as one traced span. `knn` also sets up the page order and, with
+  /// optimized access, the §2.1 planner's pending window.
+  void ScanDirectory(bool knn) {
     obs::ScopedSpan span(tracer_, "dir_scan", root_span_);
     const double io_before = TraceNow();
     tree_.ChargeDirectoryScan();
-    InitPages(plan_batches);
+    InitPages(knn);
     span.AddAttr("pages", static_cast<double>(tree_.dir_.size()));
     span.AddAttr("io_s", TraceNow() - io_before);
   }
 
-  void InitPages(bool plan_batches) {
+  void InitPages(bool knn) {
     const size_t n = tree_.dir_.size();
     page_mindist_.resize(n);
     processed_.assign(n, 0);
     if (options_.page_stats != nullptr) {
       touches_.assign(n, obs::PageTouch{});
     }
-    block_index_.Build(tree_.dir_, tree_.qpages_->NumBlocks());
+    const IqTree::DirGeometry& geom = tree_.dir_geom_;
+    FilterKernel::BoxMinDists(q_, metric_, geom.lo.data(), geom.hi.data(),
+                              geom.stride, n, page_mindist_.data());
+    if (!knn) return;
+    // The one page order of the HS loop and the §2.1 pending window:
+    // (MINDIST, dir_index) ascending, so tied pages enter the eq. 3
+    // product by directory index (IqSearchGoldenPlanTest pins the
+    // resulting plans). A heap over all pages yields it lazily; most
+    // queries stop long before the order is exhausted.
+    order_.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      page_mindist_[i] = MinDist(q_, tree_.dir_[i].mbr, metric_);
+      order_[i] = PendingPage{page_mindist_[i], static_cast<uint32_t>(i)};
     }
-    if (!plan_batches) return;
-    // All pages sorted by MINDIST. The comparator must stay MINDIST-only:
-    // tied pages enter the eq. 3 product in the order std::sort leaves
-    // them, and IqSearchGoldenPlanTest pins the resulting plans.
-    by_mindist_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      by_mindist_[i] =
-          PendingPage{page_mindist_[i], static_cast<uint32_t>(i)};
-    }
-    std::sort(by_mindist_.begin(), by_mindist_.end(),
-              [](const PendingPage& a, const PendingPage& b) {
-                return a.mindist < b.mindist;
-              });
-    next_by_mindist_ = 0;
+    std::make_heap(order_.begin(), order_.end(), LaterPage);
+    heap_end_ = n;
+    if (!options_.optimized_access) return;
+    next_pending_ = 0;
     pending_.clear();
     pending_.reserve(kMaxPrunerRegions);
     pending_regions_.clear();
     pending_regions_.reserve(kMaxPrunerRegions);
+  }
+
+  /// Pages in the order (all of the directory).
+  size_t NumOrdered() const { return order_.size(); }
+
+  /// The j-th page (from 0) of the (MINDIST, dir_index) order, j <
+  /// NumOrdered(). Pops the heap prefix of order_ until page j has left
+  /// it; popped pages collect at the back of order_, the smallest last,
+  /// so page j sits at order_[n - 1 - j] and stays put once there.
+  IQ_HOT_NOALLOC
+  const PendingPage& OrderedPage(size_t j) {
+    const size_t n = order_.size();
+    while (n - heap_end_ <= j) {
+      std::pop_heap(order_.begin(),
+                    order_.begin() + static_cast<ptrdiff_t>(heap_end_),
+                    LaterPage);
+      --heap_end_;
+    }
+    return order_[n - 1 - j];
   }
 
   /// Brings the planner's pending window up to date: drops the pages
@@ -317,8 +330,8 @@ class IqTreeSearcher {
         pending_regions_.begin() + static_cast<ptrdiff_t>(kept),
         pending_regions_.end());
     while (pending_.size() < kMaxPrunerRegions &&
-           next_by_mindist_ < by_mindist_.size()) {
-      const PendingPage page = by_mindist_[next_by_mindist_++];
+           next_pending_ < NumOrdered()) {
+      const PendingPage page = OrderedPage(next_pending_++);
       if (processed_[page.dir_index]) continue;
       const DirEntry& entry = tree_.dir_[page.dir_index];
       // iqlint: allow(hotpath-alloc): reserved to kMaxPrunerRegions at
@@ -360,8 +373,8 @@ class IqTreeSearcher {
   IQ_HOT_NOALLOC
   double AccessProbability(uint64_t block, uint64_t pivot_block) {
     if (block == pivot_block) return 1.0;
-    const uint32_t dir_index = block_index_[block];
-    if (dir_index == BlockIndex::kNone || processed_[dir_index]) return 0.0;
+    const uint32_t dir_index = tree_.dir_geom_.EntryAt(block);
+    if (dir_index == kNoEntry || processed_[dir_index]) return 0.0;
     const double md = page_mindist_[dir_index];
     if (md >= PruneDistance()) return 0.0;
     const auto higher =
@@ -387,16 +400,17 @@ class IqTreeSearcher {
   /// over-reading cheaper than a later seek, then process everything
   /// that was transferred.
   Status LoadBatch(size_t pivot_dir_index, std::vector<uint8_t>* buf,
-                   MinHeap* heap) {
+                   CellHeap* cells) {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = TraceNow();
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
     RefillPending();
-    // The lookup covers the blocks of the pinned directory; blocks a
+    // The block map covers the blocks of the pinned directory; blocks a
     // concurrent page swap appends later hold none of its pages.
     IQ_HOT_NOALLOC_BEGIN;
     const BatchRange range = PlanNnBatch(
-        pivot_block, block_index_.size(), tree_.disk_->params(),
+        pivot_block, tree_.dir_geom_.block_entry.size(),
+        tree_.disk_->params(),
         [&](uint64_t block) {
           return AccessProbability(block, pivot_block);
         });
@@ -414,8 +428,8 @@ class IqTreeSearcher {
     batch_span.AddAttr("io_s", TraceNow() - io_before);
     size_t pruned = 0;
     for (uint64_t b = 0; b < range.count(); ++b) {
-      const uint32_t dir_index = block_index_[range.first + b];
-      if (dir_index == BlockIndex::kNone || processed_[dir_index]) continue;
+      const uint32_t dir_index = tree_.dir_geom_.EntryAt(range.first + b);
+      if (dir_index == kNoEntry || processed_[dir_index]) continue;
       // Pages already pruned by the current result are transferred but
       // not decoded.
       if (dir_index != pivot_dir_index &&
@@ -425,7 +439,7 @@ class IqTreeSearcher {
         continue;
       }
       IQ_RETURN_NOT_OK(ProcessPage(dir_index, buf->data() + b * block_size_,
-                                   heap, batch_span.id()));
+                                   cells, batch_span.id()));
     }
     batch_span.AddAttr("pages_pruned", static_cast<double>(pruned));
     return Status::OK();
@@ -434,7 +448,7 @@ class IqTreeSearcher {
   /// Decodes a loaded quantized page: exact points are evaluated
   /// directly; cell approximations enter the priority queue (§3.2).
   IQ_HOT_NOALLOC
-  Status ProcessPage(size_t dir_index, const uint8_t* page, MinHeap* heap,
+  Status ProcessPage(size_t dir_index, const uint8_t* page, CellHeap* cells,
                      obs::SpanId parent_span) {
     processed_[dir_index] = 1;
     stats_.pages_decoded += 1;
@@ -481,7 +495,7 @@ class IqTreeSearcher {
       if (mindist < prune) {
         // iqlint: allow(hotpath-alloc): the priority list's backing
         // vector grows amortized and is reused across pages of a query.
-        heap->push(QueueEntry{mindist, static_cast<uint32_t>(dir_index), s});
+        cells->push(CellEntry{mindist, static_cast<uint32_t>(dir_index), s});
         stats_.cells_enqueued += 1;
         ++enqueued;
       }
@@ -616,13 +630,15 @@ class IqTreeSearcher {
   /// Per-directory-entry telemetry of this query, indexed by dir_index;
   /// empty unless options_.page_stats is set (see CollectingPageStats).
   std::vector<obs::PageTouch> touches_;
-  BlockIndex block_index_;
-  /// §2.1 planner state (kNN with optimized access): every page in
-  /// MINDIST order with a cursor past those already taken into the
-  /// pending window, and the window itself (see RefillPending) with the
-  /// pages' pruner regions at the same positions.
-  std::vector<PendingPage> by_mindist_;
-  size_t next_by_mindist_ = 0;
+  /// kNN page order (see OrderedPage): a heap over [0, heap_end_), the
+  /// pages popped from it in order behind.
+  std::vector<PendingPage> order_;
+  size_t heap_end_ = 0;
+  /// §2.1 planner state (kNN with optimized access): a cursor into the
+  /// page order past the pages already taken into the pending window,
+  /// and the window itself (see RefillPending) with the pages' pruner
+  /// regions at the same positions.
+  size_t next_pending_ = 0;
   std::vector<PendingPage> pending_;
   std::vector<PrunerRegion> pending_regions_;
 
@@ -647,9 +663,7 @@ class IqTreeSearcher {
 
 Result<Neighbor> IqTree::NearestNeighbor(
     PointView q, const IqSearchOptions& options) const {
-  if (q.size() != meta_.dims) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
   // Pin the directory epoch for the whole query: maintenance page swaps
   // (docs/maintenance.md) publish under this lock held exclusive.
   ReaderMutexLock epoch(&swap_mu_);
@@ -664,9 +678,7 @@ Result<Neighbor> IqTree::NearestNeighbor(
 
 Result<std::vector<Neighbor>> IqTree::KNearestNeighbors(
     PointView q, size_t k, const IqSearchOptions& options) const {
-  if (q.size() != meta_.dims) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
   if (k == 0) return std::vector<Neighbor>{};
   ReaderMutexLock epoch(&swap_mu_);  // pin the directory epoch
   IqTreeSearcher searcher(*this, q, options);
@@ -678,12 +690,8 @@ Result<std::vector<Neighbor>> IqTree::KNearestNeighbors(
 
 Result<std::vector<Neighbor>> IqTree::RangeSearch(
     PointView q, double radius, const IqSearchOptions& options) const {
-  if (q.size() != meta_.dims) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  if (radius < 0) {
-    return Status::InvalidArgument("negative radius");
-  }
+  IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
+  IQ_RETURN_NOT_OK(CheckQueryRadius(radius));
   ReaderMutexLock epoch(&swap_mu_);  // pin the directory epoch
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
@@ -703,8 +711,6 @@ Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
   for (const DirEntry& entry : dir_) {
     if (window.Intersects(entry.mbr)) blocks.push_back(entry.qpage_block);
   }
-  BlockIndex block_index;
-  block_index.Build(dir_, qpages_->NumBlocks());
   std::sort(blocks.begin(), blocks.end());
   const std::vector<FetchRun> runs =
       PlanKnownSetFetch(blocks, disk_->params());
@@ -723,8 +729,8 @@ Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
     buf.resize(run.count * block_size);
     IQ_RETURN_NOT_OK(qpages_->ReadRange(run.first, run.count, buf.data()));
     for (uint64_t b = 0; b < run.count; ++b) {
-      const uint32_t dir_index = block_index[run.first + b];
-      if (dir_index == BlockIndex::kNone) continue;
+      const uint32_t dir_index = dir_geom_.EntryAt(run.first + b);
+      if (dir_index == DirGeometry::kNoEntry) continue;
       const DirEntry& entry = dir_[dir_index];
       if (!window.Intersects(entry.mbr)) continue;  // over-read page
       const uint8_t* page = buf.data() + b * block_size;

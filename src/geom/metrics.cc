@@ -53,6 +53,24 @@ double MinDist(PointView q, const Mbr& box, Metric metric) {
   return m;
 }
 
+Status CheckQueryPoint(PointView q, size_t dims) {
+  if (q.size() != dims) {
+    return Status::InvalidArgument("query dimensionality mismatch");
+  }
+  for (float x : q) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("query coordinate is not finite");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckQueryRadius(double radius) {
+  if (std::isnan(radius)) return Status::InvalidArgument("radius is NaN");
+  if (radius < 0) return Status::InvalidArgument("negative radius");
+  return Status::OK();
+}
+
 double MaxDist(PointView q, const Mbr& box, Metric metric) {
   assert(q.size() == box.dims());
   if (metric == Metric::kL2) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "common/status.h"
 #include "geom/mbr.h"
 #include "geom/point.h"
 
@@ -26,6 +27,15 @@ double MinDist(PointView q, const Mbr& box, Metric metric);
 /// MAXDIST: largest possible distance between `q` and any point inside
 /// `box`. Upper bound used by the VA-file filter step.
 double MaxDist(PointView q, const Mbr& box, Metric metric);
+
+/// Validates the point of a similarity query: InvalidArgument when it
+/// does not have `dims` coordinates or a coordinate is NaN or ±inf (no
+/// distance to such a point ranks anything).
+Status CheckQueryPoint(PointView q, size_t dims);
+
+/// Validates a range-query radius: InvalidArgument when it is negative
+/// or NaN. +inf is valid and selects every point.
+Status CheckQueryRadius(double radius);
 
 /// Volume of the intersection of `box` with the metric ball of radius
 /// `r` around `q` (the paper's V_int, eq. 4/5). Exact for L∞; for L2 the

@@ -159,6 +159,52 @@ void DistancesImpl(const float* q, size_t dims, const float* points,
   }
 }
 
+/// Box MINDIST, four boxes per iteration. Per side the distance is
+/// max(max(lb - q, q - ub), 0): for lb <= ub at most one difference is
+/// positive, and it is exactly MinDist's branch value. The zero is the
+/// second max operand, so a -0.0 difference still yields +0.0. The
+/// scalar tail spells each max as MAXPD computes it (x > y ? x : y).
+template <bool kL2>
+void BoxMinDistsImpl(const float* q, size_t dims, const float* lo,
+                     const float* hi, size_t stride, size_t count,
+                     double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  size_t s = 0;
+  for (; s + 4 <= count; s += 4) {
+    __m256d acc = zero;
+    for (size_t i = 0; i < dims; ++i) {
+      const __m256d lb = _mm256_cvtps_pd(_mm_loadu_ps(lo + i * stride + s));
+      const __m256d ub = _mm256_cvtps_pd(_mm_loadu_ps(hi + i * stride + s));
+      const __m256d qv = _mm256_set1_pd(static_cast<double>(q[i]));
+      const __m256d diff = _mm256_max_pd(
+          _mm256_max_pd(_mm256_sub_pd(lb, qv), _mm256_sub_pd(qv, ub)), zero);
+      if constexpr (kL2) {
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+      } else {
+        acc = _mm256_max_pd(acc, diff);
+      }
+    }
+    if constexpr (kL2) acc = _mm256_sqrt_pd(acc);
+    _mm256_storeu_pd(out + s, acc);
+  }
+  for (; s < count; ++s) {
+    double acc = 0.0;
+    for (size_t i = 0; i < dims; ++i) {
+      const double qd = q[i];
+      const double below = static_cast<double>(lo[i * stride + s]) - qd;
+      const double above = qd - static_cast<double>(hi[i * stride + s]);
+      const double gap = below > above ? below : above;
+      const double diff = gap > 0.0 ? gap : 0.0;
+      if constexpr (kL2) {
+        acc += diff * diff;
+      } else {
+        acc = acc > diff ? acc : diff;
+      }
+    }
+    out[s] = kL2 ? std::sqrt(acc) : acc;
+  }
+}
+
 }  // namespace
 
 IQ_HOT_NOALLOC
@@ -181,6 +227,17 @@ void Avx2Distances(const float* q, size_t dims, bool l2, const float* points,
     DistancesImpl<true>(q, dims, points, count, out);
   } else {
     DistancesImpl<false>(q, dims, points, count, out);
+  }
+}
+
+IQ_HOT_NOALLOC
+void Avx2BoxMinDists(const float* q, size_t dims, bool l2, const float* lo,
+                     const float* hi, size_t stride, size_t count,
+                     double* out) {
+  if (l2) {
+    BoxMinDistsImpl<true>(q, dims, lo, hi, stride, count, out);
+  } else {
+    BoxMinDistsImpl<false>(q, dims, lo, hi, stride, count, out);
   }
 }
 

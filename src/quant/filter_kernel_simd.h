@@ -30,6 +30,12 @@ void Avx2TableBounds(const double* lo_tab, const double* hi_tab,
 void Avx2Distances(const float* q, size_t dims, bool l2,
                    const float* points, size_t count, double* out);
 
+/// MINDIST from `q` to `count` dimension-major boxes (one box per
+/// lane; see FilterKernel::BoxMinDists).
+void Avx2BoxMinDists(const float* q, size_t dims, bool l2, const float* lo,
+                     const float* hi, size_t stride, size_t count,
+                     double* out);
+
 #endif  // IQ_HAVE_AVX2
 
 }  // namespace iq::internal

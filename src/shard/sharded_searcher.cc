@@ -361,9 +361,7 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
 
 Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
     PointView q, size_t k, const ShardedSearchOptions& options) const {
-  if (q.size() != dims_) {
-    return Status::InvalidArgument("query dims mismatch in sharded knn");
-  }
+  IQ_RETURN_NOT_OK(CheckQueryPoint(q, dims_));
   if (k == 0) return std::vector<Neighbor>{};
 
   std::vector<Neighbor> heap;
@@ -399,12 +397,8 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
 
 Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
     PointView q, double radius, const ShardedSearchOptions& options) const {
-  if (q.size() != dims_) {
-    return Status::InvalidArgument("query dims mismatch in sharded range");
-  }
-  if (radius < 0) {
-    return Status::InvalidArgument("negative range radius");
-  }
+  IQ_RETURN_NOT_OK(CheckQueryPoint(q, dims_));
+  IQ_RETURN_NOT_OK(CheckQueryRadius(radius));
 
   std::vector<Neighbor> results;
   IQ_RETURN_NOT_OK(ScatterGather<Neighbor>(

@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <ostream>
 #include <set>
 
@@ -195,14 +198,83 @@ TEST(IqSearchIoTest, QuantizationReadsFewerBlocksThanExactHighDim) {
   EXPECT_LT(with_quant, without);
 }
 
+// Non-finite queries are rejected before any page is touched: NaN
+// compares false against every bound, so a NaN query used to decode the
+// whole index and return no neighbours, and ±inf did the same.
+class IqQueryValidationTest : public ::testing::Test {
+ protected:
+  IqQueryValidationTest() : disk_(DiskParameters{0.010, 0.002, 2048}) {
+    auto tree = IqTree::Build(GenerateCadLike(2000, 4, 5), storage_, "t",
+                              disk_, {});
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    if (tree.ok()) tree_ = std::move(tree).value();
+    disk_.ResetStats();
+  }
+
+  /// One finite query plus copies with a NaN, +inf and -inf coordinate.
+  static std::vector<std::vector<float>> BadQueries() {
+    const std::vector<float> good{0.4f, 0.5f, 0.6f, 0.5f};
+    std::vector<std::vector<float>> bad;
+    for (float x : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+      bad.push_back(good);
+      bad.back()[2] = x;
+    }
+    return bad;
+  }
+
+  MemoryStorage storage_;
+  DiskModel disk_;
+  std::unique_ptr<IqTree> tree_;
+};
+
+TEST_F(IqQueryValidationTest, NearestNeighborRejectsNonFiniteQuery) {
+  ASSERT_NE(tree_, nullptr);
+  for (const std::vector<float>& q : BadQueries()) {
+    EXPECT_TRUE(tree_->NearestNeighbor(q).status().IsInvalidArgument());
+  }
+  EXPECT_EQ(disk_.stats().io_time_s, 0.0);
+}
+
+TEST_F(IqQueryValidationTest, KNearestNeighborsRejectsNonFiniteQuery) {
+  ASSERT_NE(tree_, nullptr);
+  for (const std::vector<float>& q : BadQueries()) {
+    for (bool optimized : {true, false}) {
+      IqSearchOptions search;
+      search.optimized_access = optimized;
+      EXPECT_TRUE(
+          tree_->KNearestNeighbors(q, 10, search).status().IsInvalidArgument());
+    }
+  }
+  EXPECT_EQ(disk_.stats().io_time_s, 0.0);
+}
+
+TEST_F(IqQueryValidationTest, RangeSearchRejectsNonFiniteQueryOrNaNRadius) {
+  ASSERT_NE(tree_, nullptr);
+  for (const std::vector<float>& q : BadQueries()) {
+    EXPECT_TRUE(tree_->RangeSearch(q, 0.1).status().IsInvalidArgument());
+  }
+  const std::vector<float> good{0.4f, 0.5f, 0.6f, 0.5f};
+  EXPECT_TRUE(tree_->RangeSearch(good, std::nan("")).status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(disk_.stats().io_time_s, 0.0);
+  // +inf stays a valid radius: it selects every point.
+  auto all = tree_->RangeSearch(good, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->size(), tree_->size());
+}
+
 // Golden plan: the time-optimized search's page batches (§2.1) on a
 // fixed CAD-like workload, pinned bitwise. Every query's QueryStats and
 // simulated-disk charge (seeks, io_time_s) plus its results are folded
 // into one FNV-1a digest; the totals make a mismatch readable. A change
 // to the access probabilities (§2.2), the higher-priority set or the
-// batching arithmetic moves at least one value. The expected values
-// were recorded from the planner that recomputed every region's eq. 3
-// moments per call, before it was made incremental.
+// batching arithmetic moves at least one value. Pages reach the HS loop
+// and the eq. 3 product in (MINDIST, dir_index) order. The expected
+// values were recorded from the planner that recomputed every region's
+// eq. 3 moments per call and left MINDIST ties in std::sort's order;
+// the tie-breaking order reproduces them unchanged.
 struct GoldenPlan {
   uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
   size_t batches = 0;

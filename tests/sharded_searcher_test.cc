@@ -1,7 +1,9 @@
 #include "shard/sharded_searcher.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -440,6 +442,39 @@ TEST(ShardedSearcherTest, RejectsMismatchedQueries) {
                   .IsInvalidArgument());
   EXPECT_TRUE(
       f.sharded->WindowQuery(Mbr::UnitCube(3)).status().IsInvalidArgument());
+}
+
+/// One finite 4-d query plus copies with a NaN, +inf and -inf coordinate.
+std::vector<std::vector<float>> NonFiniteQueries() {
+  const std::vector<float> good{0.5f, 0.5f, 0.5f, 0.5f};
+  std::vector<std::vector<float>> bad;
+  for (float x : {std::numeric_limits<float>::quiet_NaN(),
+                  std::numeric_limits<float>::infinity(),
+                  -std::numeric_limits<float>::infinity()}) {
+    bad.push_back(good);
+    bad.back()[1] = x;
+  }
+  return bad;
+}
+
+TEST(ShardedSearcherTest, KnnRejectsNonFiniteQuery) {
+  Dataset data = GenerateUniform(80, 4, 32);
+  Fixture f = MakeFixture(data, 2);
+  for (const std::vector<float>& q : NonFiniteQueries()) {
+    EXPECT_TRUE(f.sharded->KNearestNeighbors(q, 5).status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(ShardedSearcherTest, RangeRejectsNonFiniteQueryOrNaNRadius) {
+  Dataset data = GenerateUniform(80, 4, 33);
+  Fixture f = MakeFixture(data, 2);
+  for (const std::vector<float>& q : NonFiniteQueries()) {
+    EXPECT_TRUE(f.sharded->RangeSearch(q, 0.2).status().IsInvalidArgument());
+  }
+  const std::vector<float> good{0.5f, 0.5f, 0.5f, 0.5f};
+  EXPECT_TRUE(f.sharded->RangeSearch(good, std::nan("")).status()
+                  .IsInvalidArgument());
 }
 
 TEST(ShardedBulkLoaderTest, RefusesUseAfterFinishAndEmptyFinish) {
