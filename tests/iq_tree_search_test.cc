@@ -293,22 +293,38 @@ struct GoldenPlan {
   }
 };
 
-GoldenPlan RunGoldenPlan(Metric metric) {
-  constexpr size_t kQueries = 200;
-  Dataset data = GenerateCadLike(30000 + kQueries, 16, 77);
-  const Dataset queries = data.TakeTail(kQueries);
+/// One golden workload: `points` points plus `queries` held-out tail
+/// queries, d = 16, generator seed 77; the queries from `first_query`
+/// on are run.
+struct GoldenSetup {
+  Metric metric = Metric::kL2;
+  bool uniform = false;  // CAD-like otherwise
+  size_t points = 30000;
+  size_t queries = 200;
+  size_t first_query = 0;
+  /// Passed to the build; 0 estimates it from the data.
+  double fractal_dimension = 0.0;
+  DiskParameters disk{0.010, 0.002, 4096};
+};
+
+GoldenPlan RunGoldenPlan(const GoldenSetup& setup) {
+  const size_t total = setup.points + setup.queries;
+  Dataset data = setup.uniform ? GenerateUniform(total, 16, 77)
+                               : GenerateCadLike(total, 16, 77);
+  const Dataset queries = data.TakeTail(setup.queries);
   MemoryStorage storage;
-  DiskModel disk(DiskParameters{0.010, 0.002, 4096});
+  DiskModel disk(setup.disk);
   IqTree::Options options;
-  options.metric = metric;
+  options.metric = setup.metric;
   options.optimize_for_k = 10;
+  options.fractal_dimension = setup.fractal_dimension;
   auto tree = IqTree::Build(data, storage, "t", disk, options);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   GoldenPlan plan;
   if (!tree.ok()) return plan;
   IqSearchOptions search;
   search.optimized_access = true;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
+  for (size_t qi = setup.first_query; qi < queries.size(); ++qi) {
     disk.ResetStats();
     disk.InvalidateHead();
     auto got = (*tree)->KNearestNeighbors(queries[qi], 10, search);
@@ -361,7 +377,7 @@ TEST(IqSearchGoldenPlanTest, L2KnnPlansAreUnchanged) {
   want.seeks = 2445;
   want.io_time_s = 0x1.d10624dd2f1acp+5;
   want.digest = 0xf257d873eab5dc03ull;
-  ExpectGoldenPlan(RunGoldenPlan(Metric::kL2), want);
+  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kL2}), want);
 }
 
 TEST(IqSearchGoldenPlanTest, LMaxKnnPlansAreUnchanged) {
@@ -374,7 +390,36 @@ TEST(IqSearchGoldenPlanTest, LMaxKnnPlansAreUnchanged) {
   want.seeks = 941;
   want.io_time_s = 0x1.3c147ae147adep+5;
   want.digest = 0x856eca5a012489a2ull;
-  ExpectGoldenPlan(RunGoldenPlan(Metric::kLMax), want);
+  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kLMax}), want);
+}
+
+// Uniform data, 200k points, with a small fractal dimension and the
+// default disk: the optimizer stores every page exact (3104 pages), and
+// a 16-d kNN ball reaches so many of them that some candidates' eq. 3
+// product is still above the floor after kMaxPrunerRegions (512)
+// unprocessed pages of smaller MINDIST, so the cap decides their access
+// probability. Of the 107 held-out queries only the last 10 run; the
+// last of them (tail query 106) gets a different plan when the cap is
+// raised to 600 or more or lowered to 450. D_F is passed explicitly so
+// that a change to the estimator does not move the layout.
+TEST(IqSearchGoldenPlanTest, L2KnnPlansAtThePrunerCapAreUnchanged) {
+  GoldenPlan want;
+  want.batches = 2164;
+  want.blocks_transferred = 18814;
+  want.pages_decoded = 15688;
+  want.cells_enqueued = 0;
+  want.refinements = 0;
+  want.seeks = 2174;
+  want.io_time_s = 0x1.e4b43958105dcp+5;
+  want.digest = 0xcfa3698ec1e5d769ull;
+  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kL2,
+                                  .uniform = true,
+                                  .points = 200000,
+                                  .queries = 107,
+                                  .first_query = 97,
+                                  .fractal_dimension = 0.1,
+                                  .disk = DiskParameters{}}),
+                   want);
 }
 
 }  // namespace
