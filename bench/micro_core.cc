@@ -198,12 +198,23 @@ void BM_AccessProbability(benchmark::State& state) {
     }
     boxes.push_back(Mbr::FromBounds(lb, ub));
   }
+  // One moments slot per region, as the kNN planner keeps them.
+  std::vector<DistanceMoments> moments(boxes.size());
   std::vector<PrunerRegion> regions;
-  for (const Mbr& box : boxes) regions.push_back({&box, 500});
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    regions.push_back({&boxes[i], 500, &moments[i]});
+  }
   const std::vector<float> q(dims, 0.5f);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PageAccessProbability(q, 0.4, regions, Metric::kL2));
+    size_t next = 0;
+    benchmark::DoNotOptimize(PageAccessProbability(
+        q, 0.4,
+        [&](PrunerRegion* region) {
+          if (next == regions.size()) return false;
+          *region = regions[next++];
+          return true;
+        },
+        Metric::kL2));
   }
   state.SetItemsProcessed(state.iterations() * regions.size());
 }

@@ -41,11 +41,6 @@ using CellHeap =
     std::priority_queue<CellEntry, std::vector<CellEntry>,
                         std::greater<CellEntry>>;
 
-struct ExactPage {
-  std::vector<PointId> ids;
-  std::vector<float> coords;
-};
-
 /// Max-heap order for the bounded k-NN result set: the current worst
 /// (largest distance) sits at the front.
 inline bool CloserNeighbor(const Neighbor& a, const Neighbor& b) {
@@ -54,14 +49,14 @@ inline bool CloserNeighbor(const Neighbor& a, const Neighbor& b) {
 
 /// A page in the kNN search's priority order (§2.2): its MINDIST and
 /// directory index.
-struct PendingPage {
+struct RankedPage {
   double mindist;
   uint32_t dir_index;
 };
 
 /// Heap comparator of the page order: (MINDIST, dir_index) ascending, so
 /// tied pages come out by directory index.
-inline bool LaterPage(const PendingPage& a, const PendingPage& b) {
+inline bool LaterPage(const RankedPage& a, const RankedPage& b) {
   return a.mindist > b.mindist ||
          (a.mindist == b.mindist && a.dir_index > b.dir_index);
 }
@@ -121,7 +116,6 @@ class IqTreeSearcher {
     // the page order and the cell heap; on equal MINDIST the page goes
     // first.
     CellHeap cells;
-    std::vector<uint8_t> block(block_size_);
     std::vector<uint8_t> batch_buf;
     // MINDIST of a source with nothing left.
     constexpr double kExhausted = std::numeric_limits<double>::infinity();
@@ -144,15 +138,19 @@ class IqTreeSearcher {
         IQ_RETURN_NOT_OK(RefineSlot(top.dir_index, top.slot));
         continue;
       }
-      const PendingPage page = OrderedPage(next_page++);
+      const size_t page_pos = next_page++;
+      const RankedPage page = OrderedPage(page_pos);
       if (options_.optimized_access) {
-        IQ_RETURN_NOT_OK(LoadBatch(page.dir_index, &batch_buf, &cells));
+        IQ_RETURN_NOT_OK(
+            LoadBatch(page.dir_index, page_pos, &batch_buf, &cells));
         continue;
       }
       const uint32_t qpage_block = tree_.dir_[page.dir_index].qpage_block;
       obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
       const double io_before = TraceNow();
-      IQ_RETURN_NOT_OK(tree_.qpages_->ReadBlock(qpage_block, block.data()));
+      batch_buf.resize(block_size_);
+      IQ_RETURN_NOT_OK(
+          tree_.qpages_->ReadBlock(qpage_block, batch_buf.data()));
       stats_.batches += 1;
       stats_.blocks_transferred += 1;
       batch_span.AddAttr("first_block", static_cast<double>(qpage_block));
@@ -161,7 +159,7 @@ class IqTreeSearcher {
           "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
                                  tree_.disk_->params()));
       batch_span.AddAttr("io_s", TraceNow() - io_before);
-      IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, block.data(), &cells,
+      IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, batch_buf.data(), &cells,
                                    batch_span.id()));
     }
     out->assign(results_.begin(), results_.end());
@@ -248,7 +246,7 @@ class IqTreeSearcher {
 
   /// The charged level-1 directory scan plus in-memory MINDIST setup,
   /// as one traced span. `knn` also sets up the page order and, with
-  /// optimized access, the §2.1 planner's pending window.
+  /// optimized access, the §2.1 planner's moments cache.
   void ScanDirectory(bool knn) {
     obs::ScopedSpan span(tracer_, "dir_scan", root_span_);
     const double io_before = TraceNow();
@@ -269,23 +267,19 @@ class IqTreeSearcher {
     FilterKernel::BoxMinDists(q_, metric_, geom.lo.data(), geom.hi.data(),
                               geom.stride, n, page_mindist_.data());
     if (!knn) return;
-    // The one page order of the HS loop and the §2.1 pending window:
+    // The one page order of the HS loop and the §2.1 planner:
     // (MINDIST, dir_index) ascending, so tied pages enter the eq. 3
     // product by directory index (IqSearchGoldenPlanTest pins the
     // resulting plans). A heap over all pages yields it lazily; most
     // queries stop long before the order is exhausted.
     order_.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      order_[i] = PendingPage{page_mindist_[i], static_cast<uint32_t>(i)};
+      order_[i] = RankedPage{page_mindist_[i], static_cast<uint32_t>(i)};
     }
     std::make_heap(order_.begin(), order_.end(), LaterPage);
     heap_end_ = n;
-    if (!options_.optimized_access) return;
-    next_pending_ = 0;
-    pending_.clear();
-    pending_.reserve(kMaxPrunerRegions);
-    pending_regions_.clear();
-    pending_regions_.reserve(kMaxPrunerRegions);
+    moments_.clear();
+    if (options_.optimized_access) moments_.reserve(n);
   }
 
   /// Pages in the order (all of the directory).
@@ -296,7 +290,7 @@ class IqTreeSearcher {
   /// it; popped pages collect at the back of order_, the smallest last,
   /// so page j sits at order_[n - 1 - j] and stays put once there.
   IQ_HOT_NOALLOC
-  const PendingPage& OrderedPage(size_t j) {
+  const RankedPage& OrderedPage(size_t j) {
     const size_t n = order_.size();
     while (n - heap_end_ <= j) {
       std::pop_heap(order_.begin(),
@@ -305,41 +299,6 @@ class IqTreeSearcher {
       --heap_end_;
     }
     return order_[n - 1 - j];
-  }
-
-  /// Brings the planner's pending window up to date: drops the pages
-  /// processed since the last call, then tops it up in MINDIST order to
-  /// kMaxPrunerRegions unprocessed pages, or all that remain. A
-  /// candidate's higher-priority set (§2.2) is then the window's prefix
-  /// with smaller MINDIST: when the window is full, every page past it
-  /// lies beyond the kMaxPrunerRegions cap anyway. A page's pruner
-  /// region, with its eq. 3 moments cache, stays in the window until the
-  /// page is processed, so its moments are computed at most once.
-  IQ_HOT_NOALLOC
-  void RefillPending() {
-    size_t kept = 0;
-    for (size_t p = 0; p < pending_.size(); ++p) {
-      if (processed_[pending_[p].dir_index]) continue;
-      pending_[kept] = pending_[p];
-      pending_regions_[kept] = pending_regions_[p];
-      ++kept;
-    }
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(kept),
-                   pending_.end());
-    pending_regions_.erase(
-        pending_regions_.begin() + static_cast<ptrdiff_t>(kept),
-        pending_regions_.end());
-    while (pending_.size() < kMaxPrunerRegions &&
-           next_pending_ < NumOrdered()) {
-      const PendingPage page = OrderedPage(next_pending_++);
-      if (processed_[page.dir_index]) continue;
-      const DirEntry& entry = tree_.dir_[page.dir_index];
-      // iqlint: allow(hotpath-alloc): reserved to kMaxPrunerRegions at
-      // query setup, and the window never holds more.
-      pending_.push_back(page);
-      // iqlint: allow(hotpath-alloc): as above.
-      pending_regions_.push_back(PrunerRegion{&entry.mbr, entry.count});
-    }
   }
 
   /// Current pruning distance: the k-th best exact distance found.
@@ -368,30 +327,43 @@ class IqTreeSearcher {
   }
 
   /// Access probability of the page at file position `block` for the
-  /// current query state (the scheduler's callback). The pending window
-  /// must have been refilled since the last page was processed.
+  /// current query state (the scheduler's callback). `pivot_pos` is the
+  /// pivot page's position in the page order.
   IQ_HOT_NOALLOC
-  double AccessProbability(uint64_t block, uint64_t pivot_block) {
+  double AccessProbability(uint64_t block, uint64_t pivot_block,
+                           size_t pivot_pos) {
     if (block == pivot_block) return 1.0;
     const uint32_t dir_index = tree_.dir_geom_.EntryAt(block);
     if (dir_index == kNoEntry || processed_[dir_index]) return 0.0;
     const double md = page_mindist_[dir_index];
     if (md >= PruneDistance()) return 0.0;
-    const auto higher =
-        std::lower_bound(pending_.begin(), pending_.end(), md,
-                         [](const PendingPage& p, double v) {
-                           return p.mindist < v;
-                         });
-    const std::span<const PrunerRegion> regions(
-        pending_regions_.data(),
-        static_cast<size_t>(higher - pending_.begin()));
+    // The higher-priority set (§2.2): the unprocessed pages of smaller
+    // MINDIST, in page order and at most kMaxPrunerRegions of them. The
+    // walk starts at the pivot, since every earlier page is processed.
+    size_t pos = pivot_pos;
+    size_t taken = 0;
+    const auto next_region = [&](PrunerRegion* region) {
+      for (; taken < kMaxPrunerRegions && pos < NumOrdered(); ++pos) {
+        const RankedPage& page = OrderedPage(pos);
+        if (page.mindist >= md) return false;
+        if (processed_[page.dir_index]) continue;
+        // iqlint: allow(hotpath-alloc): reserved to the page count at
+        // query setup; grows to the deepest position walked.
+        if (pos >= moments_.size()) moments_.resize(pos + 1);
+        const DirEntry& entry = tree_.dir_[page.dir_index];
+        *region = PrunerRegion{&entry.mbr, entry.count, &moments_[pos++]};
+        ++taken;
+        return true;
+      }
+      return false;
+    };
     // A page still in the priority list can always turn out to be
     // needed, and mistakenly skipping it costs a whole seek while
     // over-reading it costs one transfer; keep a floor under the
     // estimate so near-certain-looking skips stay cheap to hedge. The
     // product only falls, so it stops as soon as it crosses the floor.
     return std::max(kMinCandidateProbability,
-                    PageAccessProbability(q_, md, regions, metric_,
+                    PageAccessProbability(q_, md, next_region, metric_,
                                           kMinCandidateProbability));
   }
 
@@ -399,12 +371,11 @@ class IqTreeSearcher {
   /// with neighboring on-disk pages whose access probability makes
   /// over-reading cheaper than a later seek, then process everything
   /// that was transferred.
-  Status LoadBatch(size_t pivot_dir_index, std::vector<uint8_t>* buf,
-                   CellHeap* cells) {
+  Status LoadBatch(size_t pivot_dir_index, size_t pivot_pos,
+                   std::vector<uint8_t>* buf, CellHeap* cells) {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = TraceNow();
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
-    RefillPending();
     // The block map covers the blocks of the pinned directory; blocks a
     // concurrent page swap appends later hold none of its pages.
     IQ_HOT_NOALLOC_BEGIN;
@@ -412,7 +383,7 @@ class IqTreeSearcher {
         pivot_block, tree_.dir_geom_.block_entry.size(),
         tree_.disk_->params(),
         [&](uint64_t block) {
-          return AccessProbability(block, pivot_block);
+          return AccessProbability(block, pivot_block, pivot_pos);
         });
     IQ_HOT_NOALLOC_END;
     buf->resize(range.count() * block_size_);
@@ -590,9 +561,9 @@ class IqTreeSearcher {
     exact_span.AddAttr("refinements",
                        static_cast<double>(candidates_scratch_.size()));
     const double io_before = TraceNow();
-    ExactPage exact;
-    IQ_RETURN_NOT_OK(tree_.LoadExactPage(dir_index, &exact.ids,
-                                         &exact.coords));
+    // The exact-page scratch is free here: this page is quantized.
+    IQ_RETURN_NOT_OK(tree_.LoadExactPage(dir_index, &ids_scratch_,
+                                         &coords_scratch_));
     const double io_delta = TraceNow() - io_before;
     if (CollectingPageStats()) {
       touches_[dir_index].refinements +=
@@ -602,10 +573,10 @@ class IqTreeSearcher {
     exact_span.AddAttr("io_s", io_delta);
     for (uint32_t s : candidates_scratch_) {
       const double dist = Distance(
-          q_, PointView(exact.coords.data() + s * dims_, dims_), metric_);
+          q_, PointView(coords_scratch_.data() + s * dims_, dims_), metric_);
       // iqlint: allow(hotpath-alloc): append to the caller-owned
       // result vector.
-      if (dist <= radius) out->push_back(Neighbor{exact.ids[s], dist});
+      if (dist <= radius) out->push_back(Neighbor{ids_scratch_[s], dist});
     }
     return Status::OK();
   }
@@ -632,15 +603,12 @@ class IqTreeSearcher {
   std::vector<obs::PageTouch> touches_;
   /// kNN page order (see OrderedPage): a heap over [0, heap_end_), the
   /// pages popped from it in order behind.
-  std::vector<PendingPage> order_;
+  std::vector<RankedPage> order_;
   size_t heap_end_ = 0;
-  /// §2.1 planner state (kNN with optimized access): a cursor into the
-  /// page order past the pages already taken into the pending window,
-  /// and the window itself (see RefillPending) with the pages' pruner
-  /// regions at the same positions.
-  size_t next_pending_ = 0;
-  std::vector<PendingPage> pending_;
-  std::vector<PrunerRegion> pending_regions_;
+  /// §2.1 planner (kNN with optimized access): the eq. 3 moments of the
+  /// page at each order position, filled on the page's first L2 use, so
+  /// they are computed at most once per page per query.
+  std::vector<DistanceMoments> moments_;
 
   std::vector<Neighbor> results_;
   double results_top_ = std::numeric_limits<double>::infinity();

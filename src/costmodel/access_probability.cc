@@ -88,28 +88,15 @@ double IntersectionFraction(PointView q, double r, const Mbr& box,
 }
 
 IQ_HOT_NOALLOC
-double PageAccessProbability(PointView q, double target_mindist,
-                             std::span<const PrunerRegion> higher_priority,
-                             Metric metric, double floor) {
-  double prob = 1.0;
-  for (const PrunerRegion& region : higher_priority) {
-    double fraction;
-    if (metric == Metric::kL2) {
-      if (!region.moments.ready) {
-        region.moments = SquaredDistanceMoments(q, *region.box);
-      }
-      fraction = FractionFromMoments(region.moments, target_mindist);
-    } else {
-      fraction = IntersectionFraction(q, target_mindist, *region.box, metric);
-    }
-    if (fraction <= 0.0) continue;
-    if (fraction >= 1.0) return 0.0;
-    // Eq. 3: probability that none of the region's points falls into
-    // the intersection.
-    prob *= std::pow(1.0 - fraction, static_cast<double>(region.count));
-    if (prob < floor) return 0.0;
+double RegionFraction(PointView q, double r, const PrunerRegion& region,
+                      Metric metric) {
+  if (metric != Metric::kL2 || region.moments == nullptr) {
+    return IntersectionFraction(q, r, *region.box, metric);
   }
-  return prob;
+  if (!region.moments->ready) {
+    *region.moments = SquaredDistanceMoments(q, *region.box);
+  }
+  return FractionFromMoments(*region.moments, r);
 }
 
 }  // namespace iq

@@ -1,8 +1,11 @@
 #ifndef IQ_COSTMODEL_ACCESS_PROBABILITY_H_
 #define IQ_COSTMODEL_ACCESS_PROBABILITY_H_
 
-#include <span>
+#include <cmath>
+#include <concepts>
+#include <cstdint>
 
+#include "common/hot_path.h"
 #include "geom/mbr.h"
 #include "geom/metrics.h"
 #include "geom/point.h"
@@ -24,18 +27,21 @@ struct DistanceMoments {
 /// many data points it holds. Point approximations are boxes with
 /// count = 1; already-known exact points are degenerate boxes.
 struct PrunerRegion {
-  PrunerRegion(const Mbr* region_box, uint32_t region_count)
-      : box(region_box), count(region_count) {}
-
-  const Mbr* box;
-  uint32_t count;
-  /// Cache of SquaredDistanceMoments(q, *box), filled on the region's
-  /// first L2 evaluation: a searcher that keeps its regions across
-  /// calls for one query point computes each region's moments once,
-  /// whatever the radii. Valid for one query point only, and filled
-  /// without synchronization, so a region belongs to one query.
-  mutable DistanceMoments moments;
+  const Mbr* box = nullptr;
+  uint32_t count = 0;
+  /// Optional cache of SquaredDistanceMoments(q, *box), owned by the
+  /// caller and filled on the region's first L2 evaluation: a searcher
+  /// that keeps one slot per region for one query point computes each
+  /// region's moments once, whatever the radii. Valid for one query
+  /// point only, and filled without synchronization, so a slot belongs
+  /// to one query. Null computes the moments on every evaluation.
+  DistanceMoments* moments = nullptr;
 };
+
+/// V_int(region, ball)/V(region) for the ball of radius `r` around `q`
+/// (IntersectionFraction), reading and filling region.moments for L2.
+double RegionFraction(PointView q, double r, const PrunerRegion& region,
+                      Metric metric);
 
 /// Access probability of a page during NN search (paper §2.2, eqns 2-3).
 ///
@@ -51,9 +57,29 @@ struct PrunerRegion {
 /// by taking the ratio limit per dimension. The product is cut off once
 /// it drops below `floor` and 0 is returned: every factor is at most 1,
 /// so a product below `floor` can only end below it.
+///
+/// The regions come from `next_region`: each call stores the next
+/// higher-priority region in its argument and returns true, or returns
+/// false when there are no more. The product reads them in that order
+/// and stops asking once its value is decided.
+template <std::invocable<PrunerRegion*> NextRegion>
+IQ_HOT_NOALLOC
 double PageAccessProbability(PointView q, double target_mindist,
-                             std::span<const PrunerRegion> higher_priority,
-                             Metric metric, double floor = 1e-6);
+                             NextRegion next_region, Metric metric,
+                             double floor = 1e-6) {
+  double prob = 1.0;
+  PrunerRegion region;
+  while (next_region(&region)) {
+    const double fraction = RegionFraction(q, target_mindist, region, metric);
+    if (fraction <= 0.0) continue;
+    if (fraction >= 1.0) return 0.0;
+    // Eq. 3: probability that none of the region's points falls into
+    // the intersection.
+    prob *= std::pow(1.0 - fraction, static_cast<double>(region.count));
+    if (prob < floor) return 0.0;
+  }
+  return prob;
+}
 
 /// Ratio V_int(box, ball)/V(box) in [0, 1] with degenerate-side limits:
 /// degenerate dimensions contribute 1 if the slab intersects the ball's

@@ -112,30 +112,42 @@ void TableBoundsImpl(const double* lo_tab, const double* hi_tab, size_t dims,
   }
 }
 
+/// Adds one dimension's contribution for four points (`vals` holds
+/// the points' coordinates in that dimension) to `acc`.
+template <bool kL2>
+inline __m256d AccumulateDim(__m256d acc, __m128 vals, float q) {
+  const __m256d diff = _mm256_sub_pd(_mm256_set1_pd(static_cast<double>(q)),
+                                     _mm256_cvtps_pd(vals));
+  if constexpr (kL2) return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+  return _mm256_max_pd(acc, _mm256_andnot_pd(_mm256_set1_pd(-0.0), diff));
+}
+
+/// Four points per iteration, one per lane. Each group of four
+/// dimensions is four unaligned row loads transposed in registers;
+/// leftover dimensions are taken one at a time from the four rows.
 template <bool kL2>
 void DistancesImpl(const float* q, size_t dims, const float* points,
                    size_t count, double* out) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  // Row stride between the four gathered points, in floats.
-  const __m128i row_idx = _mm_set_epi32(static_cast<int>(3 * dims),
-                                        static_cast<int>(2 * dims),
-                                        static_cast<int>(dims), 0);
   size_t s = 0;
   for (; s + 4 <= count; s += 4) {
-    const float* base = points + s * dims;
+    const float* p = points + s * dims;
     __m256d acc = _mm256_setzero_pd();
-    for (size_t i = 0; i < dims; ++i) {
-      const __m128 vals_ps = _mm_mask_i32gather_ps(
-          _mm_setzero_ps(), base + i, row_idx,
-          _mm_castsi128_ps(_mm_set1_epi32(-1)), 4);
-      const __m256d p = _mm256_cvtps_pd(vals_ps);
-      const __m256d qv = _mm256_set1_pd(static_cast<double>(q[i]));
-      const __m256d diff = _mm256_sub_pd(qv, p);
-      if constexpr (kL2) {
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-      } else {
-        acc = _mm256_max_pd(acc, _mm256_andnot_pd(sign_mask, diff));
-      }
+    size_t i = 0;
+    for (; i + 4 <= dims; i += 4) {
+      __m128 d0 = _mm_loadu_ps(p + i);
+      __m128 d1 = _mm_loadu_ps(p + dims + i);
+      __m128 d2 = _mm_loadu_ps(p + 2 * dims + i);
+      __m128 d3 = _mm_loadu_ps(p + 3 * dims + i);
+      _MM_TRANSPOSE4_PS(d0, d1, d2, d3);
+      acc = AccumulateDim<kL2>(acc, d0, q[i]);
+      acc = AccumulateDim<kL2>(acc, d1, q[i + 1]);
+      acc = AccumulateDim<kL2>(acc, d2, q[i + 2]);
+      acc = AccumulateDim<kL2>(acc, d3, q[i + 3]);
+    }
+    for (; i < dims; ++i) {
+      acc = AccumulateDim<kL2>(
+          acc, _mm_setr_ps(p[i], p[dims + i], p[2 * dims + i], p[3 * dims + i]),
+          q[i]);
     }
     if constexpr (kL2) acc = _mm256_sqrt_pd(acc);
     _mm256_storeu_pd(out + s, acc);

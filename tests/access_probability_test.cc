@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,9 +44,24 @@ TEST(IntersectionFractionTest, DegenerateSidesUseLimits) {
   EXPECT_EQ(IntersectionFraction(q, 0.05, point_box, Metric::kLMax), 0.0);
 }
 
+/// PageAccessProbability over a fixed region list, read in list order.
+double AccessOver(PointView q, double target_mindist,
+                  std::span<const PrunerRegion> regions, Metric metric,
+                  double floor = 1e-6) {
+  size_t next = 0;
+  return PageAccessProbability(
+      q, target_mindist,
+      [&](PrunerRegion* region) {
+        if (next == regions.size()) return false;
+        *region = regions[next++];
+        return true;
+      },
+      metric, floor);
+}
+
 TEST(PageAccessProbabilityTest, NoCompetitorsMeansCertainAccess) {
   const std::vector<float> q{0.5f, 0.5f};
-  EXPECT_EQ(PageAccessProbability(q, 0.3, {}, Metric::kLMax), 1.0);
+  EXPECT_EQ(AccessOver(q, 0.3, {}, Metric::kLMax), 1.0);
 }
 
 TEST(PageAccessProbabilityTest, KnownCloserPointKillsAccess) {
@@ -54,7 +70,7 @@ TEST(PageAccessProbabilityTest, KnownCloserPointKillsAccess) {
   const std::vector<float> q{0.5f, 0.5f};
   const Mbr point_box = Mbr::FromBounds({0.55f, 0.5f}, {0.55f, 0.5f});
   const PrunerRegion regions[] = {{&point_box, 1}};
-  EXPECT_EQ(PageAccessProbability(q, 0.3, regions, Metric::kLMax), 0.0);
+  EXPECT_EQ(AccessOver(q, 0.3, regions, Metric::kLMax), 0.0);
 }
 
 TEST(PageAccessProbabilityTest, MatchesClosedForm) {
@@ -65,7 +81,7 @@ TEST(PageAccessProbabilityTest, MatchesClosedForm) {
   const double r = 0.25;  // covers fraction 0.25 of the box
   const PrunerRegion regions[] = {{&box, 10}};
   const double expected = std::pow(0.75, 10);
-  EXPECT_NEAR(PageAccessProbability(q, r, regions, Metric::kLMax, 1e-12),
+  EXPECT_NEAR(AccessOver(q, r, regions, Metric::kLMax, 1e-12),
               expected, 1e-9);
 }
 
@@ -76,7 +92,7 @@ TEST(PageAccessProbabilityTest, ProductOverRegions) {
   const PrunerRegion regions[] = {{&box_a, 4}, {&box_b, 4}};
   const double expected = std::pow(0.75, 4) * std::pow(0.75, 4);
   EXPECT_NEAR(
-      PageAccessProbability(q, 0.25, regions, Metric::kLMax, 1e-12),
+      AccessOver(q, 0.25, regions, Metric::kLMax, 1e-12),
       expected, 1e-9);
 }
 
@@ -85,7 +101,7 @@ TEST(PageAccessProbabilityTest, FloorShortCircuitsToZero) {
   const Mbr box = Mbr::FromBounds({0}, {1});
   // Huge point count: probability collapses below any floor.
   const PrunerRegion regions[] = {{&box, 100000}};
-  EXPECT_EQ(PageAccessProbability(q, 0.4, regions, Metric::kLMax, 1e-6),
+  EXPECT_EQ(AccessOver(q, 0.4, regions, Metric::kLMax, 1e-6),
             0.0);
 }
 
@@ -94,8 +110,8 @@ TEST(PageAccessProbabilityTest, MorePointsLowerProbability) {
   const Mbr box = Mbr::FromBounds({0}, {1});
   const PrunerRegion few[] = {{&box, 2}};
   const PrunerRegion many[] = {{&box, 20}};
-  EXPECT_GT(PageAccessProbability(q, 0.25, few, Metric::kLMax, 1e-12),
-            PageAccessProbability(q, 0.25, many, Metric::kLMax, 1e-12));
+  EXPECT_GT(AccessOver(q, 0.25, few, Metric::kLMax, 1e-12),
+            AccessOver(q, 0.25, many, Metric::kLMax, 1e-12));
 }
 
 // --- moments factorization (reference: the former inline L2 formula) ---
@@ -225,13 +241,14 @@ TEST(PageAccessProbabilityTest, FloorCutoffMatchesFullProduct) {
         const double scale =
             metric == Metric::kL2 ? std::sqrt(dims / 6.0) : 0.5;
         const double r = rng.Uniform(0.0, 1.2) * scale;
-        const std::vector<PrunerRegion> warm = fresh;
-        PageAccessProbability(q, rng.Uniform(0.0, 1.2) * scale, warm, metric,
-                              0.0);
+        std::vector<DistanceMoments> slots(num_regions);
+        std::vector<PrunerRegion> warm = fresh;
+        for (size_t j = 0; j < num_regions; ++j) warm[j].moments = &slots[j];
+        AccessOver(q, rng.Uniform(0.0, 1.2) * scale, warm, metric, 0.0);
         const double full = ReferenceFullProduct(q, r, fresh, metric);
         for (const double got :
-             {PageAccessProbability(q, r, fresh, metric, kFloor),
-              PageAccessProbability(q, r, warm, metric, kFloor)}) {
+             {AccessOver(q, r, fresh, metric, kFloor),
+              AccessOver(q, r, warm, metric, kFloor)}) {
           if (full < kFloor) {
             EXPECT_EQ(got, 0.0) << "full product " << full;
           } else {
@@ -250,19 +267,20 @@ TEST(PageAccessProbabilityTest, FloorCutoffMatchesFullProduct) {
 TEST(PageAccessProbabilityTest, MomentsCacheFillsOnceAndIsReused) {
   const Mbr box = Mbr::FromBounds({0, 0}, {1, 1});
   const std::vector<float> q{1.5f, 0.5f};
-  const PrunerRegion regions[] = {{&box, 3}};
-  EXPECT_FALSE(regions[0].moments.ready);
-  PageAccessProbability(q, 0.8, regions, Metric::kL2);
-  ASSERT_TRUE(regions[0].moments.ready);
+  DistanceMoments slot;
+  const PrunerRegion regions[] = {{&box, 3, &slot}};
+  EXPECT_FALSE(slot.ready);
+  AccessOver(q, 0.8, regions, Metric::kL2);
+  ASSERT_TRUE(slot.ready);
   const DistanceMoments want = SquaredDistanceMoments(q, box);
-  EXPECT_EQ(Bits(regions[0].moments.mean), Bits(want.mean));
-  EXPECT_EQ(Bits(regions[0].moments.variance), Bits(want.variance));
-  EXPECT_EQ(Bits(regions[0].moments.stddev), Bits(want.stddev));
+  EXPECT_EQ(Bits(slot.mean), Bits(want.mean));
+  EXPECT_EQ(Bits(slot.variance), Bits(want.variance));
+  EXPECT_EQ(Bits(slot.stddev), Bits(want.stddev));
   // Another radius reuses the cached moments and still matches a fresh
   // region's evaluation.
   const PrunerRegion fresh[] = {{&box, 3}};
-  EXPECT_EQ(Bits(PageAccessProbability(q, 1.1, regions, Metric::kL2)),
-            Bits(PageAccessProbability(q, 1.1, fresh, Metric::kL2)));
+  EXPECT_EQ(Bits(AccessOver(q, 1.1, regions, Metric::kL2)),
+            Bits(AccessOver(q, 1.1, fresh, Metric::kL2)));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -306,10 +307,20 @@ TEST(FilterKernelEquivalence, WindowCandidatesMatchIntersects) {
 }
 
 TEST(FilterKernelEquivalence, BatchDistancesMatchesDistance) {
+  // (dims, count). The AVX2 kernel takes four points per step and four
+  // dimensions per transposed row block; d = 1 and 3 are all dimension
+  // tail, d = 5 and 17 have full blocks plus a tail, and counts 0-9
+  // cover every point-tail length.
+  std::vector<std::pair<size_t, size_t>> cases;
+  for (size_t dims : kAllDims) cases.emplace_back(dims, 53);
+  for (size_t dims : {1u, 3u, 5u, 17u}) {
+    for (size_t count = 0; count <= 9; ++count) {
+      cases.emplace_back(dims, count);
+    }
+  }
   Rng rng(1234);
-  for (size_t dims : kAllDims) {
+  for (const auto& [dims, count] : cases) {
     for (Metric metric : {Metric::kL2, Metric::kLMax}) {
-      const size_t count = 53;
       std::vector<float> q(dims), points(count * dims);
       for (auto& v : q) v = static_cast<float>(rng.Uniform(-5, 5));
       for (auto& v : points) v = static_cast<float>(rng.Uniform(-5, 5));
@@ -324,7 +335,8 @@ TEST(FilterKernelEquivalence, BatchDistancesMatchesDistance) {
             scalar_out[s],
             Distance(q, PointView(points.data() + s * dims, dims), metric));
       }
-      if (KernelAvx2Available()) {
+      // memcmp must not see the null data() of an empty vector.
+      if (KernelAvx2Available() && count > 0) {
         std::vector<double> simd_out(count, -2);
         ScopedDispatch avx2(KernelDispatch::kAvx2);
         FilterKernel::BatchDistances(q, metric, points.data(), count,
@@ -332,7 +344,7 @@ TEST(FilterKernelEquivalence, BatchDistancesMatchesDistance) {
         EXPECT_EQ(std::memcmp(scalar_out.data(), simd_out.data(),
                               count * sizeof(double)),
                   0)
-            << "dims=" << dims;
+            << "dims=" << dims << " count=" << count;
       }
     }
   }

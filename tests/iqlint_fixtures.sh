@@ -56,6 +56,7 @@ expect_clean hotpath_good
 expect_finding hotpath_bad hotpath-alloc 'src/core/bad\.cc:11: error'
 expect_finding hotpath_bad hotpath-alloc 'src/core/bad\.cc:13: error'
 expect_finding hotpath_bad hotpath-alloc 'src/core/bad\.cc:19: error'
+expect_finding hotpath_bad hotpath-alloc 'src/core/bad\.cc:25: error'
 expect_clean lockrank_good
 expect_finding lockrank_bad lock-rank 'src/core/bad\.cc:9: error'
 expect_finding lockrank_bad lock-rank 'src/core/bad\.cc:19: error'

@@ -246,6 +246,29 @@ TEST(HotPathAlloc, RegionMarkersCoverOnlyTheRegion) {
   EXPECT_EQ(out[0].line, 4);
 }
 
+TEST(HotPathAlloc, LocalOwningContainerIsFlagged) {
+  const std::vector<LexedFile> files = {LexFile(
+      "src/core/a.cc",
+      "IQ_HOT_NOALLOC\n"
+      "void F(const std::vector<int>& in) {\n"
+      "  std::vector<std::pair<int, int>> pairs;\n"
+      "  std::string name = \"x\";\n"
+      "  const std::vector<int>& view = in;\n"
+      "  std::vector<int>* ptr = nullptr;\n"
+      "  std::vector<int>::const_iterator it = in.begin();\n"
+      "  for (std::string s : names) {}\n"
+      "}\n"
+      "void Outside() { std::vector<int> v; }\n")};
+  std::vector<Finding> out;
+  CheckHotPathAlloc(files, &out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].line, 3);
+  EXPECT_NE(out[0].message.find("std::vector"), std::string::npos);
+  EXPECT_EQ(out[1].line, 4);
+  EXPECT_NE(out[1].message.find("std::string"), std::string::npos);
+  EXPECT_EQ(out[2].line, 8);
+}
+
 TEST(HotPathAlloc, UnterminatedRegionIsAnError) {
   const std::vector<LexedFile> files = {
       LexFile("src/core/a.cc", "void F() {\n  IQ_HOT_NOALLOC_BEGIN;\n}\n")};

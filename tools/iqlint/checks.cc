@@ -238,6 +238,33 @@ const std::set<std::string>& GrowthCalls() {
   return kCalls;
 }
 
+/// Standard containers that own heap storage.
+const std::set<std::string>& OwningContainers() {
+  static const std::set<std::string> kTypes = {
+      "vector", "string", "deque", "map", "unordered_map", "set"};
+  return kTypes;
+}
+
+/// True when tokens[i, end) start a by-value local declaration of an
+/// owning std container, `std::<container>[<...>] name` followed by
+/// `;`, `=`, `(`, `{`, `,` or `:` (a range-for copy). References,
+/// pointers and nested names (`::iterator`) do not match.
+bool IsOwningContainerDecl(const std::vector<Token>& t, size_t i,
+                           size_t end) {
+  if (!IsIdent(t[i], "std") || i + 4 >= end || !IsPunct(t[i + 1], ":") ||
+      !IsPunct(t[i + 2], ":") || t[i + 3].kind != Token::Kind::kIdent ||
+      OwningContainers().count(t[i + 3].text) == 0) {
+    return false;
+  }
+  size_t k = i + 4;
+  if (IsPunct(t[k], "<")) k = MatchingClose(t, k, "<", ">") + 1;
+  if (k + 1 >= end || t[k].kind != Token::Kind::kIdent) return false;
+  for (const char* next : {";", "=", "(", "{", ",", ":"}) {
+    if (IsPunct(t[k + 1], next)) return true;
+  }
+  return false;
+}
+
 /// Scans tokens[begin, end) of a hot function/region and reports
 /// allocation patterns.
 void ScanHotRegion(const LexedFile& file, size_t begin, size_t end,
@@ -245,6 +272,15 @@ void ScanHotRegion(const LexedFile& file, size_t begin, size_t end,
   const std::vector<Token>& t = file.tokens;
   for (size_t i = begin; i < end; ++i) {
     if (t[i].kind != Token::Kind::kIdent) continue;
+    if (IsOwningContainerDecl(t, i, end)) {
+      out->push_back(Finding{
+          "hotpath-alloc", file.path, t[i].line,
+          "local std::" + t[i + 3].text +
+              " inside an IQ_HOT_NOALLOC function/region allocates per "
+              "call (reuse member scratch, or suppress with "
+              "'// iqlint: allow(hotpath-alloc): <reason>')"});
+      continue;
+    }
     const bool called =
         i + 1 < end && (IsPunct(t[i + 1], "(") || IsPunct(t[i + 1], "<"));
     if (t[i].text == "new") {

@@ -19,3 +19,9 @@ void Region(std::vector<int>* out) {
   out->reserve(16);
   IQ_HOT_NOALLOC_END;
 }
+
+IQ_HOT_NOALLOC
+double Local(const double* xs, size_t n) {
+  std::vector<double> copy(xs, xs + n);
+  return copy.empty() ? 0.0 : copy[0];
+}
