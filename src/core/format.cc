@@ -234,15 +234,26 @@ Status QuantPageCodec::DecodeCells(const uint8_t* page,
   if (header.bits >= kExactBits) {
     return Status::InvalidArgument("DecodeCells on an exact page");
   }
-  cells->resize(static_cast<size_t>(header.count) * dims_);
-  // The capacity check in DecodeHeader already bounds count, but the
-  // page bytes are untrusted input — read them through the checked
-  // reader so a bad header can only ever produce a Status.
-  CheckedBitReader reader(
-      std::span(page + kQuantPageHeaderBytes,
-                block_size_ - kQuantPageHeaderBytes));
-  for (uint32_t& cell : *cells) {
-    IQ_RETURN_NOT_OK(reader.Get(header.bits, &cell));
+  const size_t n = static_cast<size_t>(header.count) * dims_;
+  cells->resize(n);
+  // DecodeHeader bounded count by QuantPageCapacity, so all n*g bits lie
+  // inside the payload: the unpack loops below never read past it.
+  // BitWriter packs LSB-first: a g = 8 field is one byte, a g = 16
+  // field a little-endian u16, and a g < 8 field never straddles a byte.
+  const uint8_t* in = page + kQuantPageHeaderBytes;
+  uint32_t* out = cells->data();
+  const unsigned g = header.bits;
+  if (g == 16) {
+    for (size_t j = 0; j < n; ++j) {
+      out[j] = in[2 * j] | (static_cast<uint32_t>(in[2 * j + 1]) << 8);
+    }
+  } else if (g == 8) {
+    std::copy(in, in + n, out);
+  } else {
+    const uint32_t mask = (1u << g) - 1;
+    for (size_t j = 0; j < n; ++j) {
+      out[j] = (in[j * g / 8] >> (j * g % 8)) & mask;
+    }
   }
   return Status::OK();
 }

@@ -28,31 +28,6 @@ void BitWriter::Flush() {
   }
 }
 
-Status CheckedBitReader::Get(unsigned width, uint32_t* value) {
-  if (width > 32) {
-    return Status::InvalidArgument("bit field width " +
-                                   std::to_string(width) + " > 32");
-  }
-  if (width > end_bits_ - bit_pos_) {
-    return Status::OutOfRange("bit read past end of buffer (at bit " +
-                              std::to_string(bit_pos_) + ", want " +
-                              std::to_string(width) + " of " +
-                              std::to_string(end_bits_) + ")");
-  }
-  BitReader reader(data_, bit_pos_);
-  *value = reader.Get(width);
-  bit_pos_ = reader.bit_position();
-  return Status::OK();
-}
-
-Status CheckedBitReader::Seek(size_t bit_offset) {
-  if (bit_offset > end_bits_) {
-    return Status::OutOfRange("bit seek past end of buffer");
-  }
-  bit_pos_ = bit_offset;
-  return Status::OK();
-}
-
 uint32_t BitReader::Get(unsigned width) {
   assert(width <= 32);
   uint32_t value = 0;

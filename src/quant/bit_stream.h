@@ -3,11 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/contract.h"
-#include "common/status.h"
 
 namespace iq {
 
@@ -77,37 +74,6 @@ class BitReader {
 
  private:
   const uint8_t* data_;
-  size_t bit_pos_;
-};
-
-/// Bounds-checked BitReader over an untrusted buffer: every read is
-/// validated against the buffer end and reports OutOfRange instead of
-/// reading past it. This is the reader all file-loading decode paths
-/// use — the plain BitReader remains for buffers whose size the writer
-/// itself established.
-class CheckedBitReader {
- public:
-  CheckedBitReader(std::span<const uint8_t> data, size_t bit_offset = 0)
-      : data_(data.data()), end_bits_(data.size() * 8), bit_pos_(bit_offset) {}
-
-  /// Reads the next `width`-bit field (width in [0, 32]) into `*value`.
-  /// OutOfRange if the field would extend past the end of the buffer;
-  /// InvalidArgument for width > 32. `*value` is untouched on error.
-  /// A width-0 read succeeds even at the end of the buffer, stores 0,
-  /// and does not advance the cursor (mirroring BitReader::Get).
-  Status Get(unsigned width, uint32_t* value);
-
-  /// Repositions the cursor; OutOfRange past the end of the buffer.
-  Status Seek(size_t bit_offset);
-
-  size_t bit_position() const { return bit_pos_; }
-
-  /// Bits left before the end of the buffer.
-  size_t bits_remaining() const { return end_bits_ - bit_pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t end_bits_;
   size_t bit_pos_;
 };
 

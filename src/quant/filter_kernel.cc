@@ -187,15 +187,33 @@ void FilterKernel::BuildDistanceTables(bool need_upper) {
   const size_t stride = cells_per_dim_;
   lower_tab_.resize(dims_ * stride);
   if (need_upper) upper_tab_.resize(dims_ * stride);
+  edges_.resize(stride + 1);
+  double* e = edges_.data();
+  const bool l2 = metric_ == Metric::kL2;
   for (size_t i = 0; i < dims_; ++i) {
+    // Edge row: cell c spans [e[c], e[c + 1]], its CellLower and
+    // CellUpper widened to double, each edge computed once.
+    for (uint32_t c = 0; c < cells_per_dim_; ++c) e[c] = CellLower(i, c);
+    e[stride] = grid_ub_[i];
+    const double q = q_[i];
     double* lo_row = lower_tab_.data() + i * stride;
-    for (uint32_t c = 0; c < cells_per_dim_; ++c) {
-      lo_row[c] = LowerContribution(i, c);
+    for (size_t c = 0; c < stride; ++c) {
+      // `a > 0` is exactly LowerContribution's float test q < cell_lb (a
+      // difference of two distinct floats is never 0 in double) and wins,
+      // so even a degenerate last cell matches to 0 ULP. Both differences
+      // are unconditional, so at -O3 the row vectorizes.
+      const double a = e[c] - q;
+      const double b = q - e[c + 1];
+      const double above = b > 0 ? b : 0.0;
+      const double diff = a > 0 ? a : above;
+      lo_row[c] = l2 ? diff * diff : diff;
     }
     if (need_upper) {
       double* hi_row = upper_tab_.data() + i * stride;
-      for (uint32_t c = 0; c < cells_per_dim_; ++c) {
-        hi_row[c] = UpperContribution(i, c);
+      for (size_t c = 0; c < stride; ++c) {
+        const double hi =
+            std::max(std::abs(q - e[c]), std::abs(q - e[c + 1]));
+        hi_row[c] = l2 ? hi * hi : hi;
       }
     }
   }

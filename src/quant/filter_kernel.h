@@ -148,9 +148,9 @@ class FilterKernel {
   void BuildWindowTables();
 
   /// Per-dim contribution of cell c in dim i to the lower bound
-  /// (squared diff for L2, |diff| for L-max) — the direct path and the
-  /// table builder share these, which is what makes the two paths
-  /// bit-identical.
+  /// (squared diff for L2, |diff| for L-max) on the direct path.
+  /// BuildDistanceTables computes the same doubles from a row of cell
+  /// edges; the equivalence suite pins both to MinDist/MaxDist.
   double LowerContribution(size_t dim, uint32_t c) const;
   double UpperContribution(size_t dim, uint32_t c) const;
   bool WindowIntersectsCell(size_t dim, uint32_t c) const;
@@ -191,6 +191,8 @@ class FilterKernel {
   std::vector<double> lower_tab_;
   std::vector<double> upper_tab_;
   std::vector<uint8_t> win_tab_;
+  // Cell edges of the dimension being tabled (2^g + 1 entries).
+  std::vector<double> edges_;
 
   // Scratch for SelectCandidates (reused, never shrunk).
   std::vector<double> bounds_scratch_;

@@ -158,21 +158,5 @@ TEST(BitStreamTest, AppendAfterFlushAtSubByteOffset) {
   EXPECT_EQ(reader.Get(7), 0x5Bu);
 }
 
-TEST(BitStreamTest, CheckedWidthZeroSucceedsEvenAtBufferEnd) {
-  std::vector<uint8_t> buf(1, 0xFF);
-  CheckedBitReader reader{std::span<const uint8_t>(buf)};
-  uint32_t value = 0;
-  ASSERT_TRUE(reader.Get(8, &value).ok());
-  EXPECT_EQ(value, 0xFFu);
-  EXPECT_EQ(reader.bits_remaining(), 0u);
-  // At the very end: a width-0 read still succeeds and stores 0...
-  value = 123;
-  ASSERT_TRUE(reader.Get(0, &value).ok());
-  EXPECT_EQ(value, 0u);
-  EXPECT_EQ(reader.bit_position(), 8u);
-  // ...while any wider read reports OutOfRange.
-  EXPECT_FALSE(reader.Get(1, &value).ok());
-}
-
 }  // namespace
 }  // namespace iq

@@ -91,6 +91,29 @@ GridCase MakeCase(Rng& rng, size_t dims, unsigned bits, size_t count) {
   return c;
 }
 
+/// `c` with the edge inputs MakeCase never draws, cycling per
+/// dimension: zero extent (lb == ub) with the query on it, the query
+/// exactly on the lower edge of point 0's cell, zero extent with the
+/// query off it, and the query exactly on the upper edge of point 0's
+/// cell (ub for the last cell).
+GridCase WithEdges(GridCase c, unsigned bits) {
+  const size_t dims = c.q.size();
+  std::vector<float> lb(c.mbr.lower().begin(), c.mbr.lower().end());
+  std::vector<float> ub(c.mbr.upper().begin(), c.mbr.upper().end());
+  for (size_t i = 0; i < dims; i += 2) ub[i] = lb[i];
+  c.mbr = Mbr::FromBounds(std::move(lb), std::move(ub));
+  const GridQuantizer quantizer(c.mbr, bits);
+  for (size_t i = 0; i < dims; ++i) {
+    switch (i % 4) {
+      case 0: c.q[i] = c.mbr.lb(i); break;
+      case 1: c.q[i] = quantizer.CellLower(i, c.cells[i]); break;
+      case 3: c.q[i] = quantizer.CellUpper(i, c.cells[i]); break;
+      default: break;
+    }
+  }
+  return c;
+}
+
 /// 0-ULP comparison: the doubles must be the same bit pattern (all
 /// values here are finite, so == is exactly that).
 #define EXPECT_BITEQ(a, b) EXPECT_EQ(a, b)
@@ -110,22 +133,25 @@ TEST(FilterKernelEquivalence, BoundsMatchCellBoxMinDistMaxDist) {
   for (unsigned bits : kAllBits) {
     for (size_t dims : kAllDims) {
       for (Metric metric : {Metric::kL2, Metric::kLMax}) {
-        const GridCase c = MakeCase(rng, dims, bits, 37);
-        kernel.BindBounds(c.q, metric, c.mbr, bits);
-        EXPECT_EQ(kernel.table_path(), bits <= FilterKernel::kMaxTableBits);
-        lower.assign(c.count, -1);
-        upper.assign(c.count, -1);
-        ScopedDispatch scalar(KernelDispatch::kScalar);
-        kernel.Bounds(c.cells.data(), c.count, lower.data(), upper.data());
-        const GridQuantizer quantizer(c.mbr, bits);
-        for (size_t s = 0; s < c.count; ++s) {
-          point_cells.assign(c.cells.begin() + s * dims,
-                             c.cells.begin() + (s + 1) * dims);
-          const Mbr box = quantizer.CellBox(point_cells);
-          EXPECT_BITEQ(lower[s], MinDist(c.q, box, metric))
-              << "bits=" << bits << " dims=" << dims << " s=" << s;
-          EXPECT_BITEQ(upper[s], MaxDist(c.q, box, metric))
-              << "bits=" << bits << " dims=" << dims << " s=" << s;
+        const GridCase random = MakeCase(rng, dims, bits, 37);
+        for (const GridCase& c : {random, WithEdges(random, bits)}) {
+          kernel.BindBounds(c.q, metric, c.mbr, bits);
+          EXPECT_EQ(kernel.table_path(),
+                    bits <= FilterKernel::kMaxTableBits);
+          lower.assign(c.count, -1);
+          upper.assign(c.count, -1);
+          ScopedDispatch scalar(KernelDispatch::kScalar);
+          kernel.Bounds(c.cells.data(), c.count, lower.data(), upper.data());
+          const GridQuantizer quantizer(c.mbr, bits);
+          for (size_t s = 0; s < c.count; ++s) {
+            point_cells.assign(c.cells.begin() + s * dims,
+                               c.cells.begin() + (s + 1) * dims);
+            const Mbr box = quantizer.CellBox(point_cells);
+            EXPECT_BITEQ(lower[s], MinDist(c.q, box, metric))
+                << "bits=" << bits << " dims=" << dims << " s=" << s;
+            EXPECT_BITEQ(upper[s], MaxDist(c.q, box, metric))
+                << "bits=" << bits << " dims=" << dims << " s=" << s;
+          }
         }
       }
     }
@@ -142,28 +168,30 @@ TEST(FilterKernelEquivalence, ScalarAndAvx2AgreeToZeroUlp) {
   for (unsigned bits : kAllBits) {
     for (size_t dims : kAllDims) {
       for (Metric metric : {Metric::kL2, Metric::kLMax}) {
-        const GridCase c = MakeCase(rng, dims, bits, 41);
-        kernel.BindBounds(c.q, metric, c.mbr, bits);
-        lo_s.assign(c.count, -1);
-        hi_s.assign(c.count, -1);
-        lo_v.assign(c.count, -2);
-        hi_v.assign(c.count, -2);
-        {
-          ScopedDispatch scalar(KernelDispatch::kScalar);
-          kernel.Bounds(c.cells.data(), c.count, lo_s.data(), hi_s.data());
+        const GridCase random = MakeCase(rng, dims, bits, 41);
+        for (const GridCase& c : {random, WithEdges(random, bits)}) {
+          kernel.BindBounds(c.q, metric, c.mbr, bits);
+          lo_s.assign(c.count, -1);
+          hi_s.assign(c.count, -1);
+          lo_v.assign(c.count, -2);
+          hi_v.assign(c.count, -2);
+          {
+            ScopedDispatch scalar(KernelDispatch::kScalar);
+            kernel.Bounds(c.cells.data(), c.count, lo_s.data(), hi_s.data());
+          }
+          {
+            ScopedDispatch avx2(KernelDispatch::kAvx2);
+            kernel.Bounds(c.cells.data(), c.count, lo_v.data(), hi_v.data());
+          }
+          EXPECT_EQ(std::memcmp(lo_s.data(), lo_v.data(),
+                                c.count * sizeof(double)),
+                    0)
+              << "bits=" << bits << " dims=" << dims;
+          EXPECT_EQ(std::memcmp(hi_s.data(), hi_v.data(),
+                                c.count * sizeof(double)),
+                    0)
+              << "bits=" << bits << " dims=" << dims;
         }
-        {
-          ScopedDispatch avx2(KernelDispatch::kAvx2);
-          kernel.Bounds(c.cells.data(), c.count, lo_v.data(), hi_v.data());
-        }
-        EXPECT_EQ(std::memcmp(lo_s.data(), lo_v.data(),
-                              c.count * sizeof(double)),
-                  0)
-            << "bits=" << bits << " dims=" << dims;
-        EXPECT_EQ(std::memcmp(hi_s.data(), hi_v.data(),
-                              c.count * sizeof(double)),
-                  0)
-            << "bits=" << bits << " dims=" << dims;
       }
     }
   }

@@ -117,26 +117,30 @@ TEST(DirectoryRoundTripTest, CorruptionDetected) {
 }
 
 TEST(QuantPageCodecTest, CellsRoundTrip) {
-  const size_t dims = 8;
   const uint32_t block = 4096;
-  QuantPageCodec codec(dims, block);
   Rng rng(9);
-  for (unsigned g : {1u, 2u, 4u, 8u, 16u}) {
-    const uint32_t count =
-        std::min<uint32_t>(QuantPageCapacity(dims, g, block), 50);
-    std::vector<uint32_t> cells(count * dims);
-    for (uint32_t& c : cells) {
-      c = static_cast<uint32_t>(rng.Index(uint64_t{1} << g));
+  for (size_t dims : {8u, 3u, 16u}) {
+    QuantPageCodec codec(dims, block);
+    for (unsigned g : {1u, 2u, 4u, 8u, 16u}) {
+      const uint32_t cap = QuantPageCapacity(dims, g, block);
+      // A page filled to capacity also decodes the payload's last bytes.
+      for (uint32_t count : {std::min<uint32_t>(cap, 50), cap}) {
+        std::vector<uint32_t> cells(count * dims);
+        for (uint32_t& c : cells) {
+          c = static_cast<uint32_t>(rng.Index(uint64_t{1} << g));
+        }
+        std::vector<uint8_t> page(block);
+        ASSERT_TRUE(codec.EncodeCells(g, cells, page.data()).ok());
+        auto header = codec.DecodeHeader(page.data());
+        ASSERT_TRUE(header.ok());
+        EXPECT_EQ(header->bits, g);
+        EXPECT_EQ(header->count, count);
+        std::vector<uint32_t> decoded;
+        ASSERT_TRUE(codec.DecodeCells(page.data(), &decoded).ok());
+        EXPECT_EQ(decoded, cells) << "dims=" << dims << " g=" << g
+                                  << " count=" << count;
+      }
     }
-    std::vector<uint8_t> page(block);
-    ASSERT_TRUE(codec.EncodeCells(g, cells, page.data()).ok());
-    auto header = codec.DecodeHeader(page.data());
-    ASSERT_TRUE(header.ok());
-    EXPECT_EQ(header->bits, g);
-    EXPECT_EQ(header->count, count);
-    std::vector<uint32_t> decoded;
-    ASSERT_TRUE(codec.DecodeCells(page.data(), &decoded).ok());
-    EXPECT_EQ(decoded, cells);
   }
 }
 
