@@ -109,22 +109,9 @@ IqTree::DirGeometry IqTree::MakeDirGeometry() const {
   return geom;
 }
 
-void IqTree::PublishDirChange() {
-  dir_geom_ = MakeDirGeometry();
-  dir_version_.fetch_add(1, std::memory_order_release);
-  dirty_ = true;
-}
-
 Status IqTree::CheckDirGeometry() const {
-  DirGeometry want = MakeDirGeometry();
+  const DirGeometry want = MakeDirGeometry();
   const DirGeometry& have = dir_geom_;
-  // Blocks appended since the last refresh (by a maintenance page swap
-  // that failed before publishing) belong to no entry and are not
-  // mirrored.
-  while (want.block_entry.size() > have.block_entry.size() &&
-         want.block_entry.back() == DirGeometry::kNoEntry) {
-    want.block_entry.pop_back();
-  }
   if (have.stride != want.stride || have.lo != want.lo ||
       have.hi != want.hi || have.block_entry != want.block_entry) {
     return Status::Corruption("directory mirror differs from the " +

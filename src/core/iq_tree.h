@@ -2,7 +2,6 @@
 #define IQ_CORE_IQ_TREE_H_
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "io/extent_file.h"
 #include "io/storage.h"
 #include "obs/calibration.h"
-#include "obs/page_stats.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
 
@@ -55,15 +53,6 @@ struct IqSearchOptions {
   /// trees. Thread-safe; one log may be shared across a
   /// ParallelQueryRunner batch.
   obs::SlowQueryLog* slow_log = nullptr;
-  /// Optional per-page telemetry sink (obs/page_stats.h): the query
-  /// reports, per touched directory entry, how many decodes and
-  /// third-level refinements it performed and the refinement io_s. This
-  /// is the functional input of the maintenance policy
-  /// (docs/maintenance.md), so the collector stays active under
-  /// IQ_OBS_DISABLED. Thread-safe; one collector may be shared across a
-  /// ParallelQueryRunner batch. kNN/range only (window queries don't
-  /// refine).
-  obs::PageStatsCollector* page_stats = nullptr;
 };
 
 /// The IQ-tree (paper §3): a three-level compressed index for exact
@@ -77,29 +66,19 @@ struct IqSearchOptions {
 /// query results report exact (not approximate) answers, with the
 /// compressed level used to avoid most exact-data reads.
 ///
-/// Concurrency contract (docs/concurrency.md, docs/maintenance.md) —
-/// three tiers:
+/// Concurrency contract (docs/concurrency.md) — two tiers:
 ///
 ///   1. The const query methods — NearestNeighbor, KNearestNeighbors,
 ///      RangeSearch, WindowQuery — may run concurrently with each other
 ///      on one tree (the mutable state they touch is internally
 ///      synchronized: DiskModel accounting and the last_query_stats_
-///      publication). Each query pins the directory epoch by holding
-///      swap_mu_ shared for its whole run.
-///   2. The Maint* page-swap methods — MaintRequantizeEntry,
-///      MaintSplitEntry, MaintMergeEntries — may run concurrently with
-///      queries: new blocks are appended (never overwriting live ones)
-///      and the directory mutation is published under a brief exclusive
-///      swap_mu_ section. They are single-writer among themselves and
-///      against tier 3 (one MaintenanceScheduler per tree).
-///   3. Classic updates (Insert, InsertBatch, Remove, Flush,
-///      Reoptimize) still require external exclusion against
-///      everything, single-writer style — they rewrite live blocks in
-///      place.
+///      publication).
+///   2. Updates (Insert, InsertBatch, Remove, Flush, Reoptimize)
+///      require external exclusion against everything, single-writer
+///      style — they rewrite live blocks in place.
 ///
 /// ParallelQueryRunner (concurrency/parallel_query_runner.h) is the
-/// batch front-end built on tier 1; maint/maintenance_scheduler.h is
-/// the background actor built on tier 2.
+/// batch front-end built on tier 1.
 class IqTree {
  public:
   /// Build-time options.
@@ -206,35 +185,6 @@ class IqTree {
   /// Persists the in-memory directory after updates.
   Status Flush();
 
-  /// Maintenance page swap (tier 2 of the concurrency contract): loads
-  /// entry `dir_index`'s records, re-encodes them at `new_bits` (a
-  /// kQuantLevels value the records must fit), durably appends the new
-  /// qpage block + extent, then publishes the new entry under a brief
-  /// exclusive swap_mu_ section. The old blocks become garbage until
-  /// Reoptimize reclaims them; a crash before Flush leaves the on-disk
-  /// directory pointing at the old (still intact) blocks.
-  Status MaintRequantizeEntry(size_t dir_index, unsigned new_bits);
-
-  /// Maintenance median split of entry `dir_index` into two appended
-  /// pages, each at its best quantization level. Publishes the left
-  /// half in place and the right half as a new trailing entry, so
-  /// other directory indices stay stable.
-  Status MaintSplitEntry(size_t dir_index);
-
-  /// Maintenance merge of entries `keep` and `drop` (keep != drop) into
-  /// one appended page at the best level fitting the union; fails with
-  /// InvalidArgument when the union fits no level. Publishes the merged
-  /// entry at `keep` and erases `drop` — the only maintenance action
-  /// that shifts directory indices (those above `drop` move down one).
-  Status MaintMergeEntries(size_t keep, size_t drop);
-
-  /// Monotonic count of published directory mutations (maintenance page
-  /// swaps and classic updates); lets pollers detect churn without
-  /// touching the directory.
-  uint64_t dir_version() const {
-    return dir_version_.load(std::memory_order_acquire);
-  }
-
   /// Rebuilds the partitioning and quantization of the current contents
   /// from scratch with the cost-model optimizer (§6: after many updates
   /// the locally maintained solution can drift from the optimum, and
@@ -277,12 +227,14 @@ class IqTree {
 
   /// Checks that the query-only directory mirror (the dimension-major
   /// MBR arrays and the qpage-block map the searches read) matches
-  /// directory() entry for entry; Corruption when it does not. The
+  /// directory() entry for entry and covers every qpage block;
+  /// Corruption when it does not. The
   /// IQ_DEBUG_INVARIANTS hook runs it after every mutation.
   Status CheckDirGeometry() const;
 
-  /// The §3.5 cost model parameterized for this index — the predicted
-  /// side of the maintenance policy's cost gate (docs/maintenance.md).
+  /// The §3.5 cost model parameterized for this index — what the build
+  /// optimizer, the §6 split-or-coarsen decision of updates and
+  /// PredictCost evaluate.
   CostModel MakeCostModel() const;
 
  private:
@@ -291,13 +243,12 @@ class IqTree {
   IqTree() = default;
 
   /// Query-only mirror of dir_'s geometry, rebuilt from dir_ (the
-  /// source of truth) by MakeDirGeometry at Build, Open and Reoptimize,
-  /// once at the end of every classic update (FinishUpdate) and by
-  /// PublishDirChange in every maintenance swap. Entry j's MBR side in
-  /// dimension i is [lo[i*stride + j], hi[i*stride + j]] with stride =
-  /// the entry count, the layout FilterKernel::BoxMinDists sweeps.
-  /// block_entry maps each qpage block that existed at the refresh to
-  /// the entry that owns it, kNoEntry for garbage.
+  /// source of truth) by MakeDirGeometry at Build, Open and Reoptimize
+  /// and once at the end of every update (FinishUpdate). Entry j's MBR
+  /// side in dimension i is [lo[i*stride + j], hi[i*stride + j]] with
+  /// stride = the entry count, the layout FilterKernel::BoxMinDists
+  /// sweeps. block_entry maps each qpage block that existed at the
+  /// refresh to the entry that owns it, kNoEntry for garbage.
   struct DirGeometry {
     static constexpr uint32_t kNoEntry = 0xFFFFFFFF;
 
@@ -307,7 +258,7 @@ class IqTree {
     std::vector<uint32_t> block_entry;
 
     /// Owning entry of `block`; kNoEntry for unowned blocks and blocks
-    /// appended after the refresh.
+    /// past the mirror.
     uint32_t EntryAt(uint64_t block) const {
       return block < block_entry.size() ? block_entry[block] : kNoEntry;
     }
@@ -317,16 +268,11 @@ class IqTree {
   /// after a refresh).
   DirGeometry MakeDirGeometry() const;
 
-  /// Publishes a maintenance directory swap: refreshes the mirror,
-  /// bumps dir_version_ and marks the directory dirty. Maint* call it
-  /// inside their exclusive swap_mu_ section.
-  void PublishDirChange();
-
-  /// Ends a classic update whose body returned `update`: refreshes the
+  /// Ends an update whose body returned `update`: refreshes the
   /// mirror once (also after a failure, which may have changed part of
   /// the directory), then runs DebugCheckInvariants if it succeeded.
-  /// The bodies below bump dir_version_ per mutation but leave the
-  /// mirror stale until then; nothing on their path reads it.
+  /// The bodies below leave the mirror stale until then; nothing on
+  /// their path reads it.
   Status FinishUpdate(const Status& update);
 
   /// Bodies of Insert, InsertBatch and Remove past their argument
@@ -383,15 +329,13 @@ class IqTree {
   Status DebugCheckInvariants() const;
 
   // Everything below except the query-stats pair follows the tree's
-  // three-tier model (docs/concurrency.md, docs/maintenance.md):
-  // concurrent queries only read under swap_mu_ shared, maintenance
-  // publishes directory swaps under swap_mu_ exclusive, and classic
-  // structural updates require external exclusion.
+  // two-tier model (docs/concurrency.md): concurrent queries only read,
+  // and structural updates require external exclusion.
   IndexMeta meta_ IQ_UNGUARDED("single-writer: set by Build/Open, updates require external exclusion");
   Storage* storage_ IQ_UNGUARDED("immutable after Build/Open") = nullptr;
   std::string name_ IQ_UNGUARDED("immutable after Build/Open");
-  std::vector<DirEntry> dir_ IQ_UNGUARDED("epoch-swap: queries read under swap_mu_ shared, maintenance publishes under swap_mu_ exclusive, classic updates require external exclusion (PredictCost stays lock-free by contract)");
-  DirGeometry dir_geom_ IQ_UNGUARDED("epoch-swap: refreshed after every dir_ change (once per classic update, inside each maintenance swap), under dir_'s discipline; only queries (under swap_mu_ shared) read it");
+  std::vector<DirEntry> dir_ IQ_UNGUARDED("single-writer: queries only read, updates require external exclusion");
+  DirGeometry dir_geom_ IQ_UNGUARDED("single-writer: refreshed once per update under dir_'s discipline; only queries read it");
   std::unique_ptr<BlockFile> qpages_ IQ_UNGUARDED("single-writer: replaced only by Reoptimize under external exclusion");
   std::unique_ptr<ExtentFile> exact_ IQ_UNGUARDED("single-writer: replaced only by Reoptimize under external exclusion");
   std::shared_ptr<File> dir_file_ IQ_UNGUARDED("immutable after Build/Open");
@@ -400,15 +344,6 @@ class IqTree {
   BuildStats build_stats_ IQ_UNGUARDED("single-writer: rewritten by build paths under external exclusion");
   mutable Mutex query_stats_mu_{IQ_LOCK_RANK(10)};
   mutable QueryStats last_query_stats_ IQ_GUARDED_BY(query_stats_mu_);
-  /// Epoch lock for maintenance page swaps: every query holds it shared
-  /// for its whole run (pinning the directory version it scans);
-  /// Maint* methods take it exclusive only for the in-memory directory
-  /// mutation, after the replacement blocks are durably appended. Rank
-  /// 6 sits below every lock a query can take while scanning (see the
-  /// docs/static_analysis.md lock table).
-  mutable SharedMutex swap_mu_{IQ_LOCK_RANK(6)};
-  /// Published directory mutation count (see dir_version()).
-  std::atomic<uint64_t> dir_version_{0};
   bool dirty_ IQ_UNGUARDED("single-writer: updates require external exclusion") = false;
 };
 

@@ -168,7 +168,6 @@ class IqTreeSearcher {
                 return a.distance < b.distance;
               });
     tree_.PublishQueryStats(stats_);
-    FlushPageStats();
     return Status::OK();
   }
 
@@ -216,32 +215,14 @@ class IqTreeSearcher {
                 return a.distance < b.distance;
               });
     tree_.PublishQueryStats(stats_);
-    FlushPageStats();
     return Status::OK();
   }
 
  private:
-  /// Simulated-I/O clock read for span attributes and page telemetry;
-  /// free when neither a tracer nor a page-stats collector asked for it.
+  /// Simulated-I/O clock read for span attributes; free when no tracer
+  /// asked for it.
   double TraceNow() const {
-    return tracer_ != nullptr || options_.page_stats != nullptr
-               ? tree_.disk_->Now()
-               : 0.0;
-  }
-
-  /// True when this query accumulates per-page telemetry. touches_ is
-  /// sized by InitPages, so hot functions only do indexed increments.
-  bool CollectingPageStats() const { return !touches_.empty(); }
-
-  /// Flushes the query's per-page touches to the collector, keyed by
-  /// qpage block (stable for the whole query: the epoch lock pins the
-  /// directory). Called once per query, off the hot path.
-  void FlushPageStats() {
-    if (options_.page_stats == nullptr) return;
-    for (size_t i = 0; i < touches_.size(); ++i) {
-      touches_[i].page_key = tree_.dir_[i].qpage_block;
-    }
-    options_.page_stats->RecordQuery(touches_);
+    return tracer_ != nullptr ? tree_.disk_->Now() : 0.0;
   }
 
   /// The charged level-1 directory scan plus in-memory MINDIST setup,
@@ -260,9 +241,6 @@ class IqTreeSearcher {
     const size_t n = tree_.dir_.size();
     page_mindist_.resize(n);
     processed_.assign(n, 0);
-    if (options_.page_stats != nullptr) {
-      touches_.assign(n, obs::PageTouch{});
-    }
     const IqTree::DirGeometry& geom = tree_.dir_geom_;
     FilterKernel::BoxMinDists(q_, metric_, geom.lo.data(), geom.hi.data(),
                               geom.stride, n, page_mindist_.data());
@@ -376,8 +354,6 @@ class IqTreeSearcher {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = TraceNow();
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
-    // The block map covers the blocks of the pinned directory; blocks a
-    // concurrent page swap appends later hold none of its pages.
     IQ_HOT_NOALLOC_BEGIN;
     const BatchRange range = PlanNnBatch(
         pivot_block, tree_.dir_geom_.block_entry.size(),
@@ -423,7 +399,6 @@ class IqTreeSearcher {
                      obs::SpanId parent_span) {
     processed_[dir_index] = 1;
     stats_.pages_decoded += 1;
-    if (CollectingPageStats()) touches_[dir_index].decodes += 1;
     const DirEntry& entry = tree_.dir_[dir_index];
     obs::ScopedSpan span(tracer_, "page", parent_span);
     span.AddAttr("dir_index", static_cast<double>(dir_index));
@@ -497,12 +472,7 @@ class IqTreeSearcher {
     record_buf_.resize(record);
     IQ_RETURN_NOT_OK(tree_.exact_->Read(record_extent, record_buf_.data()));
     stats_.refinements += 1;
-    const double io_delta = TraceNow() - io_before;
-    if (CollectingPageStats()) {
-      touches_[dir_index].refinements += 1;
-      touches_[dir_index].refine_io_s += io_delta;
-    }
-    span.AddAttr("io_s", io_delta);
+    span.AddAttr("io_s", TraceNow() - io_before);
     PointId id;
     std::memcpy(&id, record_buf_.data(), sizeof(PointId));
     // iqlint: allow(hotpath-alloc): fixed dims-size member buffer,
@@ -522,7 +492,6 @@ class IqTreeSearcher {
   Status CollectInBall(size_t dir_index, const uint8_t* page, double radius,
                        std::vector<Neighbor>* out, obs::SpanId parent_span) {
     stats_.pages_decoded += 1;
-    if (CollectingPageStats()) touches_[dir_index].decodes += 1;
     const DirEntry& entry = tree_.dir_[dir_index];
     obs::ScopedSpan span(tracer_, "page", parent_span);
     span.AddAttr("dir_index", static_cast<double>(dir_index));
@@ -564,13 +533,7 @@ class IqTreeSearcher {
     // The exact-page scratch is free here: this page is quantized.
     IQ_RETURN_NOT_OK(tree_.LoadExactPage(dir_index, &ids_scratch_,
                                          &coords_scratch_));
-    const double io_delta = TraceNow() - io_before;
-    if (CollectingPageStats()) {
-      touches_[dir_index].refinements +=
-          static_cast<uint32_t>(candidates_scratch_.size());
-      touches_[dir_index].refine_io_s += io_delta;
-    }
-    exact_span.AddAttr("io_s", io_delta);
+    exact_span.AddAttr("io_s", TraceNow() - io_before);
     for (uint32_t s : candidates_scratch_) {
       const double dist = Distance(
           q_, PointView(coords_scratch_.data() + s * dims_, dims_), metric_);
@@ -598,9 +561,6 @@ class IqTreeSearcher {
 
   std::vector<double> page_mindist_;
   std::vector<uint8_t> processed_;
-  /// Per-directory-entry telemetry of this query, indexed by dir_index;
-  /// empty unless options_.page_stats is set (see CollectingPageStats).
-  std::vector<obs::PageTouch> touches_;
   /// kNN page order (see OrderedPage): a heap over [0, heap_end_), the
   /// pages popped from it in order behind.
   std::vector<RankedPage> order_;
@@ -632,9 +592,6 @@ class IqTreeSearcher {
 Result<Neighbor> IqTree::NearestNeighbor(
     PointView q, const IqSearchOptions& options) const {
   IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
-  // Pin the directory epoch for the whole query: maintenance page swaps
-  // (docs/maintenance.md) publish under this lock held exclusive.
-  ReaderMutexLock epoch(&swap_mu_);
   if (dir_.empty()) return Status::NotFound("empty index");
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
@@ -648,7 +605,6 @@ Result<std::vector<Neighbor>> IqTree::KNearestNeighbors(
     PointView q, size_t k, const IqSearchOptions& options) const {
   IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
   if (k == 0) return std::vector<Neighbor>{};
-  ReaderMutexLock epoch(&swap_mu_);  // pin the directory epoch
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
   IQ_RETURN_NOT_OK(searcher.RunKnn(k, &out));
@@ -660,7 +616,6 @@ Result<std::vector<Neighbor>> IqTree::RangeSearch(
     PointView q, double radius, const IqSearchOptions& options) const {
   IQ_RETURN_NOT_OK(CheckQueryPoint(q, meta_.dims));
   IQ_RETURN_NOT_OK(CheckQueryRadius(radius));
-  ReaderMutexLock epoch(&swap_mu_);  // pin the directory epoch
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
   IQ_RETURN_NOT_OK(searcher.RunRange(radius, &out));
@@ -672,7 +627,6 @@ Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
   if (window.dims() != meta_.dims) {
     return Status::InvalidArgument("window dimensionality mismatch");
   }
-  ReaderMutexLock epoch(&swap_mu_);  // pin the directory epoch
   ChargeDirectoryScan();
   QuantPageCodec codec(meta_.dims, disk_->params().block_size);
   std::vector<uint64_t> blocks;

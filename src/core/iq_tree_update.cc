@@ -1,9 +1,9 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "core/iq_tree.h"
-#include "core/page_records.h"
 #include "core/partitioner.h"
 
 namespace iq {
@@ -13,6 +13,93 @@ namespace {
 /// Tight MBR of `count` row-major points.
 Mbr MbrOfCoords(const float* coords, size_t count, size_t dims) {
   return Mbr::Of(coords, count, dims);
+}
+
+/// Margin (sum of extents) enlargement if `p` joins `mbr` — the
+/// insertion target heuristic. Volume enlargement degenerates in high
+/// dimensions (products of many sub-1 extents underflow), margins don't.
+double MarginEnlargement(const Mbr& mbr, PointView p) {
+  double enlargement = 0.0;
+  for (size_t i = 0; i < mbr.dims(); ++i) {
+    if (p[i] < mbr.lb(i)) enlargement += mbr.lb(i) - p[i];
+    if (p[i] > mbr.ub(i)) enlargement += p[i] - mbr.ub(i);
+  }
+  return enlargement;
+}
+
+/// Index of the directory entry whose MBR needs the least margin
+/// enlargement to absorb `p` (ties broken by smaller margin).
+/// Precondition: `dir` is non-empty.
+size_t LeastEnlargementTarget(const std::vector<DirEntry>& dir, PointView p) {
+  size_t best = 0;
+  double best_enlargement = std::numeric_limits<double>::infinity();
+  double best_margin = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < dir.size(); ++i) {
+    const double enlargement = MarginEnlargement(dir[i].mbr, p);
+    const double margin = dir[i].mbr.Margin();
+    if (enlargement < best_enlargement ||
+        (enlargement == best_enlargement && margin < best_margin)) {
+      best = i;
+      best_enlargement = enlargement;
+      best_margin = margin;
+    }
+  }
+  return best;
+}
+
+/// Permutation split of `count` row-major records at the median of
+/// `mbr`'s longest side. On return `perm` holds a permutation of
+/// [0, count) with records below the median in perm[0..mid) and the
+/// rest in perm[mid..count); returns mid = count / 2.
+size_t MedianPartition(const std::vector<float>& coords, size_t dims,
+                       const Mbr& mbr, std::vector<uint32_t>* perm) {
+  perm->resize(coords.size() / dims);
+  std::iota(perm->begin(), perm->end(), 0);
+  const size_t dim = mbr.LongestDimension();
+  const size_t mid = perm->size() / 2;
+  std::nth_element(perm->begin(), perm->begin() + static_cast<ptrdiff_t>(mid),
+                   perm->end(), [&](uint32_t a, uint32_t b) {
+                     return coords[a * dims + dim] < coords[b * dims + dim];
+                   });
+  return mid;
+}
+
+/// Tight MBRs of the two halves of a MedianPartition — used for the
+/// hypothetical-split cost comparison without materialising the halves.
+void PartitionMbrs(const std::vector<uint32_t>& perm, size_t mid,
+                   const std::vector<float>& coords, size_t dims, Mbr* left,
+                   Mbr* right) {
+  *left = Mbr::Empty(dims);
+  *right = Mbr::Empty(dims);
+  for (size_t i = 0; i < perm.size(); ++i) {
+    PointView p(coords.data() + perm[i] * dims, dims);
+    (i < mid ? *left : *right).Extend(p);
+  }
+}
+
+/// A page's record set split into two halves at the median.
+struct RecordSplit {
+  std::vector<PointId> left_ids;
+  std::vector<float> left_coords;
+  std::vector<PointId> right_ids;
+  std::vector<float> right_coords;
+};
+
+/// Materialised median split of a record set along `mbr`'s longest side.
+RecordSplit SplitRecordsAtMedian(const std::vector<PointId>& ids,
+                                 const std::vector<float>& coords, size_t dims,
+                                 const Mbr& mbr) {
+  std::vector<uint32_t> perm;
+  const size_t mid = MedianPartition(coords, dims, mbr, &perm);
+  RecordSplit split;
+  for (size_t i = 0; i < perm.size(); ++i) {
+    auto& out_ids = i < mid ? split.left_ids : split.right_ids;
+    auto& out_coords = i < mid ? split.left_coords : split.right_coords;
+    out_ids.push_back(ids[perm[i]]);
+    out_coords.insert(out_coords.end(), coords.begin() + perm[i] * dims,
+                      coords.begin() + (perm[i] + 1) * dims);
+  }
+  return split;
 }
 
 }  // namespace
@@ -31,7 +118,6 @@ Status IqTree::AppendEntry(const std::vector<PointId>& ids,
   IQ_RETURN_NOT_OK(WriteEntryPages(&entry, ids, coords,
                                    /*append_qpage=*/true));
   dir_.push_back(std::move(entry));
-  dir_version_.fetch_add(1, std::memory_order_release);
   dirty_ = true;
   return Status::OK();
 }
@@ -43,7 +129,6 @@ Status IqTree::RewriteEntry(size_t dir_index, std::vector<PointId> ids,
     // Page became empty: drop the directory entry. The quantized block
     // and old extent become garbage (reclaimed by a rebuild).
     dir_.erase(dir_.begin() + static_cast<ptrdiff_t>(dir_index));
-    dir_version_.fetch_add(1, std::memory_order_release);
     dirty_ = true;
     return Status::OK();
   }
@@ -97,14 +182,13 @@ Status IqTree::RewriteEntry(size_t dir_index, std::vector<PointId> ids,
 
   // Mutate a copy and publish it only once the pages are durably
   // written: a failed write must leave the in-memory directory exactly
-  // as it was (same discipline as the Maint* page swaps).
+  // as it was.
   DirEntry entry = dir_[dir_index];
   entry.mbr = mbr;
   entry.quant_bits = g_fit;
   IQ_RETURN_NOT_OK(WriteEntryPages(&entry, ids, coords,
                                    /*append_qpage=*/false));
   dir_[dir_index] = entry;
-  dir_version_.fetch_add(1, std::memory_order_release);
   dirty_ = true;
   return Status::OK();
 }

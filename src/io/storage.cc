@@ -42,7 +42,7 @@ struct StorageMetrics {
 // ranges are independent syscalls), an appending Write can reallocate
 // the whole vector out from under a concurrent reader of an old range,
 // so an internal shared lock upgrades MemoryFile to the File contract
-// the maintenance path relies on: reads concurrent with appends to
+// that PosixFile meets for free: reads concurrent with appends to
 // fresh ranges. Rank 95 sits above every other lock (leaf: nothing is
 // acquired while holding it).
 class MemoryFile : public File {

@@ -19,9 +19,10 @@ namespace iq {
 /// implementation (positional pread-style reads, no shared cursor).
 /// Write/Resize require external exclusion against other writers and
 /// against readers of the affected range; a single writer appending
-/// past EOF is safe against concurrent readers of earlier ranges —
-/// the property the maintenance page-swap protocol relies on
-/// (docs/maintenance.md). Every implementation must provide it:
+/// past EOF is safe against concurrent readers of earlier ranges, so
+/// bytes a reader has located stay readable whatever the writer
+/// appends. Every implementation must provide it, so that code and
+/// tests written against one File behave the same on the other:
 /// PosixFile by pread/pwrite positional independence, MemoryFile by an
 /// internal shared lock around its backing vector.
 class File {

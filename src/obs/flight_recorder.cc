@@ -33,8 +33,6 @@ const char* FlightEventTypeName(FlightEventType type) {
       return "slow_log_offer";
     case FlightEventType::kPoolTask:
       return "pool_task";
-    case FlightEventType::kMaintAction:
-      return "maint_action";
   }
   return "unknown";
 }

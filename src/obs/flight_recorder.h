@@ -28,7 +28,6 @@ enum class FlightEventType : uint32_t {
   kDeadlineExceeded = 9,  // arg=shards queried so far, v0=elapsed_s
   kSlowLogOffer = 10,     // v0=observed io_s
   kPoolTask = 11,         // arg=queue depth at dequeue, v0=wait_s
-  kMaintAction = 12,      // arg=dir index, v0=predicted gain_s, v1=kind
 };
 
 /// JSON/debug name of an event type ("admission_reject", ...).

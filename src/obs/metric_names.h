@@ -104,20 +104,6 @@ inline constexpr char kFrontendQueueDepth[] = "iq_frontend_queue_depth";
 inline constexpr char kFrontendQueueWaitSeconds[] =
     "iq_frontend_queue_wait_seconds";
 
-// --- maintenance (src/maint/) --------------------------------------------
-inline constexpr char kMaintRoundsTotal[] = "iq_maint_rounds_total";
-inline constexpr char kMaintActionsTotal[] = "iq_maint_actions_total";
-inline constexpr char kMaintRequantizeTotal[] = "iq_maint_requantize_total";
-inline constexpr char kMaintSplitsTotal[] = "iq_maint_splits_total";
-inline constexpr char kMaintMergesTotal[] = "iq_maint_merges_total";
-inline constexpr char kMaintFailedTotal[] = "iq_maint_failed_total";
-inline constexpr char kMaintVerifiedTotal[] = "iq_maint_verified_total";
-inline constexpr char kMaintRegressedTotal[] = "iq_maint_regressed_total";
-/// Predicted per-query cost reduction of applied actions (histogram of
-/// simulated seconds, one sample per action).
-inline constexpr char kMaintPredictedGainSeconds[] =
-    "iq_maint_predicted_gain_seconds";
-
 // --- flight recorder (src/obs/flight_recorder.cc) ------------------------
 inline constexpr char kFlightEventsTotal[] = "iq_flight_events_total";
 inline constexpr char kFlightDroppedTotal[] = "iq_flight_dropped_total";

@@ -1,6 +1,5 @@
 #include "shard/shard_manifest.h"
 
-#include <cassert>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -74,7 +73,6 @@ ShardManifest::ShardManifest(size_t dims, Metric metric, ShardPlan plan,
     : dims_(dims), metric_(metric), plan_(plan), plan_dim_(plan_dim) {}
 
 void ShardManifest::AddShard(ShardInfo info) {
-  assert(info.bounds.dims() == 0 || info.bounds.dims() == dims_);
   total_points_ += info.points;
   shards_.push_back(std::move(info));
 }

@@ -43,7 +43,8 @@ class ShardManifest {
   ShardManifest(size_t dims, Metric metric, ShardPlan plan, size_t plan_dim);
 
   /// Appends a shard description. `info.bounds` must be Empty(dims) or
-  /// have exactly dims() dimensions.
+  /// have exactly dims() dimensions; Validate() (which Write and Read
+  /// run) rejects a manifest where it does not.
   void AddShard(ShardInfo info);
 
   /// Structural consistency: at least one shard, non-empty names,

@@ -411,7 +411,7 @@ TEST_F(IqTreeUpdateTest, FailedInsertBatchCountsOnlyWrittenGroups) {
   EXPECT_EQ((*reopened)->size(), DirPointSum(**reopened));
 }
 
-/// A classic update refreshes the query mirror once, at its end, on
+/// An update refreshes the query mirror once, at its end, on
 /// failure too: the groups of a failed batch that landed before the
 /// fault must show in the mirror the searches read.
 TEST_F(IqTreeUpdateTest, FailedInsertBatchStillRefreshesTheMirror) {
@@ -550,21 +550,6 @@ TEST_F(IqTreeUpdateTest, DirectoryMirrorFollowsEveryMutation) {
     check(*tree, "remove " + std::to_string(id));
   }
   EXPECT_EQ(tree->num_pages(), pages_before - 1);
-
-  size_t largest = 0;
-  for (size_t e = 1; e < tree->num_pages(); ++e) {
-    if (tree->directory()[e].count > tree->directory()[largest].count) {
-      largest = e;
-    }
-  }
-  ASSERT_TRUE(tree->MaintSplitEntry(largest).ok());
-  check(*tree, "maintenance split");
-
-  // The split's halves fit together again: merge the right half (the
-  // trailing entry) back into the left.
-  ASSERT_TRUE(
-      tree->MaintMergeEntries(largest, tree->num_pages() - 1).ok());
-  check(*tree, "maintenance merge");
 
   ASSERT_TRUE(tree->Reoptimize().ok());
   check(*tree, "reoptimize");

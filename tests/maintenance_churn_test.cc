@@ -1,17 +1,17 @@
 // Churn bit-identity: a tree that lives through interleaved inserts,
-// removes, maintenance rounds, and a Reoptimize must answer exactly —
+// removes, queries, and a Reoptimize must answer exactly —
 // bit-identical distances — like a tree freshly built over the same
 // final point set. The simulated DiskModel makes every run
 // deterministic, so any drift here is a real correctness bug in the
-// dynamic-maintenance paths.
+// §6 update paths.
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/iq_tree.h"
 #include "data/generators.h"
-#include "maint/maintenance_scheduler.h"
 
 namespace iq {
 namespace {
@@ -45,8 +45,8 @@ TEST_F(MaintenanceChurnTest, ChurnedTreeMatchesFreshBuildBitForBit) {
   const Dataset queries = GenerateCadLike(25, kDims, 19);
 
   // The churned tree: build over the first 5000 points, then interleave
-  // inserts of the rest, removes of every 7th initial point, scheduler
-  // rounds fed by a skewed workload, and one Reoptimize.
+  // inserts of the rest, removes of every 7th initial point, queries,
+  // and one Reoptimize.
   MemoryStorage churn_storage;
   DiskModel churn_disk(disk_.params());
   Dataset initial(kDims);
@@ -54,13 +54,6 @@ TEST_F(MaintenanceChurnTest, ChurnedTreeMatchesFreshBuildBitForBit) {
   auto tree = IqTree::Build(initial, churn_storage, "t", churn_disk, {});
   ASSERT_TRUE(tree.ok());
 
-  obs::PageStatsCollector collector;
-  maint::MaintenanceScheduler::Options options;
-  options.policy.min_queries = 8;
-  maint::MaintenanceScheduler scheduler(tree->get(), &collector, options);
-
-  IqSearchOptions telemetry;
-  telemetry.page_stats = &collector;
   size_t next_insert = 5000;
   size_t next_remove = 0;
   for (size_t phase = 0; phase < 5; ++phase) {
@@ -75,13 +68,9 @@ TEST_F(MaintenanceChurnTest, ChurnedTreeMatchesFreshBuildBitForBit) {
                                   all[next_remove])
                       .ok());
     }
-    // A skewed telemetry batch, then one maintenance round (classic
-    // updates and maintenance stay serialized, per the tier contract).
     for (size_t i = 0; i < 12; ++i) {
-      ASSERT_TRUE((*tree)->KNearestNeighbors(all[100 + i], 3, telemetry).ok());
+      ASSERT_TRUE((*tree)->KNearestNeighbors(all[100 + i], 3).ok());
     }
-    auto round = scheduler.RunRound();
-    ASSERT_TRUE(round.ok()) << round.status().ToString();
     if (phase == 2) {
       ASSERT_TRUE((*tree)->Reoptimize().ok());
     }

@@ -36,7 +36,6 @@ LintConfig ProjectConfig() {
       {"core", {"analysis", "quant", "data", "costmodel", "sched", "obs"}},
       {"concurrency", {"core"}},
       {"shard", {"concurrency"}},
-      {"maint", {"shard"}},
       {"xtree", {"data", "core"}},
       {"vafile", {"quant", "data"}},
       {"scan", {"data", "quant"}},

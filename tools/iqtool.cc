@@ -29,9 +29,6 @@
 //                   [--json]
 //   iqtool validate --dir DIR --index NAME
 //   iqtool reopt    --dir DIR --index NAME
-//   iqtool maint    --dir DIR (--index NAME | --manifest NAME)
-//                   --queries DSNAME [--limit N] [--k K] [--radius R]
-//                   [--rounds N] [--threads T] [--dry-run] [--json]
 //   iqtool shard build  --dir DIR --dataset NAME --manifest NAME
 //                       [--shards N] [--plan roundrobin|rank]
 //                       [--plan-dim D] [--batch B] [--metric l2|lmax]
@@ -51,11 +48,7 @@
 // when the trace disagrees with the aggregated ShardQueryStats;
 // `flight` drains the always-on flight recorder (optionally provoking
 // admission/deadline events first — `--max-in-flight 0 --deadline S`
-// makes every query time out deterministically). `maint` replays a
-// query batch with per-page telemetry attached and runs
-// workload-adaptive maintenance rounds against it — re-quantize/split/
-// merge actions gated by the §3.4 cost model (docs/maintenance.md);
-// `--dry-run` plans without applying. `shard build`
+// makes every query time out deterministically). `shard build`
 // streams a dataset into a multi-shard layout
 // (manifest + one IQ-tree per shard, src/shard/); `shard stats` and
 // `shard health` report per-shard and aggregated figures —
@@ -77,8 +70,6 @@
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "io/storage.h"
-#include "maint/maintenance_scheduler.h"
-#include "maint/shard_maintenance.h"
 #include "obs/calibration.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -151,7 +142,7 @@ int Usage() {
       stderr,
       "usage: iqtool "
       "<generate|build|query|stats|health|profile|slowlog|trace|flight|"
-      "validate|reopt|maint> ...\n"
+      "validate|reopt> ...\n"
       "  generate --out DIR/NAME --workload uniform|cad|color|weather\n"
       "           --n N --dims D [--seed S]\n"
       "  build    --dir DIR --dataset NAME --index NAME [--metric l2|lmax]\n"
@@ -174,9 +165,6 @@ int Usage() {
       "           [--max-queued N] [--deadline S]] [--json]\n"
       "  validate --dir DIR --index NAME\n"
       "  reopt    --dir DIR --index NAME\n"
-      "  maint    --dir DIR (--index NAME | --manifest NAME)\n"
-      "           --queries DSNAME [--limit N] [--k K] [--radius R]\n"
-      "           [--rounds N] [--threads T] [--dry-run] [--json]\n"
       "  shard build  --dir DIR --dataset NAME --manifest NAME [--shards N]\n"
       "               [--plan roundrobin|rank] [--plan-dim D] [--batch B]\n"
       "               [--metric l2|lmax]\n"
@@ -1037,182 +1025,6 @@ int Reoptimize(const Args& args) {
   return 0;
 }
 
-/// Drives workload-adaptive maintenance (docs/maintenance.md): each
-/// round replays the query batch with per-page telemetry attached,
-/// then runs one MaintenanceScheduler round against the accumulated
-/// stats. Later rounds therefore verify earlier rounds' predictions
-/// through the scheduler's calibration hook. `--dry-run` plans and
-/// reports without touching the index (and never flushes).
-int Maint(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  const std::string index = args.Get("index");
-  const std::string manifest_name = args.Get("manifest");
-  const std::string queries_name = args.Get("queries");
-  if (index.empty() == manifest_name.empty() || queries_name.empty()) {
-    return Usage();
-  }
-  FileStorage storage(dir);
-  auto data = ReadDataset(storage, queries_name);
-  if (!data.ok()) return Fail(data.status());
-  const size_t limit = ParseCount(args.Get("limit"), 32);
-  const size_t threads =
-      std::max<size_t>(1, ParseCount(args.Get("threads"), 2));
-  const size_t rounds =
-      std::max<size_t>(1, ParseCount(args.Get("rounds"), 3));
-  const bool range = !args.Get("radius").empty();
-  const double radius = ParseNumber(args.Get("radius"), 0.0);
-  const size_t k = ParseCount(args.Get("k"), 1);
-  const bool dry_run = args.Has("dry-run");
-
-  obs::CalibrationTracker calibration;
-  maint::MaintenanceScheduler::Options scheduler_options;
-  scheduler_options.dry_run = dry_run;
-  scheduler_options.calibration = &calibration;
-  // A CLI batch is small: let the policy trust it as soon as the first
-  // round of telemetry lands instead of the library's 32-query warm-up.
-  scheduler_options.policy.min_queries = std::max<uint64_t>(1, limit / 4);
-
-  std::vector<maint::MaintenanceRound> round_results;
-  maint::MaintenanceStats stats;
-  uint64_t queries_run = 0;
-
-  const auto replay = [&](const IqTree& tree,
-                          obs::PageStatsCollector* collector) -> Status {
-    Dataset queries(tree.dims());
-    for (size_t i = 0; i < data->size() && i < limit; ++i) {
-      queries.Append((*data)[i]);
-    }
-    IqSearchOptions search;
-    search.page_stats = collector;
-    ParallelQueryRunner runner(tree, threads);
-    const auto batch = range ? runner.RangeBatch(queries, radius, search)
-                             : runner.KnnBatch(queries, k, search);
-    queries_run += queries.size();
-    return batch.status();
-  };
-
-  if (!index.empty()) {
-    DiskModel disk;
-    auto tree = IqTree::Open(storage, index, disk);
-    if (!tree.ok()) return Fail(tree.status());
-    if (data->dims() != (*tree)->dims()) {
-      std::fprintf(stderr, "dataset has %zu dims, index has %zu\n",
-                   data->dims(), (*tree)->dims());
-      return 2;
-    }
-    obs::PageStatsCollector collector;
-    maint::MaintenanceScheduler scheduler(tree->get(), &collector,
-                                          scheduler_options);
-    for (size_t r = 0; r < rounds; ++r) {
-      if (Status s = replay(**tree, &collector); !s.ok()) return Fail(s);
-      auto round = scheduler.RunRound();
-      if (!round.ok()) return Fail(round.status());
-      round_results.push_back(*round);
-    }
-    stats = scheduler.stats();
-    if (!dry_run) {
-      if (Status s = (*tree)->Flush(); !s.ok()) return Fail(s);
-    }
-  } else {
-    maint::ShardMaintenance::Options shard_options;
-    shard_options.scheduler = scheduler_options;
-    auto sm =
-        maint::ShardMaintenance::Open(storage, manifest_name, shard_options);
-    if (!sm.ok()) return Fail(sm.status());
-    if (data->dims() != (*sm)->manifest().dims()) {
-      std::fprintf(stderr, "dataset has %zu dims, manifest has %zu\n",
-                   data->dims(), (*sm)->manifest().dims());
-      return 2;
-    }
-    maint::MaintenanceStats prev;
-    for (size_t r = 0; r < rounds; ++r) {
-      for (size_t s = 0; s < (*sm)->num_shards(); ++s) {
-        if (Status status =
-                replay(*(*sm)->shard_tree(s), (*sm)->shard_collector(s));
-            !status.ok()) {
-          return Fail(status);
-        }
-      }
-      if (Status status = (*sm)->RunRound(); !status.ok()) {
-        return Fail(status);
-      }
-      // Per-round figures for the shard forest are the deltas of the
-      // aggregate counters across the round.
-      const maint::MaintenanceStats now = (*sm)->AggregateStats();
-      maint::MaintenanceRound round;
-      round.planned = now.actions_planned - prev.actions_planned;
-      round.applied = now.actions_applied - prev.actions_applied;
-      round.failed = now.failed - prev.failed;
-      round.predicted_gain_s = now.predicted_gain_s - prev.predicted_gain_s;
-      round.dry_run = dry_run;
-      round_results.push_back(round);
-      prev = now;
-    }
-    stats = (*sm)->AggregateStats();
-    if (!dry_run) {
-      if (Status s = (*sm)->Flush(); !s.ok()) return Fail(s);
-    }
-  }
-
-  if (args.Has("json")) {
-    obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("schema_version").Uint(1);
-    w.Key("mode").String(index.empty() ? "shard" : "index");
-    w.Key("target").String(index.empty() ? manifest_name : index);
-    w.Key("dry_run").Bool(dry_run);
-    w.Key("queries").Uint(queries_run);
-    w.Key("rounds").BeginArray();
-    for (const maint::MaintenanceRound& round : round_results) {
-      w.BeginObject();
-      w.Key("planned").Uint(round.planned);
-      w.Key("applied").Uint(round.applied);
-      w.Key("failed").Uint(round.failed);
-      w.Key("predicted_gain_s").Double(round.predicted_gain_s);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("stats").BeginObject();
-    w.Key("rounds").Uint(stats.rounds);
-    w.Key("actions_planned").Uint(stats.actions_planned);
-    w.Key("actions_applied").Uint(stats.actions_applied);
-    w.Key("requantizes").Uint(stats.requantizes);
-    w.Key("splits").Uint(stats.splits);
-    w.Key("merges").Uint(stats.merges);
-    w.Key("failed").Uint(stats.failed);
-    w.Key("verified").Uint(stats.verified);
-    w.Key("regressed").Uint(stats.regressed);
-    w.Key("predicted_gain_s").Double(stats.predicted_gain_s);
-    w.EndObject();
-    w.EndObject();
-    std::printf("%s\n", w.str().c_str());
-    return 0;
-  }
-  for (size_t r = 0; r < round_results.size(); ++r) {
-    const maint::MaintenanceRound& round = round_results[r];
-    std::printf(
-        "round %zu: planned %zu, %s %zu, failed %zu, predicted gain "
-        "%.6f s\n",
-        r, round.planned, dry_run ? "would apply" : "applied",
-        round.applied, round.failed, round.predicted_gain_s);
-  }
-  std::printf(
-      "maintenance%s: %llu rounds, %llu applied "
-      "(%llu requantize, %llu split, %llu merge), %llu failed, "
-      "%llu verified, %llu regressed, predicted gain %.6f s\n",
-      dry_run ? " (dry run)" : "",
-      static_cast<unsigned long long>(stats.rounds),
-      static_cast<unsigned long long>(stats.actions_applied),
-      static_cast<unsigned long long>(stats.requantizes),
-      static_cast<unsigned long long>(stats.splits),
-      static_cast<unsigned long long>(stats.merges),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(stats.verified),
-      static_cast<unsigned long long>(stats.regressed),
-      stats.predicted_gain_s);
-  return 0;
-}
-
 int ShardBuild(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   const std::string dataset = args.Get("dataset");
@@ -1435,7 +1247,6 @@ int Run(int argc, char** argv) {
   if (args.command == "flight") return Flight(args);
   if (args.command == "validate") return Validate(args);
   if (args.command == "reopt") return Reoptimize(args);
-  if (args.command == "maint") return Maint(args);
   if (args.command == "shard") return Shard(argc, argv);
   return Usage();
 }

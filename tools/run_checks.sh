@@ -3,7 +3,8 @@
 # hardening configurations (see docs/hardening.md):
 #
 #   release   RelWithDebInfo, -Werror, full ctest suite
-#   sanitize  ASan+UBSan (-DIQ_SANITIZE=address,undefined), full ctest
+#   sanitize  ASan+UBSan (-DIQ_SANITIZE=address,undefined), assert()
+#             enabled (no -DNDEBUG), full ctest
 #   thread    TSan (-DIQ_SANITIZE=thread), full ctest — the dynamic leg
 #             of the race-detection pair (docs/concurrency.md); the
 #             concurrency stress tests make it hunt real interleavings
@@ -49,9 +50,11 @@
 #             (wall-clock based, so the tolerance is wide),
 #             bench/micro_planner, whose optimized/standard CPU ratio
 #             is gated wide and whose simulated io_s rows are gated
-#             tightly against BENCH_planner.json, and
-#             bench/micro_obs, which self-gates the flight recorder's
-#             hot-path overhead at 2% and is tracked in BENCH_obs.json
+#             tightly against BENCH_planner.json, bench/micro_shard,
+#             whose simulated io_s and pruning rows are gated against
+#             BENCH_shard.json, and bench/micro_obs, which self-gates
+#             the flight recorder's hot-path overhead at 2% and is
+#             tracked in BENCH_obs.json
 #
 # Usage: tools/run_checks.sh [release|sanitize|thread|tidy|lint|obs|scalar|bench]...
 #        (no arguments runs all eight)
@@ -93,7 +96,10 @@ for step in $STEPS; do
     sanitize)
         # Leak checking is part of ASan by default; fail on the first
         # UBSan finding (-fno-sanitize-recover is set by the build).
+        # RelWithDebInfo's flags minus -DNDEBUG: the same -O2 -g, with
+        # assert() live, so this is the leg that runs the assertions.
         run_suite build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+            -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
             -DIQ_SANITIZE=address,undefined -DIQ_WERROR=ON \
             -DIQ_DEBUG_INVARIANTS=ON
         ;;
@@ -250,14 +256,6 @@ SEED
                 --queries "$tree-ds" --limit 8 --k 3 --json \
                 | "$CHECK" --require records --require retained \
                     --require threshold_s
-            # Workload-adaptive maintenance: replay a telemetry batch,
-            # run scheduler rounds, and validate the report shape. This
-            # rewrites pages in the index, so it runs after the
-            # read-only per-index commands above.
-            "$IQTOOL" maint --dir "$OBS_TMP" --index "$tree-idx" \
-                --queries "$tree-ds" --limit 16 --k 3 --rounds 2 --json \
-                | "$CHECK" --require schema_version --require mode \
-                    --require rounds --require stats
             "$IQTOOL" shard build --dir "$OBS_TMP" --dataset "$tree-ds" \
                 --manifest "$tree-m" --shards 3 --plan rank >/dev/null
             "$IQTOOL" shard stats --dir "$OBS_TMP" --manifest "$tree-m" \
@@ -268,13 +266,6 @@ SEED
                 --json \
                 | "$CHECK" --require schema_version --require per_shard \
                     --require aggregate
-            # Shard-mode maintenance planning stays dry so the trace
-            # consistency gate below still sees the bulk-loaded layout.
-            "$IQTOOL" maint --dir "$OBS_TMP" --manifest "$tree-m" \
-                --queries "$tree-ds" --limit 8 --k 3 --rounds 1 \
-                --dry-run --json \
-                | "$CHECK" --require schema_version --require mode \
-                    --require rounds --require stats
             # `trace` exits non-zero when the stitched tree disagrees
             # with the aggregated ShardQueryStats, so these runs are the
             # consistency gate (kNN and range fan-outs) as well as a
@@ -403,21 +394,6 @@ SEED
             < "$BENCH_TMP/shard.out"
         "$ROOT/build-release/tools/json_check" --require schema_version \
             --require suite --require benches < "$BENCH_TMP/shard.json"
-        echo "==> bench: maintenance convergence micro (bench/micro_maint)"
-        cmake --build "$ROOT/build-release" -j "$JOBS" --target micro_maint
-        # Simulated-I/O and per-round action counts under a skewed
-        # workload: deterministic functions of the dataset, the policy,
-        # and the disk geometry, so the gate verifies the convergence
-        # trajectory itself (actions taper, steady-state io_s drops).
-        IQBENCH_SUITE=maint IQBENCH_GIT_REV="$GIT_REV" \
-            "$ROOT/build-release/bench/micro_maint" --n 8000 --queries 8 \
-            --seed 21 > "$BENCH_TMP/maint.out"
-        "$ROOT/build-release/tools/bench_aggregate" --suite maint \
-            --out "$BENCH_TMP/maint.json" --git-rev "$GIT_REV" \
-            --baseline "$ROOT/BENCH_maint.json" --tolerance 25 \
-            < "$BENCH_TMP/maint.out"
-        "$ROOT/build-release/tools/json_check" --require schema_version \
-            --require suite --require benches < "$BENCH_TMP/maint.json"
         echo "==> bench: flight-recorder overhead micro (bench/micro_obs)"
         cmake --build "$ROOT/build-release" -j "$JOBS" --target micro_obs
         # micro_obs self-gates (exits non-zero when Record() costs more
