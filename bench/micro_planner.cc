@@ -50,14 +50,12 @@ struct Variant {
 };
 
 /// One pass over all queries; returns CPU seconds. Every query starts
-/// with the disk head invalidated, as an isolated query would.
-double RunPass(const IqTree& tree, DiskModel& disk, const Dataset& queries,
-               bool optimized) {
+/// from a fresh disk head of its own, as an isolated query would.
+double RunPass(const IqTree& tree, const Dataset& queries, bool optimized) {
   IqSearchOptions search;
   search.optimized_access = optimized;
   const double start = ThreadCpuSeconds();
   for (size_t i = 0; i < queries.size(); ++i) {
-    disk.InvalidateHead();
     auto result = tree.KNearestNeighbors(queries[i], kK, search);
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
@@ -94,14 +92,14 @@ int main(int argc, char** argv) {
   for (bool opt : {false, true}) {
     Variant& v = opt ? optimized : standard;
     disk.ResetStats();
-    RunPass(**tree, disk, queries, opt);
+    RunPass(**tree, queries, opt);
     v.io_s = disk.stats().io_time_s / static_cast<double>(kQueries);
   }
   // CPU: alternate the variants so both see the same machine state.
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (bool opt : {false, true}) {
       Variant& v = opt ? optimized : standard;
-      const double ms = 1e3 * RunPass(**tree, disk, queries, opt) /
+      const double ms = 1e3 * RunPass(**tree, queries, opt) /
                         static_cast<double>(kQueries);
       v.cpu_ms = std::min(v.cpu_ms, ms);
     }

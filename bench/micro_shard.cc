@@ -81,13 +81,15 @@ int Main(int argc, char** argv) {
     uint64_t pruned = 0;
     const auto wall_start = std::chrono::steady_clock::now();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto result = (*searcher)->KNearestNeighbors(queries[qi], kKnn);
+      ShardQueryStats stats;
+      ShardedSearchOptions options;
+      options.stats = &stats;
+      auto result = (*searcher)->KNearestNeighbors(queries[qi], kKnn, options);
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      result.status().ToString().c_str());
         return 1;
       }
-      const ShardQueryStats stats = (*searcher)->last_query_stats();
       io_s_sum += stats.io_s_sum;
       io_s_max += stats.io_s_max;
       pruned += stats.shards_pruned;

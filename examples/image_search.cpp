@@ -39,12 +39,10 @@ int main() {
 
   for (size_t qi = 0; qi < query_images.size(); ++qi) {
     disk.ResetStats();
-    disk.InvalidateHead();
     auto iq_results = (*tree)->KNearestNeighbors(query_images[qi], 10);
     const double iq_time = disk.stats().io_time_s;
 
     disk.ResetStats();
-    disk.InvalidateHead();
     auto va_results = (*va)->KNearestNeighbors(query_images[qi], 10);
     const double va_time = disk.stats().io_time_s;
 

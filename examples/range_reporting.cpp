@@ -38,7 +38,6 @@ int main() {
 
   auto timed = [&](auto&& fn) {
     disk.ResetStats();
-    disk.InvalidateHead();
     auto result = fn();
     return std::make_pair(std::move(result), disk.stats().io_time_s);
   };

@@ -121,25 +121,27 @@ Status IqTree::CheckDirGeometry() const {
   return Status::OK();
 }
 
-void IqTree::ChargeDirectoryScan() const {
+void IqTree::ChargeDirectoryScan(DiskHead& head) const {
   const uint64_t bytes = dir_.size() * DirEntryBytes(meta_.dims);
   const uint64_t blocks =
       CeilDiv(std::max<uint64_t>(bytes, 1), disk_->params().block_size);
-  disk_->ChargeRead(dir_file_id_, 0, blocks);
+  disk_->ChargeRead(head, dir_file_id_, 0, blocks);
 }
 
-Status IqTree::LoadExactPage(size_t dir_index, std::vector<PointId>* ids,
+Status IqTree::LoadExactPage(DiskHead& head, size_t dir_index,
+                             std::vector<PointId>* ids,
                              std::vector<float>* coords) const {
   const DirEntry& entry = dir_[dir_index];
   if (entry.quant_bits >= kExactBits) {
     // Exact pages live entirely on the second level.
     std::vector<uint8_t> page(disk_->params().block_size);
-    IQ_RETURN_NOT_OK(qpages_->ReadBlock(entry.qpage_block, page.data()));
+    IQ_RETURN_NOT_OK(
+        qpages_->ReadBlock(head, entry.qpage_block, page.data()));
     QuantPageCodec codec(meta_.dims, disk_->params().block_size);
     return codec.DecodeExact(page.data(), ids, coords);
   }
   std::vector<uint8_t> buf(entry.exact.length);
-  IQ_RETURN_NOT_OK(exact_->Read(entry.exact, buf.data()));
+  IQ_RETURN_NOT_OK(exact_->Read(head, entry.exact, buf.data()));
   ExactPageCodec codec(meta_.dims);
   IQ_RETURN_NOT_OK(codec.Decode(buf.data(), buf.size(), ids, coords));
   if (ids->size() != entry.count) {
@@ -178,13 +180,14 @@ obs::CostBreakdown IqTree::PredictCost() const {
 }
 
 Status IqTree::Reoptimize() {
+  DiskHead head;
   // Snapshot every record currently in the index.
   Dataset snapshot(std::max<size_t>(meta_.dims, 1));
   std::vector<PointId> row_ids;
   std::vector<PointId> page_ids;
   std::vector<float> page_coords;
   for (size_t i = 0; i < dir_.size(); ++i) {
-    IQ_RETURN_NOT_OK(LoadExactPage(i, &page_ids, &page_coords));
+    IQ_RETURN_NOT_OK(LoadExactPage(head, i, &page_ids, &page_coords));
     for (size_t s = 0; s < page_ids.size(); ++s) {
       row_ids.push_back(page_ids[s]);
       snapshot.Append(
@@ -216,7 +219,8 @@ Status IqTree::Reoptimize() {
   options.quantize = meta_.quantized != 0;
   options.fractal_dimension = meta_.fractal_dimension;
   options.optimize_for_k = meta_.knn_k;
-  const Status populated = PopulateFromDataset(snapshot, &row_ids, options);
+  const Status populated =
+      PopulateFromDataset(head, snapshot, &row_ids, options);
   // Mirror whatever directory was written, a partial one included.
   dir_geom_ = MakeDirGeometry();
   IQ_RETURN_NOT_OK(populated);
@@ -237,10 +241,11 @@ Status IqTree::Validate() const {
   QuantPageCodec codec(meta_.dims, disk_->params().block_size);
   std::vector<uint8_t> page(disk_->params().block_size);
   std::vector<bool> seen;  // id uniqueness, grown on demand
+  DiskHead head;
   for (size_t i = 0; i < dir_.size(); ++i) {
     const DirEntry& entry = dir_[i];
     const std::string where = "entry " + std::to_string(i);
-    IQ_RETURN_NOT_OK(qpages_->ReadBlock(entry.qpage_block, page.data()));
+    IQ_RETURN_NOT_OK(qpages_->ReadBlock(head, entry.qpage_block, page.data()));
     // Header agreement + decoded cell boxes contained in the entry MBR.
     IQ_RETURN_NOT_OK(
         checker.CheckPage(entry, i, std::span(page.data(), page.size())));
@@ -251,7 +256,7 @@ Status IqTree::Validate() const {
       IQ_RETURN_NOT_OK(codec.DecodeExact(page.data(), &ids, &coords));
     } else {
       IQ_RETURN_NOT_OK(codec.DecodeCells(page.data(), &cells));
-      IQ_RETURN_NOT_OK(LoadExactPage(i, &ids, &coords));
+      IQ_RETURN_NOT_OK(LoadExactPage(head, i, &ids, &coords));
     }
     std::vector<uint32_t> point_cells(meta_.dims);
     for (uint32_t s = 0; s < entry.count; ++s) {
@@ -298,7 +303,8 @@ Status IqTree::Flush() {
   IQ_RETURN_NOT_OK(WriteDirectory(*dir_file_, meta_, dir_));
   // Directory rewrite: charged as one sequential write pass.
   const uint64_t bytes = dir_.size() * DirEntryBytes(meta_.dims);
-  disk_->ChargeWrite(dir_file_id_, 0,
+  DiskHead head;
+  disk_->ChargeWrite(head, dir_file_id_, 0,
                      CeilDiv(std::max<uint64_t>(bytes, 1),
                              disk_->params().block_size));
   dirty_ = false;

@@ -26,6 +26,24 @@
 
 namespace iq {
 
+/// Observability counters of one NN/k-NN/range query (what its I/O
+/// time was spent on), and the query's own simulated I/O.
+struct IqQueryStats {
+  /// Quantized pages actually decoded.
+  size_t pages_decoded = 0;
+  /// Blocks transferred from the second level, including over-reads.
+  size_t blocks_transferred = 0;
+  /// Sequential accesses (batches) to the second level.
+  size_t batches = 0;
+  /// Third-level record lookups (exact-geometry consultations).
+  size_t refinements = 0;
+  /// Point approximations that entered the priority queue.
+  size_t cells_enqueued = 0;
+  /// Every access this query charged, from its own fresh disk head:
+  /// the same whether the query runs alone or beside others.
+  IoStats io;
+};
+
 /// Query-time options for the IQ-tree.
 struct IqSearchOptions {
   /// true: the paper's time-optimized page scheduling (§2.1) batching
@@ -36,8 +54,9 @@ struct IqSearchOptions {
   /// Optional per-query trace sink (docs/observability.md). When set,
   /// the search records a span tree — directory scan, batch decisions,
   /// page decodes, refinements — into it; query results are identical
-  /// either way. The tracer is thread-safe, so one may be shared
-  /// across a ParallelQueryRunner batch.
+  /// either way. Each span's `io_s` is a difference of this query's
+  /// own I/O clock. The tracer is thread-safe, but a tracer per query
+  /// keeps each query's span tree (and span cap) its own.
   obs::QueryTracer* tracer = nullptr;
   /// When `tracer` is set, the query's root span ("knn"/"range") is
   /// opened under this span instead of as a new root — the sharded
@@ -50,9 +69,14 @@ struct IqSearchOptions {
   /// model's predicted breakdown; the log retains outliers. When no
   /// `tracer` is set, the query runs with a private tracer (with
   /// QueryTracer's default span cap) so the log still sees full span
-  /// trees. Thread-safe; one log may be shared across a
-  /// ParallelQueryRunner batch.
+  /// trees. Thread-safe; one log may be shared by concurrent queries.
   obs::SlowQueryLog* slow_log = nullptr;
+  /// Optional result sink: when set, the query writes its own
+  /// IqQueryStats here once it has searched (also when the search
+  /// failed part-way). An output like `tracer`, not a behaviour switch;
+  /// left untouched when the query is rejected before searching
+  /// (invalid arguments, k = 0).
+  IqQueryStats* stats = nullptr;
 };
 
 /// The IQ-tree (paper §3): a three-level compressed index for exact
@@ -62,23 +86,23 @@ struct IqSearchOptions {
 ///   level 2  <name>.qpg  fixed-size quantized data pages
 ///   level 3  <name>.dat  variable-size exact data pages
 ///
-/// Every disk access of a query is charged to the shared DiskModel;
-/// query results report exact (not approximate) answers, with the
-/// compressed level used to avoid most exact-data reads.
+/// Every public operation (query, update, build, Validate) charges its
+/// disk accesses to its own fresh DiskHead, so each one pays the seek
+/// the paper charges at its start and its cost never depends on other
+/// operations; queries report that cost in IqQueryStats::io. Query
+/// results are exact (not approximate) answers, with the compressed
+/// level used to avoid most exact-data reads.
 ///
 /// Concurrency contract (docs/concurrency.md) — two tiers:
 ///
 ///   1. The const query methods — NearestNeighbor, KNearestNeighbors,
 ///      RangeSearch, WindowQuery — may run concurrently with each other
-///      on one tree (the mutable state they touch is internally
-///      synchronized: DiskModel accounting and the last_query_stats_
-///      publication).
+///      on one tree (each query's head and counters are its own; the
+///      DiskModel totals are atomic and the last_query_stats_
+///      publication is locked).
 ///   2. Updates (Insert, InsertBatch, Remove, Flush, Reoptimize)
 ///      require external exclusion against everything, single-writer
 ///      style — they rewrite live blocks in place.
-///
-/// ParallelQueryRunner (concurrency/parallel_query_runner.h) is the
-/// batch front-end built on tier 1.
 class IqTree {
  public:
   /// Build-time options.
@@ -103,20 +127,7 @@ class IqTree {
     uint64_t seed = 42;
   };
 
-  /// Observability counters of the most recent NN/k-NN/range query
-  /// (what the I/O time was spent on).
-  struct QueryStats {
-    /// Quantized pages actually decoded.
-    size_t pages_decoded = 0;
-    /// Blocks transferred from the second level, including over-reads.
-    size_t blocks_transferred = 0;
-    /// Sequential accesses (batches) to the second level.
-    size_t batches = 0;
-    /// Third-level record lookups (exact-geometry consultations).
-    size_t refinements = 0;
-    /// Point approximations that entered the priority queue.
-    size_t cells_enqueued = 0;
-  };
+  using QueryStats = IqQueryStats;
 
   struct BuildStats {
     size_t num_pages = 0;
@@ -163,8 +174,11 @@ class IqTree {
   Result<std::vector<Neighbor>> RangeSearch(
       PointView q, double radius, const IqSearchOptions& options = {}) const;
 
-  /// All point ids inside the window (inclusive bounds).
-  Result<std::vector<PointId>> WindowQuery(const Mbr& window) const;
+  /// All point ids inside the window (inclusive bounds). Untraced and
+  /// never slow-logged; when `io` is set, the query's own I/O is
+  /// written there.
+  Result<std::vector<PointId>> WindowQuery(const Mbr& window,
+                                           IoStats* io = nullptr) const;
 
   /// Inserts a point (§6): the target page is re-encoded; on overflow
   /// the cost model decides between splitting the page and re-quantizing
@@ -215,10 +229,11 @@ class IqTree {
   size_t num_pages() const { return dir_.size(); }
   double fractal_dimension() const { return meta_.fractal_dimension; }
   const BuildStats& build_stats() const { return build_stats_; }
-  /// Counters of the most recent completed query on this tree. Each
-  /// query accumulates privately and publishes once at the end; with
-  /// concurrent queries "most recent" means whichever finished last
-  /// (always one query's consistent counters, never a blend).
+  /// Counters of the most recent completed NN/k-NN/range query on this
+  /// tree — a convenience for sequential callers (perfbench's benchmark
+  /// loop). With concurrent queries "most recent" means whichever
+  /// finished last; read a query's own stats through
+  /// IqSearchOptions::stats instead.
   QueryStats last_query_stats() const IQ_EXCLUDES(query_stats_mu_) {
     MutexLock lock(&query_stats_mu_);
     return last_query_stats_;
@@ -276,14 +291,16 @@ class IqTree {
   Status FinishUpdate(const Status& update);
 
   /// Bodies of Insert, InsertBatch and Remove past their argument
-  /// checks.
-  Status InsertPoint(PointId id, PointView p);
-  Status InsertRows(std::span<const PointId> ids, const Dataset& points);
-  Status RemovePoint(PointId id, PointView p);
+  /// checks. Here and below, `head` is the calling public operation's
+  /// disk head.
+  Status InsertPoint(DiskHead& head, PointId id, PointView p);
+  Status InsertRows(DiskHead& head, std::span<const PointId> ids,
+                    const Dataset& points);
+  Status RemovePoint(DiskHead& head, PointId id, PointView p);
 
   /// Charges the per-query sequential scan of the first-level directory
   /// (T_1st, eq. 22).
-  void ChargeDirectoryScan() const;
+  void ChargeDirectoryScan(DiskHead& head) const;
 
   /// Publishes one finished query's counters as last_query_stats() and
   /// folds them into the process-wide metric registry.
@@ -293,33 +310,36 @@ class IqTree {
   /// Loads and decodes the exact data page backing directory entry
   /// `dir_index` (reads the whole variable-size extent; for g=32 pages
   /// the records come from the quantized page instead).
-  Status LoadExactPage(size_t dir_index, std::vector<PointId>* ids,
+  Status LoadExactPage(DiskHead& head, size_t dir_index,
+                       std::vector<PointId>* ids,
                        std::vector<float>* coords) const;
 
   /// Rewrites the pages of directory entry `dir_index` from exact
   /// records, choosing the best quantization level; splits if the cost
   /// model prefers it on overflow.
-  Status RewriteEntry(size_t dir_index, std::vector<PointId> ids,
-                      std::vector<float> coords);
+  Status RewriteEntry(DiskHead& head, size_t dir_index,
+                      std::vector<PointId> ids, std::vector<float> coords);
 
   /// Appends a brand-new entry (qpage at end of file). The records must
   /// fit one page; use InsertRecords when they might not.
-  Status AppendEntry(const std::vector<PointId>& ids,
+  Status AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
                      const std::vector<float>& coords);
 
   /// Appends the records as one or more new pages, splitting at medians
   /// until every piece fits (covers batch inserts that overflow a page
   /// by more than 2x).
-  Status InsertRecords(std::vector<PointId> ids, std::vector<float> coords);
+  Status InsertRecords(DiskHead& head, std::vector<PointId> ids,
+                       std::vector<float> coords);
 
   /// Encodes + writes the qpage/extent for an entry whose points fit.
-  Status WriteEntryPages(DirEntry* entry, const std::vector<PointId>& ids,
+  Status WriteEntryPages(DiskHead& head, DirEntry* entry,
+                         const std::vector<PointId>& ids,
                          const std::vector<float>& coords, bool append_qpage);
 
   /// Partitions/optimizes `data` and writes all pages into the (fresh)
   /// files. Row r of `data` gets id `row_ids[r]` (or r if null). Shared
   /// by Build and Reoptimize.
-  Status PopulateFromDataset(const Dataset& data,
+  Status PopulateFromDataset(DiskHead& head, const Dataset& data,
                              const std::vector<PointId>* row_ids,
                              const Options& options);
 

@@ -37,7 +37,7 @@ size_t LevelIndex(unsigned g) {
 
 }  // namespace
 
-Status IqTree::WriteEntryPages(DirEntry* entry,
+Status IqTree::WriteEntryPages(DiskHead& head, DirEntry* entry,
                                const std::vector<PointId>& ids,
                                const std::vector<float>& coords,
                                bool append_qpage) {
@@ -64,13 +64,16 @@ Status IqTree::WriteEntryPages(DirEntry* entry,
     std::vector<uint8_t> exact_page;
     exact_codec.Encode(ids, coords, &exact_page);
     IQ_ASSIGN_OR_RETURN(entry->exact,
-                        exact_->Append(exact_page.data(), exact_page.size()));
+                        exact_->Append(head, exact_page.data(),
+                                       exact_page.size()));
   }
   if (append_qpage) {
-    IQ_ASSIGN_OR_RETURN(uint64_t block, qpages_->AppendBlock(page.data()));
+    IQ_ASSIGN_OR_RETURN(uint64_t block,
+                        qpages_->AppendBlock(head, page.data()));
     entry->qpage_block = static_cast<uint32_t>(block);
   } else {
-    IQ_RETURN_NOT_OK(qpages_->WriteBlock(entry->qpage_block, page.data()));
+    IQ_RETURN_NOT_OK(
+        qpages_->WriteBlock(head, entry->qpage_block, page.data()));
   }
   return Status::OK();
 }
@@ -121,7 +124,8 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
   tree->storage_ = &storage;
   tree->name_ = name;
 
-  IQ_RETURN_NOT_OK(tree->PopulateFromDataset(data, nullptr, options));
+  DiskHead head;
+  IQ_RETURN_NOT_OK(tree->PopulateFromDataset(head, data, nullptr, options));
   tree->dir_geom_ = tree->MakeDirGeometry();
 
   tree->dirty_ = true;
@@ -130,7 +134,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
   return tree;
 }
 
-Status IqTree::PopulateFromDataset(const Dataset& data,
+Status IqTree::PopulateFromDataset(DiskHead& head, const Dataset& data,
                                    const std::vector<PointId>* row_ids,
                                    const Options& options) {
   const uint32_t block_size = disk_->params().block_size;
@@ -200,7 +204,7 @@ Status IqTree::PopulateFromDataset(const Dataset& data,
                   std::span<const PointId>(ids.data() + page.begin,
                                            page.end - page.begin),
                   row_ids, &page_ids, &page_coords);
-    IQ_RETURN_NOT_OK(WriteEntryPages(&entry, page_ids, page_coords,
+    IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, page_ids, page_coords,
                                      /*append_qpage=*/true));
     dir_.push_back(std::move(entry));
   }

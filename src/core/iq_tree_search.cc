@@ -94,16 +94,21 @@ class IqTreeSearcher {
     return private_tracer_.has_value() ? obs::kNoSpan : options_.parent_span;
   }
 
-  /// Offers the finished query to options_.slow_log (no-op without
-  /// one). Call after RunKnn/RunRange returned — the root span must
-  /// have ended for the trace snapshot to be complete.
-  void OfferSlowLog() {
-    if (!obs::kEnabled || options_.slow_log == nullptr ||
-        tracer_ == nullptr) {
-      return;
+  /// Ends the query whose RunKnn/RunRange returned `run`: stamps its
+  /// I/O into its stats, writes them to the options_.stats sink, and on
+  /// success publishes them and offers the query to options_.slow_log
+  /// (the root span has ended, so the trace snapshot is complete).
+  Status Finish(const Status& run) {
+    stats_.io = head_.stats;
+    if (options_.stats != nullptr) *options_.stats = stats_;
+    IQ_RETURN_NOT_OK(run);
+    tree_.PublishQueryStats(stats_);
+    if (obs::kEnabled && options_.slow_log != nullptr &&
+        tracer_ != nullptr) {
+      options_.slow_log->Offer(tracer_->Snapshot(), root_span_,
+                               tree_.PredictCost(), tracer_->dropped());
     }
-    options_.slow_log->Offer(tracer_->Snapshot(), root_span_,
-                             tree_.PredictCost(), tracer_->dropped());
+    return Status::OK();
   }
 
   Status RunKnn(size_t k, std::vector<Neighbor>* out) {
@@ -147,10 +152,10 @@ class IqTreeSearcher {
       }
       const uint32_t qpage_block = tree_.dir_[page.dir_index].qpage_block;
       obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-      const double io_before = TraceNow();
+      const double io_before = head_.stats.io_time_s;
       batch_buf.resize(block_size_);
       IQ_RETURN_NOT_OK(
-          tree_.qpages_->ReadBlock(qpage_block, batch_buf.data()));
+          tree_.qpages_->ReadBlock(head_, qpage_block, batch_buf.data()));
       stats_.batches += 1;
       stats_.blocks_transferred += 1;
       batch_span.AddAttr("first_block", static_cast<double>(qpage_block));
@@ -158,7 +163,7 @@ class IqTreeSearcher {
       batch_span.AddAttr(
           "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
                                  tree_.disk_->params()));
-      batch_span.AddAttr("io_s", TraceNow() - io_before);
+      batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
       IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, batch_buf.data(), &cells,
                                    batch_span.id()));
     }
@@ -167,7 +172,6 @@ class IqTreeSearcher {
               [](const Neighbor& a, const Neighbor& b) {
                 return a.distance < b.distance;
               });
-    tree_.PublishQueryStats(stats_);
     return Status::OK();
   }
 
@@ -190,9 +194,9 @@ class IqTreeSearcher {
     std::vector<uint8_t> buf;
     for (const FetchRun& run : runs) {
       obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-      const double io_before = TraceNow();
+      const double io_before = head_.stats.io_time_s;
       buf.resize(run.count * block_size_);
-      IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(run.first, run.count,
+      IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(head_, run.first, run.count,
                                                 buf.data()));
       stats_.batches += 1;
       stats_.blocks_transferred += run.count;
@@ -200,7 +204,7 @@ class IqTreeSearcher {
       batch_span.AddAttr("blocks", static_cast<double>(run.count));
       batch_span.AddAttr("pred_io_s",
                          PlanCost(std::span(&run, 1), tree_.disk_->params()));
-      batch_span.AddAttr("io_s", TraceNow() - io_before);
+      batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
       for (uint64_t b = 0; b < run.count; ++b) {
         const uint32_t dir_index = tree_.dir_geom_.EntryAt(run.first + b);
         if (dir_index == kNoEntry) continue;  // over-read gap
@@ -214,27 +218,20 @@ class IqTreeSearcher {
               [](const Neighbor& a, const Neighbor& b) {
                 return a.distance < b.distance;
               });
-    tree_.PublishQueryStats(stats_);
     return Status::OK();
   }
 
  private:
-  /// Simulated-I/O clock read for span attributes; free when no tracer
-  /// asked for it.
-  double TraceNow() const {
-    return tracer_ != nullptr ? tree_.disk_->Now() : 0.0;
-  }
-
   /// The charged level-1 directory scan plus in-memory MINDIST setup,
   /// as one traced span. `knn` also sets up the page order and, with
   /// optimized access, the §2.1 planner's moments cache.
   void ScanDirectory(bool knn) {
     obs::ScopedSpan span(tracer_, "dir_scan", root_span_);
-    const double io_before = TraceNow();
-    tree_.ChargeDirectoryScan();
+    const double io_before = head_.stats.io_time_s;
+    tree_.ChargeDirectoryScan(head_);
     InitPages(knn);
     span.AddAttr("pages", static_cast<double>(tree_.dir_.size()));
-    span.AddAttr("io_s", TraceNow() - io_before);
+    span.AddAttr("io_s", head_.stats.io_time_s - io_before);
   }
 
   void InitPages(bool knn) {
@@ -352,7 +349,7 @@ class IqTreeSearcher {
   Status LoadBatch(size_t pivot_dir_index, size_t pivot_pos,
                    std::vector<uint8_t>* buf, CellHeap* cells) {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-    const double io_before = TraceNow();
+    const double io_before = head_.stats.io_time_s;
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
     IQ_HOT_NOALLOC_BEGIN;
     const BatchRange range = PlanNnBatch(
@@ -363,8 +360,8 @@ class IqTreeSearcher {
         });
     IQ_HOT_NOALLOC_END;
     buf->resize(range.count() * block_size_);
-    IQ_RETURN_NOT_OK(
-        tree_.qpages_->ReadRange(range.first, range.count(), buf->data()));
+    IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(head_, range.first,
+                                              range.count(), buf->data()));
     stats_.batches += 1;
     stats_.blocks_transferred += range.count();
     batch_span.AddAttr("pivot_block", static_cast<double>(pivot_block));
@@ -372,7 +369,7 @@ class IqTreeSearcher {
     batch_span.AddAttr("blocks", static_cast<double>(range.count()));
     batch_span.AddAttr("pred_io_s",
                        BatchCost(range, tree_.disk_->params()));
-    batch_span.AddAttr("io_s", TraceNow() - io_before);
+    batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
     size_t pruned = 0;
     for (uint64_t b = 0; b < range.count(); ++b) {
       const uint32_t dir_index = tree_.dir_geom_.EntryAt(range.first + b);
@@ -459,7 +456,7 @@ class IqTreeSearcher {
     obs::ScopedSpan span(tracer_, "refine", root_span_);
     span.AddAttr("dir_index", static_cast<double>(dir_index));
     span.AddAttr("slot", static_cast<double>(slot));
-    const double io_before = TraceNow();
+    const double io_before = head_.stats.io_time_s;
     const DirEntry& entry = tree_.dir_[dir_index];
     const size_t record = ExactRecordBytes(dims_);
     if (entry.quant_bits >= kExactBits ||
@@ -470,9 +467,10 @@ class IqTreeSearcher {
     // iqlint: allow(hotpath-alloc): fixed record-size member buffer;
     // allocates once on the first refinement, reused after.
     record_buf_.resize(record);
-    IQ_RETURN_NOT_OK(tree_.exact_->Read(record_extent, record_buf_.data()));
+    IQ_RETURN_NOT_OK(
+        tree_.exact_->Read(head_, record_extent, record_buf_.data()));
     stats_.refinements += 1;
-    span.AddAttr("io_s", TraceNow() - io_before);
+    span.AddAttr("io_s", head_.stats.io_time_s - io_before);
     PointId id;
     std::memcpy(&id, record_buf_.data(), sizeof(PointId));
     // iqlint: allow(hotpath-alloc): fixed dims-size member buffer,
@@ -529,11 +527,11 @@ class IqTreeSearcher {
     obs::ScopedSpan exact_span(tracer_, "exact_page", span.id());
     exact_span.AddAttr("refinements",
                        static_cast<double>(candidates_scratch_.size()));
-    const double io_before = TraceNow();
+    const double io_before = head_.stats.io_time_s;
     // The exact-page scratch is free here: this page is quantized.
-    IQ_RETURN_NOT_OK(tree_.LoadExactPage(dir_index, &ids_scratch_,
+    IQ_RETURN_NOT_OK(tree_.LoadExactPage(head_, dir_index, &ids_scratch_,
                                          &coords_scratch_));
-    exact_span.AddAttr("io_s", TraceNow() - io_before);
+    exact_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
     for (uint32_t s : candidates_scratch_) {
       const double dist = Distance(
           q_, PointView(coords_scratch_.data() + s * dims_, dims_), metric_);
@@ -584,8 +582,11 @@ class IqTreeSearcher {
   std::vector<uint8_t> record_buf_;
   std::vector<float> record_coords_;
 
+  /// This query's disk head; head_.stats.io_time_s is its I/O clock,
+  /// which every span's io_s is a difference of.
+  DiskHead head_;
   /// Accumulated privately per query (searchers on other threads have
-  /// their own); published to the tree once, when the query completes.
+  /// their own); handed out once, by Finish.
   IqTree::QueryStats stats_;
 };
 
@@ -595,8 +596,7 @@ Result<Neighbor> IqTree::NearestNeighbor(
   if (dir_.empty()) return Status::NotFound("empty index");
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
-  IQ_RETURN_NOT_OK(searcher.RunKnn(1, &out));
-  searcher.OfferSlowLog();
+  IQ_RETURN_NOT_OK(searcher.Finish(searcher.RunKnn(1, &out)));
   if (out.empty()) return Status::NotFound("empty index");
   return out.front();
 }
@@ -607,8 +607,7 @@ Result<std::vector<Neighbor>> IqTree::KNearestNeighbors(
   if (k == 0) return std::vector<Neighbor>{};
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
-  IQ_RETURN_NOT_OK(searcher.RunKnn(k, &out));
-  searcher.OfferSlowLog();
+  IQ_RETURN_NOT_OK(searcher.Finish(searcher.RunKnn(k, &out)));
   return out;
 }
 
@@ -618,68 +617,76 @@ Result<std::vector<Neighbor>> IqTree::RangeSearch(
   IQ_RETURN_NOT_OK(CheckQueryRadius(radius));
   IqTreeSearcher searcher(*this, q, options);
   std::vector<Neighbor> out;
-  IQ_RETURN_NOT_OK(searcher.RunRange(radius, &out));
-  searcher.OfferSlowLog();
+  IQ_RETURN_NOT_OK(searcher.Finish(searcher.RunRange(radius, &out)));
   return out;
 }
 
-Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window) const {
+Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window,
+                                                 IoStats* io) const {
   if (window.dims() != meta_.dims) {
     return Status::InvalidArgument("window dimensionality mismatch");
   }
-  ChargeDirectoryScan();
-  QuantPageCodec codec(meta_.dims, disk_->params().block_size);
-  std::vector<uint64_t> blocks;
-  for (const DirEntry& entry : dir_) {
-    if (window.Intersects(entry.mbr)) blocks.push_back(entry.qpage_block);
-  }
-  std::sort(blocks.begin(), blocks.end());
-  const std::vector<FetchRun> runs =
-      PlanKnownSetFetch(blocks, disk_->params());
+  DiskHead head;
   std::vector<PointId> out;
-  std::vector<uint8_t> buf;
-  // Hoisted per-page scratch + filter kernel: the per-point window test
-  // is a table lookup per dimension, and steady state allocates nothing
-  // (the former code built a cell-box Mbr per point).
-  FilterKernel kernel;
-  std::vector<uint32_t> cells;
-  std::vector<uint32_t> candidates;
-  std::vector<PointId> ids;
-  std::vector<float> coords;
-  const uint32_t block_size = disk_->params().block_size;
-  for (const FetchRun& run : runs) {
-    buf.resize(run.count * block_size);
-    IQ_RETURN_NOT_OK(qpages_->ReadRange(run.first, run.count, buf.data()));
-    for (uint64_t b = 0; b < run.count; ++b) {
-      const uint32_t dir_index = dir_geom_.EntryAt(run.first + b);
-      if (dir_index == DirGeometry::kNoEntry) continue;
-      const DirEntry& entry = dir_[dir_index];
-      if (!window.Intersects(entry.mbr)) continue;  // over-read page
-      const uint8_t* page = buf.data() + b * block_size;
-      if (entry.quant_bits >= kExactBits) {
-        IQ_RETURN_NOT_OK(codec.DecodeExact(page, &ids, &coords));
-        for (size_t s = 0; s < ids.size(); ++s) {
+  const auto search = [&]() -> Status {
+    ChargeDirectoryScan(head);
+    QuantPageCodec codec(meta_.dims, disk_->params().block_size);
+    std::vector<uint64_t> blocks;
+    for (const DirEntry& entry : dir_) {
+      if (window.Intersects(entry.mbr)) blocks.push_back(entry.qpage_block);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    const std::vector<FetchRun> runs =
+        PlanKnownSetFetch(blocks, disk_->params());
+    std::vector<uint8_t> buf;
+    // Hoisted per-page scratch + filter kernel: the per-point window test
+    // is a table lookup per dimension, and steady state allocates nothing
+    // (the former code built a cell-box Mbr per point).
+    FilterKernel kernel;
+    std::vector<uint32_t> cells;
+    std::vector<uint32_t> candidates;
+    std::vector<PointId> ids;
+    std::vector<float> coords;
+    const uint32_t block_size = disk_->params().block_size;
+    for (const FetchRun& run : runs) {
+      buf.resize(run.count * block_size);
+      IQ_RETURN_NOT_OK(
+          qpages_->ReadRange(head, run.first, run.count, buf.data()));
+      for (uint64_t b = 0; b < run.count; ++b) {
+        const uint32_t dir_index = dir_geom_.EntryAt(run.first + b);
+        if (dir_index == DirGeometry::kNoEntry) continue;
+        const DirEntry& entry = dir_[dir_index];
+        if (!window.Intersects(entry.mbr)) continue;  // over-read page
+        const uint8_t* page = buf.data() + b * block_size;
+        if (entry.quant_bits >= kExactBits) {
+          IQ_RETURN_NOT_OK(codec.DecodeExact(page, &ids, &coords));
+          for (size_t s = 0; s < ids.size(); ++s) {
+            if (window.Contains(
+                    PointView(coords.data() + s * meta_.dims, meta_.dims))) {
+              out.push_back(ids[s]);
+            }
+          }
+          continue;
+        }
+        IQ_RETURN_NOT_OK(codec.DecodeCells(page, &cells));
+        kernel.BindWindow(window, entry.mbr, entry.quant_bits);
+        candidates.clear();
+        kernel.WindowCandidates(cells.data(), entry.count, &candidates);
+        if (candidates.empty()) continue;
+        IQ_RETURN_NOT_OK(LoadExactPage(head, dir_index, &ids, &coords));
+        for (uint32_t s : candidates) {
           if (window.Contains(
                   PointView(coords.data() + s * meta_.dims, meta_.dims))) {
             out.push_back(ids[s]);
           }
         }
-        continue;
-      }
-      IQ_RETURN_NOT_OK(codec.DecodeCells(page, &cells));
-      kernel.BindWindow(window, entry.mbr, entry.quant_bits);
-      candidates.clear();
-      kernel.WindowCandidates(cells.data(), entry.count, &candidates);
-      if (candidates.empty()) continue;
-      IQ_RETURN_NOT_OK(LoadExactPage(dir_index, &ids, &coords));
-      for (uint32_t s : candidates) {
-        if (window.Contains(
-                PointView(coords.data() + s * meta_.dims, meta_.dims))) {
-          out.push_back(ids[s]);
-        }
       }
     }
-  }
+    return Status::OK();
+  };
+  const Status searched = search();
+  if (io != nullptr) *io = head.stats;
+  IQ_RETURN_NOT_OK(searched);
   return out;
 }
 

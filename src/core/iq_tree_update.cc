@@ -104,7 +104,7 @@ RecordSplit SplitRecordsAtMedian(const std::vector<PointId>& ids,
 
 }  // namespace
 
-Status IqTree::AppendEntry(const std::vector<PointId>& ids,
+Status IqTree::AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
                            const std::vector<float>& coords) {
   DirEntry entry;
   entry.mbr = MbrOfCoords(coords.data(), ids.size(), meta_.dims);
@@ -115,14 +115,15 @@ Status IqTree::AppendEntry(const std::vector<PointId>& ids,
   if (entry.quant_bits == 0) {
     return Status::Internal("AppendEntry called with an oversized page");
   }
-  IQ_RETURN_NOT_OK(WriteEntryPages(&entry, ids, coords,
+  IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, ids, coords,
                                    /*append_qpage=*/true));
   dir_.push_back(std::move(entry));
   dirty_ = true;
   return Status::OK();
 }
 
-Status IqTree::RewriteEntry(size_t dir_index, std::vector<PointId> ids,
+Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
+                            std::vector<PointId> ids,
                             std::vector<float> coords) {
   const size_t dims = meta_.dims;
   if (ids.empty()) {
@@ -174,9 +175,10 @@ Status IqTree::RewriteEntry(size_t dir_index, std::vector<PointId> ids,
     // Reorder records at the median and write the halves: the left half
     // reuses this entry's quantized block, the right half is appended.
     RecordSplit halves = SplitRecordsAtMedian(ids, coords, dims, mbr);
-    IQ_RETURN_NOT_OK(RewriteEntry(dir_index, std::move(halves.left_ids),
+    IQ_RETURN_NOT_OK(RewriteEntry(head, dir_index,
+                                  std::move(halves.left_ids),
                                   std::move(halves.left_coords)));
-    return InsertRecords(std::move(halves.right_ids),
+    return InsertRecords(head, std::move(halves.right_ids),
                          std::move(halves.right_coords));
   }
 
@@ -186,14 +188,14 @@ Status IqTree::RewriteEntry(size_t dir_index, std::vector<PointId> ids,
   DirEntry entry = dir_[dir_index];
   entry.mbr = mbr;
   entry.quant_bits = g_fit;
-  IQ_RETURN_NOT_OK(WriteEntryPages(&entry, ids, coords,
+  IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, ids, coords,
                                    /*append_qpage=*/false));
   dir_[dir_index] = entry;
   dirty_ = true;
   return Status::OK();
 }
 
-Status IqTree::InsertRecords(std::vector<PointId> ids,
+Status IqTree::InsertRecords(DiskHead& head, std::vector<PointId> ids,
                              std::vector<float> coords) {
   if (ids.empty()) return Status::OK();
   const size_t dims = meta_.dims;
@@ -204,13 +206,13 @@ Status IqTree::InsertRecords(std::vector<PointId> ids,
           : (ids.size() <= QuantPageCapacity(dims, kExactBits, block_size)
                  ? kExactBits
                  : 0);
-  if (g_fit != 0) return AppendEntry(ids, coords);
+  if (g_fit != 0) return AppendEntry(head, ids, coords);
   // Too many records for any level: median-split and recurse.
   const Mbr mbr = MbrOfCoords(coords.data(), ids.size(), dims);
   RecordSplit halves = SplitRecordsAtMedian(ids, coords, dims, mbr);
-  IQ_RETURN_NOT_OK(InsertRecords(std::move(halves.left_ids),
+  IQ_RETURN_NOT_OK(InsertRecords(head, std::move(halves.left_ids),
                                  std::move(halves.left_coords)));
-  return InsertRecords(std::move(halves.right_ids),
+  return InsertRecords(head, std::move(halves.right_ids),
                        std::move(halves.right_coords));
 }
 
@@ -226,14 +228,15 @@ Status IqTree::Insert(PointId id, PointView p) {
   if (p.size() != meta_.dims) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  return FinishUpdate(InsertPoint(id, p));
+  DiskHead head;
+  return FinishUpdate(InsertPoint(head, id, p));
 }
 
-Status IqTree::InsertPoint(PointId id, PointView p) {
+Status IqTree::InsertPoint(DiskHead& head, PointId id, PointView p) {
   if (dir_.empty()) {
     std::vector<PointId> ids{id};
     std::vector<float> coords(p.begin(), p.end());
-    IQ_RETURN_NOT_OK(AppendEntry(ids, coords));
+    IQ_RETURN_NOT_OK(AppendEntry(head, ids, coords));
     // Count the point only once the write is durable: on failure the
     // in-memory metadata must keep matching the actual index contents,
     // or a later Flush persists the lie.
@@ -243,10 +246,11 @@ Status IqTree::InsertPoint(PointId id, PointView p) {
   const size_t best = LeastEnlargementTarget(dir_, p);
   std::vector<PointId> ids;
   std::vector<float> coords;
-  IQ_RETURN_NOT_OK(LoadExactPage(best, &ids, &coords));
+  IQ_RETURN_NOT_OK(LoadExactPage(head, best, &ids, &coords));
   ids.push_back(id);
   coords.insert(coords.end(), p.begin(), p.end());
-  IQ_RETURN_NOT_OK(RewriteEntry(best, std::move(ids), std::move(coords)));
+  IQ_RETURN_NOT_OK(
+      RewriteEntry(head, best, std::move(ids), std::move(coords)));
   meta_.total_points += 1;
   return Status::OK();
 }
@@ -259,16 +263,17 @@ Status IqTree::InsertBatch(std::span<const PointId> ids,
   if (ids.size() != points.size()) {
     return Status::InvalidArgument("ids/points size mismatch");
   }
-  return FinishUpdate(InsertRows(ids, points));
+  DiskHead head;
+  return FinishUpdate(InsertRows(head, ids, points));
 }
 
-Status IqTree::InsertRows(std::span<const PointId> ids,
+Status IqTree::InsertRows(DiskHead& head, std::span<const PointId> ids,
                           const Dataset& points) {
   size_t first = 0;
   if (dir_.empty()) {
     if (points.size() == 0) return Status::OK();
     // Seed the directory with the first point, then route the rest.
-    IQ_RETURN_NOT_OK(InsertPoint(ids[0], points[0]));
+    IQ_RETURN_NOT_OK(InsertPoint(head, ids[0], points[0]));
     first = 1;
   }
   // Route every point to its target page under the *current* directory,
@@ -281,13 +286,14 @@ Status IqTree::InsertRows(std::span<const PointId> ids,
   for (const auto& [dir_index, rows] : by_entry) {
     std::vector<PointId> page_ids;
     std::vector<float> page_coords;
-    IQ_RETURN_NOT_OK(LoadExactPage(dir_index, &page_ids, &page_coords));
+    IQ_RETURN_NOT_OK(
+        LoadExactPage(head, dir_index, &page_ids, &page_coords));
     for (size_t r : rows) {
       page_ids.push_back(ids[r]);
       const PointView p = points[r];
       page_coords.insert(page_coords.end(), p.begin(), p.end());
     }
-    IQ_RETURN_NOT_OK(RewriteEntry(dir_index, std::move(page_ids),
+    IQ_RETURN_NOT_OK(RewriteEntry(head, dir_index, std::move(page_ids),
                                   std::move(page_coords)));
     // Count each group only after its rewrite lands. A failed group
     // leaves the earlier (successful) groups both written and counted,
@@ -301,15 +307,16 @@ Status IqTree::Remove(PointId id, PointView p) {
   if (p.size() != meta_.dims) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  return FinishUpdate(RemovePoint(id, p));
+  DiskHead head;
+  return FinishUpdate(RemovePoint(head, id, p));
 }
 
-Status IqTree::RemovePoint(PointId id, PointView p) {
+Status IqTree::RemovePoint(DiskHead& head, PointId id, PointView p) {
   for (size_t i = 0; i < dir_.size(); ++i) {
     if (!dir_[i].mbr.Contains(p)) continue;
     std::vector<PointId> ids;
     std::vector<float> coords;
-    IQ_RETURN_NOT_OK(LoadExactPage(i, &ids, &coords));
+    IQ_RETURN_NOT_OK(LoadExactPage(head, i, &ids, &coords));
     const auto it = std::find(ids.begin(), ids.end(), id);
     if (it == ids.end()) continue;
     const size_t slot = static_cast<size_t>(it - ids.begin());
@@ -320,7 +327,8 @@ Status IqTree::RemovePoint(PointId id, PointView p) {
     // RewriteEntry re-tightens the MBR and re-quantizes at the finest
     // level the shrunk page now fits. Decrement the count only once the
     // rewrite succeeds (same torn-metadata hazard as Insert).
-    IQ_RETURN_NOT_OK(RewriteEntry(i, std::move(ids), std::move(coords)));
+    IQ_RETURN_NOT_OK(
+        RewriteEntry(head, i, std::move(ids), std::move(coords)));
     meta_.total_points -= 1;
     return Status::OK();
   }

@@ -37,7 +37,6 @@ Result<MethodStats> Experiment::RunIqTree(bool quantize,
   IQ_ASSIGN_OR_RETURN(auto tree, IqTree::Build(data_, storage, "iq", disk,
                                                options));
   disk.ResetStats();
-  disk.InvalidateHead();
   IqSearchOptions search;
   search.optimized_access = optimized_access;
   for (size_t i = 0; i < queries_.size(); ++i) {
@@ -47,7 +46,6 @@ Result<MethodStats> Experiment::RunIqTree(bool quantize,
       IQ_RETURN_NOT_OK(
           tree->KNearestNeighbors(queries_[i], k_, search).status());
     }
-    disk.InvalidateHead();
   }
   return Summarize(disk.stats(), queries_.size(), tree->num_pages());
 }
@@ -60,14 +58,12 @@ Result<MethodStats> Experiment::RunXTree() const {
   IQ_ASSIGN_OR_RETURN(auto tree, XTree::Build(data_, storage, "x", disk,
                                               options));
   disk.ResetStats();
-  disk.InvalidateHead();
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (k_ == 1) {
       IQ_RETURN_NOT_OK(tree->NearestNeighbor(queries_[i]).status());
     } else {
       IQ_RETURN_NOT_OK(tree->KNearestNeighbors(queries_[i], k_).status());
     }
-    disk.InvalidateHead();
   }
   return Summarize(disk.stats(), queries_.size(),
                    tree->ComputeStats().num_data_pages);
@@ -82,14 +78,12 @@ Result<MethodStats> Experiment::RunVaFile(unsigned bits_per_dim) const {
   IQ_ASSIGN_OR_RETURN(auto va, VaFile::Build(data_, storage, "va", disk,
                                              options));
   disk.ResetStats();
-  disk.InvalidateHead();
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (k_ == 1) {
       IQ_RETURN_NOT_OK(va->NearestNeighbor(queries_[i]).status());
     } else {
       IQ_RETURN_NOT_OK(va->KNearestNeighbors(queries_[i], k_).status());
     }
-    disk.InvalidateHead();
   }
   return Summarize(disk.stats(), queries_.size(), va->size());
 }
@@ -119,14 +113,12 @@ Result<MethodStats> Experiment::RunSeqScan() const {
   IQ_ASSIGN_OR_RETURN(auto scan, SeqScan::Build(data_, storage, "scan", disk,
                                                 options));
   disk.ResetStats();
-  disk.InvalidateHead();
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (k_ == 1) {
       IQ_RETURN_NOT_OK(scan->NearestNeighbor(queries_[i]).status());
     } else {
       IQ_RETURN_NOT_OK(scan->KNearestNeighbors(queries_[i], k_).status());
     }
-    disk.InvalidateHead();
   }
   return Summarize(disk.stats(), queries_.size(), scan->size());
 }

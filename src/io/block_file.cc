@@ -19,7 +19,8 @@ uint64_t BlockFile::NumBlocks() const {
   return CeilDiv(file_->Size(), block_size());
 }
 
-Status BlockFile::ReadRange(uint64_t first, uint64_t count, void* out) const {
+Status BlockFile::ReadRange(DiskHead& head, uint64_t first, uint64_t count,
+                            void* out) const {
   if (count == 0) return Status::OK();
   if (first + count > NumBlocks()) {
     return Status::OutOfRange("block range [" + std::to_string(first) + ", " +
@@ -27,7 +28,7 @@ Status BlockFile::ReadRange(uint64_t first, uint64_t count, void* out) const {
                               ") past end of file with " +
                               std::to_string(NumBlocks()) + " blocks");
   }
-  disk_->ChargeRead(file_id_, first, count);
+  disk_->ChargeRead(head, file_id_, first, count);
   return ReadRaw(first, count, out);
 }
 
@@ -45,22 +46,23 @@ Status BlockFile::ReadRaw(uint64_t first, uint64_t count, void* out) const {
   return Status::OK();
 }
 
-Status BlockFile::ReadBlock(uint64_t index, void* out) const {
-  return ReadRange(index, 1, out);
+Status BlockFile::ReadBlock(DiskHead& head, uint64_t index, void* out) const {
+  return ReadRange(head, index, 1, out);
 }
 
-Status BlockFile::WriteBlock(uint64_t index, const void* data) {
+Status BlockFile::WriteBlock(DiskHead& head, uint64_t index,
+                             const void* data) {
   if (index > NumBlocks()) {
     return Status::OutOfRange("write past end: block " + std::to_string(index));
   }
-  disk_->ChargeWrite(file_id_, index, 1);
+  disk_->ChargeWrite(head, file_id_, index, 1);
   return file_->Write(index * static_cast<uint64_t>(block_size()),
                       block_size(), data);
 }
 
-Result<uint64_t> BlockFile::AppendBlock(const void* data) {
+Result<uint64_t> BlockFile::AppendBlock(DiskHead& head, const void* data) {
   const uint64_t index = NumBlocks();
-  IQ_RETURN_NOT_OK(WriteBlock(index, data));
+  IQ_RETURN_NOT_OK(WriteBlock(head, index, data));
   return index;
 }
 

@@ -15,16 +15,18 @@ namespace iq {
 
 /// A file of fixed-size blocks with simulated-disk accounting.
 ///
-/// Every read/write is charged to the shared DiskModel: a seek if the
-/// head is elsewhere plus t_xfer per block. ReadRange is the primitive
-/// the page schedulers build on — reading blocks [first, first+count)
-/// in one call models one sequential transfer (possibly over-reading
-/// blocks the caller does not need).
+/// Every read/write is charged through the DiskModel to the calling
+/// operation's DiskHead: a seek if that head is elsewhere plus t_xfer
+/// per block. ReadRange is the primitive the page schedulers build on —
+/// reading blocks [first, first+count) in one call models one
+/// sequential transfer (possibly over-reading blocks the caller does
+/// not need).
 ///
-/// Concurrency: ReadRange/ReadBlock are safe from many threads at once
-/// — the backing File reads positionally (pread-style) and the
-/// DiskModel synchronizes internally. Writes need external exclusion,
-/// per the single-writer model (docs/concurrency.md).
+/// Concurrency: ReadRange/ReadBlock are safe from many threads at once,
+/// each with its own head — the backing File reads positionally
+/// (pread-style) and the DiskModel's totals are atomic. Writes need
+/// external exclusion, per the single-writer model
+/// (docs/concurrency.md).
 ///
 /// Lifecycle: default-construct, then Open() exactly once before any
 /// I/O — the Open-before-I/O protocol (common/contract.h) that the
@@ -46,18 +48,21 @@ class BlockFile {
   uint64_t NumBlocks() const IQ_TS_REQUIRES("open");
 
   /// Reads `count` blocks starting at `first` into `out` (must hold
-  /// count * block_size bytes). Charges one access to the disk model.
-  Status ReadRange(uint64_t first, uint64_t count, void* out) const
-      IQ_TS_REQUIRES("open");
+  /// count * block_size bytes). Charges one access to `head`.
+  Status ReadRange(DiskHead& head, uint64_t first, uint64_t count,
+                   void* out) const IQ_TS_REQUIRES("open");
 
   /// Reads one block.
-  Status ReadBlock(uint64_t index, void* out) const IQ_TS_REQUIRES("open");
+  Status ReadBlock(DiskHead& head, uint64_t index, void* out) const
+      IQ_TS_REQUIRES("open");
 
   /// Writes one block (extends the file if index == NumBlocks()).
-  Status WriteBlock(uint64_t index, const void* data) IQ_TS_REQUIRES("open");
+  Status WriteBlock(DiskHead& head, uint64_t index, const void* data)
+      IQ_TS_REQUIRES("open");
 
   /// Appends a block and returns its index.
-  Result<uint64_t> AppendBlock(const void* data) IQ_TS_REQUIRES("open");
+  Result<uint64_t> AppendBlock(DiskHead& head, const void* data)
+      IQ_TS_REQUIRES("open");
 
   /// Disk-model file id (used by schedulers to reason about the head).
   uint32_t file_id() const { return file_id_; }

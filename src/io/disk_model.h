@@ -1,11 +1,10 @@
 #ifndef IQ_IO_DISK_MODEL_H_
 #define IQ_IO_DISK_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "common/math_utils.h"
-#include "common/thread_annotations.h"
-#include "common/mutex.h"
 
 namespace iq {
 
@@ -27,15 +26,13 @@ struct DiskParameters {
   double SeekEquivalentBlocks() const { return seek_time_s / xfer_time_s; }
 };
 
-/// Cumulative I/O accounting for one index / one experiment.
+/// Cumulative I/O accounting for one operation, index or experiment.
 struct IoStats {
   uint64_t seeks = 0;
   uint64_t blocks_read = 0;
   uint64_t blocks_written = 0;
   /// Simulated elapsed I/O time in seconds.
   double io_time_s = 0.0;
-
-  void Reset() { *this = IoStats{}; }
 
   IoStats operator-(const IoStats& other) const {
     IoStats out;
@@ -45,9 +42,34 @@ struct IoStats {
     out.io_time_s = io_time_s - other.io_time_s;
     return out;
   }
+
+  IoStats& operator+=(const IoStats& other) {
+    seeks += other.seeks;
+    blocks_read += other.blocks_read;
+    blocks_written += other.blocks_written;
+    io_time_s += other.io_time_s;
+    return *this;
+  }
 };
 
-/// Deterministic single-head disk simulator.
+/// The disk head of one operation (a query, an update, a build, a
+/// validation scan) and that operation's own I/O clock. Every public
+/// index operation starts from a fresh head — the paper's "head
+/// invalidated before each query" (§2) — so its first access pays a
+/// seek and its cost never depends on what ran before or beside it.
+/// Owned by the operation's thread; never shared.
+struct DiskHead {
+  /// False until the first access: a fresh head is positioned nowhere.
+  bool valid = false;
+  uint32_t file = 0;
+  /// Next block under the head.
+  uint64_t next_block = 0;
+  /// This operation's I/O so far; `stats.io_time_s` is its simulated
+  /// clock.
+  IoStats stats;
+};
+
+/// Deterministic disk simulator.
 ///
 /// The model is the one the paper uses (§2): files are linear block
 /// arrays; accessing a block sequence costs one seek (t_seek) unless the
@@ -56,16 +78,17 @@ struct IoStats {
 /// paper). The head position is tracked across files: reading block b of
 /// file f immediately after block b-1 of the same file is sequential.
 ///
-/// All indexes in this library charge their I/O through one DiskModel so
+/// The head belongs to the operation (DiskHead), not to the disk: every
+/// Charge* moves the caller's head and adds to the caller's IoStats, so
+/// per-operation costs are exact under any concurrency. The model keeps
+/// only its immutable parameters, a file-id counter and running totals
+/// over all operations (relaxed atomics, added charge by charge in the
+/// order the head's clock takes them).
+/// All indexes in this library charge their I/O through a DiskModel so
 /// their simulated query times are directly comparable.
 ///
-/// Thread-safe: one internal mutex guards the cumulative stats and the
-/// head position, so concurrent queries can charge the same model
-/// without corrupting the accounting. Head tracking stays meaningful
-/// only for sequential use — under concurrency every thread moves the
-/// one simulated head, so seek counts become an upper bound (the
-/// interleaving is still deterministic accounting, just not a faithful
-/// single-query cost; see docs/concurrency.md).
+/// Thread-safe: any number of threads may charge one model at once,
+/// each with its own head.
 class DiskModel {
  public:
   explicit DiskModel(DiskParameters params = DiskParameters())
@@ -73,58 +96,57 @@ class DiskModel {
 
   const DiskParameters& params() const { return params_; }
 
-  /// Consistent snapshot of the cumulative accounting.
-  IoStats stats() const IQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  /// Running totals over every operation charged so far. Each field is
+  /// read on its own; a snapshot taken while other threads charge may
+  /// mix fields from before and after one of their charges.
+  IoStats stats() const;
 
-  void ResetStats() IQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_.Reset();
-  }
+  void ResetStats();
 
-  /// Simulated clock (seconds of I/O performed so far).
-  double Now() const IQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_.io_time_s;
+  /// Simulated clock: seconds of I/O charged so far, over all
+  /// operations.
+  double Now() const {
+    return totals_.io_time_s.load(std::memory_order_relaxed);
   }
 
   /// Charges a read of `count` blocks starting at `first_block` of file
-  /// `file_id`. Charges a seek unless the head is already there.
-  void ChargeRead(uint32_t file_id, uint64_t first_block, uint64_t count)
-      IQ_EXCLUDES(mu_);
+  /// `file_id` to `head`. Charges a seek unless the head is already
+  /// there.
+  void ChargeRead(DiskHead& head, uint32_t file_id, uint64_t first_block,
+                  uint64_t count);
 
   /// Charges a write (same cost structure as a read in this model).
-  void ChargeWrite(uint32_t file_id, uint64_t first_block, uint64_t count)
-      IQ_EXCLUDES(mu_);
+  void ChargeWrite(DiskHead& head, uint32_t file_id, uint64_t first_block,
+                   uint64_t count);
 
   /// Charges a read of a byte range, rounded out to whole blocks.
-  void ChargeReadBytes(uint32_t file_id, uint64_t offset, uint64_t length)
-      IQ_EXCLUDES(mu_);
+  void ChargeReadBytes(DiskHead& head, uint32_t file_id, uint64_t offset,
+                       uint64_t length);
 
-  /// Forgets the head position (e.g. after another process used the
-  /// disk); the next access will pay a seek.
-  void InvalidateHead() IQ_EXCLUDES(mu_);
+  /// No-op. Every operation already starts from a fresh DiskHead; this
+  /// stays for perfbench/, its only caller, which invalidates by hand
+  /// before each operation.
+  void InvalidateHead() {}
 
   /// Allocates a unique file id for head tracking.
-  uint32_t RegisterFile() IQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return next_file_id_++;
+  uint32_t RegisterFile() {
+    return next_file_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
-  void Access(uint32_t file_id, uint64_t first_block, uint64_t count,
-              bool is_write) IQ_REQUIRES(mu_);
+  void Access(DiskHead& head, uint32_t file_id, uint64_t first_block,
+              uint64_t count, bool is_write);
+
+  struct Totals {
+    std::atomic<uint64_t> seeks{0};
+    std::atomic<uint64_t> blocks_read{0};
+    std::atomic<uint64_t> blocks_written{0};
+    std::atomic<double> io_time_s{0.0};
+  };
 
   const DiskParameters params_;
-
-  mutable Mutex mu_{IQ_LOCK_RANK(60)};
-  IoStats stats_ IQ_GUARDED_BY(mu_);
-  uint32_t next_file_id_ IQ_GUARDED_BY(mu_) = 0;
-  bool head_valid_ IQ_GUARDED_BY(mu_) = false;
-  uint32_t head_file_ IQ_GUARDED_BY(mu_) = 0;
-  uint64_t head_block_ IQ_GUARDED_BY(mu_) = 0;  // next block under the head
+  std::atomic<uint32_t> next_file_id_{0};
+  Totals totals_;
 };
 
 }  // namespace iq

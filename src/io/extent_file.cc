@@ -13,31 +13,36 @@ Status ExtentFile::Open(Storage& storage, const std::string& name,
   return Status::OK();
 }
 
-Result<Extent> ExtentFile::Append(const void* data, uint64_t length) {
+Result<Extent> ExtentFile::Append(DiskHead& head, const void* data,
+                                  uint64_t length) {
   Extent extent{file_->Size(), length};
   if (length > 0) {
-    disk_->ChargeWrite(file_id_, extent.offset / disk_->params().block_size,
+    disk_->ChargeWrite(head, file_id_,
+                       extent.offset / disk_->params().block_size,
                        BlocksSpanned(extent));
     IQ_RETURN_NOT_OK(file_->Write(extent.offset, length, data));
   }
   return extent;
 }
 
-Status ExtentFile::Read(const Extent& extent, void* out) const {
+Status ExtentFile::Read(DiskHead& head, const Extent& extent,
+                        void* out) const {
   if (extent.offset + extent.length > file_->Size()) {
     return Status::OutOfRange("extent past end of file");
   }
   if (extent.length == 0) return Status::OK();
-  disk_->ChargeReadBytes(file_id_, extent.offset, extent.length);
+  disk_->ChargeReadBytes(head, file_id_, extent.offset, extent.length);
   return file_->Read(extent.offset, extent.length, out);
 }
 
-Status ExtentFile::Overwrite(const Extent& extent, const void* data) {
+Status ExtentFile::Overwrite(DiskHead& head, const Extent& extent,
+                             const void* data) {
   if (extent.offset + extent.length > file_->Size()) {
     return Status::OutOfRange("extent past end of file");
   }
   if (extent.length == 0) return Status::OK();
-  disk_->ChargeWrite(file_id_, extent.offset / disk_->params().block_size,
+  disk_->ChargeWrite(head, file_id_,
+                     extent.offset / disk_->params().block_size,
                      BlocksSpanned(extent));
   return file_->Write(extent.offset, extent.length, data);
 }

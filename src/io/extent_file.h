@@ -24,13 +24,14 @@ struct Extent {
 /// Append-oriented file of variable-size extents — the IQ-tree's third
 /// level (exact data pages have variable size, paper §3.1).
 ///
-/// Reads charge the disk model for every block the extent touches; a
-/// read that continues where the previous one ended is sequential.
+/// Reads charge the calling operation's DiskHead for every block the
+/// extent touches; a read that continues where the same head's previous
+/// access ended is sequential.
 ///
-/// Concurrency: Read is safe from many threads at once (positional
-/// File reads, internally synchronized DiskModel); Append/Overwrite
-/// need external exclusion, per the single-writer model
-/// (docs/concurrency.md).
+/// Concurrency: Read is safe from many threads at once, each with its
+/// own head (positional File reads, atomic DiskModel totals);
+/// Append/Overwrite need external exclusion, per the single-writer
+/// model (docs/concurrency.md).
 ///
 /// Lifecycle: default-construct, then Open() exactly once before any
 /// I/O — the same Open-before-I/O protocol (common/contract.h) as
@@ -47,14 +48,15 @@ class ExtentFile {
               bool create) IQ_TS_TRANSITION("closed", "open");
 
   /// Appends `length` bytes and returns where they landed.
-  Result<Extent> Append(const void* data, uint64_t length)
+  Result<Extent> Append(DiskHead& head, const void* data, uint64_t length)
       IQ_TS_REQUIRES("open");
 
   /// Reads a whole extent into `out` (must hold extent.length bytes).
-  Status Read(const Extent& extent, void* out) const IQ_TS_REQUIRES("open");
+  Status Read(DiskHead& head, const Extent& extent, void* out) const
+      IQ_TS_REQUIRES("open");
 
   /// Overwrites an extent in place (length must match).
-  Status Overwrite(const Extent& extent, const void* data)
+  Status Overwrite(DiskHead& head, const Extent& extent, const void* data)
       IQ_TS_REQUIRES("open");
 
   uint64_t SizeBytes() const IQ_TS_REQUIRES("open") { return file_->Size(); }

@@ -32,10 +32,6 @@ inline constexpr char kPoolTasksTotal[] = "iq_pool_tasks_total";
 inline constexpr char kPoolTaskWaitSeconds[] = "iq_pool_task_wait_seconds";
 inline constexpr char kPoolTaskRunSeconds[] = "iq_pool_task_run_seconds";
 
-// --- parallel query runner (src/concurrency/parallel_query_runner.cc) ----
-inline constexpr char kRunnerBatchesTotal[] = "iq_runner_batches_total";
-inline constexpr char kRunnerQueriesTotal[] = "iq_runner_queries_total";
-
 // --- sequential-scan baseline (src/scan/seq_scan.cc) ---------------------
 inline constexpr char kScanQueriesTotal[] = "iq_scan_queries_total";
 

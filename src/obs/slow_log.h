@@ -69,8 +69,8 @@ struct SlowQueryRecord {
 };
 
 /// Bounded log of outlier queries. Offer() is called once per finished
-/// query (IqSearchOptions::slow_log wires it into the search path; a
-/// ParallelQueryRunner batch offers from every worker); queries whose
+/// query (IqSearchOptions::slow_log wires it into the search path;
+/// concurrent queries may share one log); queries whose
 /// observed io_s clears the threshold are retained in a ring.
 ///
 /// Thread-safe (one internal mutex — this is an outlier path, not the

@@ -39,7 +39,7 @@ struct SpanRecord {
 /// one batch of queries — roots with parent kNoSpan delimit them).
 ///
 /// Thread-safe: all methods take an internal mutex, so one tracer may
-/// be shared by every worker of a ParallelQueryRunner batch. Tracing
+/// be shared by the shard workers of a sharded query. Tracing
 /// is opt-in per query (IqSearchOptions::tracer); a null tracer costs
 /// the hot path exactly one pointer test. With IQ_OBS_DISABLED all
 /// methods are no-ops and BeginSpan returns kNoSpan.

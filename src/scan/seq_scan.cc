@@ -48,7 +48,8 @@ bool CloserNeighbor(const Neighbor& a, const Neighbor& b) {
 void SeqScan::ChargeFullScan() const {
   const uint64_t bytes =
       sizeof(ScanHeader) + count_ * dims_ * sizeof(float);
-  disk_->ChargeRead(file_id_, 0,
+  DiskHead head;
+  disk_->ChargeRead(head, file_id_, 0,
                     CeilDiv(std::max<uint64_t>(bytes, 1),
                             disk_->params().block_size));
 }

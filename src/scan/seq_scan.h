@@ -51,6 +51,8 @@ class SeqScan {
  private:
   SeqScan() = default;
 
+  /// Charges one query's scan of the whole file: the query's only
+  /// access, so it runs on a fresh head of its own.
   void ChargeFullScan() const;
 
   PointView Vector(size_t index) const {

@@ -98,22 +98,22 @@ struct Candidate {
   size_t index = 0;
 };
 
-/// What one fan-out worker brings back from its shard.
+/// What one fan-out worker brings back from its shard: the hits and
+/// the shard query's own stats (its io.io_time_s is the shard's io_s).
 template <typename Hit>
 struct WorkerOut {
   Status status;
   std::vector<Hit> hits;
-  IqTree::QueryStats stats;
-  double io_s = 0;
+  IqQueryStats stats;
 };
 
-void AddQueryStats(IqTree::QueryStats& totals,
-                   const IqTree::QueryStats& shard) {
+void AddQueryStats(IqQueryStats& totals, const IqQueryStats& shard) {
   totals.pages_decoded += shard.pages_decoded;
   totals.blocks_transferred += shard.blocks_transferred;
   totals.batches += shard.batches;
   totals.refinements += shard.refinements;
   totals.cells_enqueued += shard.cells_enqueued;
+  totals.io += shard.io;
 }
 
 }  // namespace
@@ -177,14 +177,6 @@ Result<std::unique_ptr<ShardedSearcher>> ShardedSearcher::Open(
     searcher->shards_.push_back(std::move(shard));
   }
   return searcher;
-}
-
-void ShardedSearcher::FinishQuery(const ShardQueryStats& agg) const {
-  fanout_->Increment();
-  queried_->Add(agg.shards_queried);
-  pruned_->Add(agg.shards_pruned);
-  MutexLock lock(&query_stats_mu_);
-  last_query_stats_ = agg;
 }
 
 /// The labels of one query kind in the stitched trace: the `sharded_*`
@@ -296,12 +288,11 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
         worker_options.parent_span = shard_span;
         // `search` outlives the task: every future of the wave is
         // drained below before the next wave (or the return) starts.
-        futures.push_back(pool_->Submit([&shard, &search, worker_options]() {
+        futures.push_back(pool_->Submit([&shard, &search,
+                                         worker_options]() mutable {
           WorkerOut<Hit> out;
-          const double t0 = shard.disk->Now();
-          Result<std::vector<Hit>> r =
-              search(*shard.tree, worker_options, out.stats);
-          out.io_s = shard.disk->Now() - t0;
+          worker_options.stats = &out.stats;
+          Result<std::vector<Hit>> r = search(*shard.tree, worker_options);
           if (r.ok()) {
             out.hits = std::move(r).value();
           } else {
@@ -314,27 +305,28 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
       // function of the candidate order, never of thread timing.
       for (size_t j = next; j < wave_end; ++j) {
         WorkerOut<Hit> out = futures[j - next].get();
+        const double io_s = out.stats.io.io_time_s;
         const size_t index = candidates[j].index;
         ++agg.shards_queried;
         shards_[index].queries->Increment();
         if (tracer != nullptr && shard_spans[j - next] != obs::kNoSpan) {
           tracer->AddAttr(shard_spans[j - next], "mindist",
                           candidates[j].mindist);
-          tracer->AddAttr(shard_spans[j - next], "io_s", out.io_s);
+          tracer->AddAttr(shard_spans[j - next], "io_s", io_s);
           tracer->EndSpan(shard_spans[j - next]);
         }
         obs::FlightRecorder::Global().Record(
             obs::FlightEventType::kShardQuery,
-            static_cast<uint32_t>(index), candidates[j].mindist, out.io_s);
+            static_cast<uint32_t>(index), candidates[j].mindist, io_s);
         if (!out.status.ok()) {
           if (error.ok()) error = out.status;
           continue;
         }
         per_shard.push_back(obs::ShardCostSample{
-            index, shards_[index].predicted, out.io_s});
+            index, shards_[index].predicted, io_s});
         AddQueryStats(agg.totals, out.stats);
-        agg.io_s_sum += out.io_s;
-        agg.io_s_max = std::max(agg.io_s_max, out.io_s);
+        agg.io_s_sum += io_s;
+        agg.io_s_max = std::max(agg.io_s_max, io_s);
         bound = merge(out.hits);
       }
       if (obs::kEnabled) {
@@ -355,7 +347,10 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
     options.slow_log->Offer(tracer->Snapshot(), obs::kNoSpan, predicted_,
                             agg.dropped_spans, std::move(per_shard));
   }
-  FinishQuery(agg);
+  fanout_->Increment();
+  queried_->Add(agg.shards_queried);
+  pruned_->Add(agg.shards_pruned);
+  if (options.stats != nullptr) *options.stats = agg;
   return error;
 }
 
@@ -371,12 +366,8 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
       [&](const Mbr& bounds) {
         return Screening{true, MinDist(q, bounds, metric_), -1.0};
       },
-      [q, k](const IqTree& tree, const IqSearchOptions& shard_options,
-             IqTree::QueryStats& stats) {
-        Result<std::vector<Neighbor>> r =
-            tree.KNearestNeighbors(q, k, shard_options);
-        stats = tree.last_query_stats();
-        return r;
+      [q, k](const IqTree& tree, const IqSearchOptions& shard_options) {
+        return tree.KNearestNeighbors(q, k, shard_options);
       },
       [&heap, k](const std::vector<Neighbor>& hits) {
         for (const Neighbor& n : hits) {
@@ -407,12 +398,8 @@ Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
         const double mindist = MinDist(q, bounds, metric_);
         return Screening{mindist <= radius, mindist, radius};
       },
-      [q, radius](const IqTree& tree, const IqSearchOptions& shard_options,
-                  IqTree::QueryStats& stats) {
-        Result<std::vector<Neighbor>> r =
-            tree.RangeSearch(q, radius, shard_options);
-        stats = tree.last_query_stats();
-        return r;
+      [q, radius](const IqTree& tree, const IqSearchOptions& shard_options) {
+        return tree.RangeSearch(q, radius, shard_options);
       },
       [&results](const std::vector<Neighbor>& hits) {
         results.insert(results.end(), hits.begin(), hits.end());
@@ -440,8 +427,9 @@ Result<std::vector<PointId>> ShardedSearcher::WindowQuery(
       [&window](const Mbr& bounds) {
         return Screening{bounds.Intersects(window), 0.0, -1.0};
       },
-      [&window](const IqTree& tree, const IqSearchOptions&,
-                IqTree::QueryStats&) { return tree.WindowQuery(window); },
+      [&window](const IqTree& tree, const IqSearchOptions& shard_options) {
+        return tree.WindowQuery(window, &shard_options.stats->io);
+      },
       [&ids](const std::vector<PointId>& hits) {
         ids.insert(ids.end(), hits.begin(), hits.end());
         return kNoBound;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -33,6 +32,8 @@ namespace iq {
 /// fan-out multiplies span volume by the shard count, and a truncated
 /// trace is exactly the one the slow log exists to keep.
 inline constexpr size_t kShardedTracerMaxSpans = 1 << 20;
+
+struct ShardQueryStats;
 
 /// Per-query options of the sharded facade — the sharded analogue of
 /// IqSearchOptions, plus a deadline. Every per-shard search uses the
@@ -68,10 +69,15 @@ struct ShardedSearchOptions {
   /// search is never interrupted); an expired query returns
   /// Status::DeadlineExceeded and no partial results.
   double deadline_s = 0;
+  /// Optional result sink: when set, the query writes its own
+  /// ShardQueryStats here before returning (also when it fails after
+  /// its argument checks). An output like `tracer`, not a behaviour
+  /// switch.
+  ShardQueryStats* stats = nullptr;
 };
 
-/// Aggregated observability counters of the most recent sharded query,
-/// the facade-level analogue of IqTree::QueryStats.
+/// Aggregated observability counters of one sharded query, the
+/// facade-level analogue of IqQueryStats.
 struct ShardQueryStats {
   size_t shards_total = 0;
   /// Shards whose IQ-tree actually ran the query.
@@ -79,11 +85,13 @@ struct ShardQueryStats {
   /// Shards skipped by manifest-MBR pruning (MINDIST >= current kth
   /// distance / radius, window disjointness, or empty shards).
   size_t shards_pruned = 0;
-  /// Sums of the per-shard QueryStats (kNN/range only; WindowQuery
-  /// does not report per-query stats in the single tree either).
-  IqTree::QueryStats totals;
+  /// Sums of the per-shard IqQueryStats. For window queries only `io`
+  /// is non-zero: the single tree's WindowQuery counts nothing else
+  /// either.
+  IqQueryStats totals;
   /// Simulated I/O seconds: sum over queried shards, and the largest
   /// single shard (the critical path of a perfectly parallel gather).
+  /// Each shard's share is its own query's io.io_time_s.
   double io_s_sum = 0;
   double io_s_max = 0;
   /// Spans the query's tracer dropped at its cap — sharded fan-out
@@ -104,8 +112,8 @@ struct ShardQueryStats {
 /// kNN and range ascending by (distance, id), window ids ascending.
 ///
 /// Thread-safety: const queries are safe concurrently (every mutable
-/// piece is internally synchronized); last_query_stats() then reports
-/// some recent query's aggregate, as with IqTree.
+/// piece is internally synchronized); each query's stats go to its own
+/// ShardedSearchOptions::stats sink.
 class ShardedSearcher {
  public:
   struct Options {
@@ -142,15 +150,6 @@ class ShardedSearcher {
   Result<std::vector<PointId>> WindowQuery(
       const Mbr& window, const ShardedSearchOptions& options = {}) const;
 
-  ShardQueryStats last_query_stats() const IQ_EXCLUDES(query_stats_mu_) {
-    MutexLock lock(&query_stats_mu_);
-    return last_query_stats_;
-  }
-  void ResetQueryStats() const IQ_EXCLUDES(query_stats_mu_) {
-    MutexLock lock(&query_stats_mu_);
-    last_query_stats_ = ShardQueryStats{};
-  }
-
   /// Sum of the per-shard cost-model predictions — the "predicted"
   /// side each slow-log offer carries.
   const obs::CostBreakdown& predicted_cost() const { return predicted_; }
@@ -183,22 +182,17 @@ class ShardedSearcher {
   /// The one scatter–gather loop behind every query kind. Per shard,
   /// `screen(bounds)` keeps or prunes it with its MINDIST; survivors
   /// run in MINDIST order, in waves of the pool width, through
-  /// `search(tree, shard_options, stats)` (returns the shard's hits);
-  /// each shard's hits are folded by `merge(hits)`, which returns the
-  /// current pruning bound (remaining shards with MINDIST >= it are
-  /// skipped). Tracing, deadline, flight events, stats, wave metrics,
-  /// the slow-log offer and FinishQuery happen here once for all
-  /// kinds. Defined in the .cc.
+  /// `search(tree, shard_options)` (returns the shard's hits and fills
+  /// the shard_options.stats sink); each shard's hits are folded by
+  /// `merge(hits)`, which returns the current pruning bound (remaining
+  /// shards with MINDIST >= it are skipped). Tracing, deadline, flight
+  /// events, stats, wave metrics and the slow-log offer happen here
+  /// once for all kinds. Defined in the .cc.
   template <typename Hit, typename Screen, typename Search, typename Merge>
   Status ScatterGather(const FanOut& fan_out,
                        const ShardedSearchOptions& options,
                        const Screen& screen, const Search& search,
-                       const Merge& merge) const
-      IQ_EXCLUDES(query_stats_mu_);
-
-  /// Publishes the aggregate stats and bumps the facade counters.
-  void FinishQuery(const ShardQueryStats& agg) const
-      IQ_EXCLUDES(query_stats_mu_);
+                       const Merge& merge) const;
 
   const size_t dims_;
   const Metric metric_;
@@ -216,9 +210,6 @@ class ShardedSearcher {
   obs::Counter* const waves_;
   obs::Histogram* const wave_width_;
   obs::Histogram* const wave_seconds_;
-
-  mutable Mutex query_stats_mu_{IQ_LOCK_RANK(8)};
-  mutable ShardQueryStats last_query_stats_ IQ_GUARDED_BY(query_stats_mu_);
 };
 
 }  // namespace iq

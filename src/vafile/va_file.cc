@@ -117,15 +117,15 @@ void VaFile::Bounds(PointView q, size_t index, double* lower,
   *upper = hi_max;
 }
 
-void VaFile::ChargeApproximationScan() const {
+void VaFile::ChargeApproximationScan(DiskHead& head) const {
   const uint64_t bytes = sizeof(VaHeader) + approx_.size();
-  disk_->ChargeRead(approx_file_id_, 0,
+  disk_->ChargeRead(head, approx_file_id_, 0,
                     CeilDiv(std::max<uint64_t>(bytes, 1),
                             disk_->params().block_size));
 }
 
-void VaFile::ChargeVectorLookup(size_t index) const {
-  disk_->ChargeReadBytes(vector_file_id_,
+void VaFile::ChargeVectorLookup(DiskHead& head, size_t index) const {
+  disk_->ChargeReadBytes(head, vector_file_id_,
                          index * dims_ * sizeof(float),
                          dims_ * sizeof(float));
 }
@@ -305,7 +305,8 @@ Result<std::vector<Neighbor>> VaFile::KNearestNeighbors(PointView q,
   // in chunks and bounded through the batch filter kernel, which is
   // bound to the same global grid as Bounds() and produces bit-identical
   // values (quant/filter_kernel.h).
-  ChargeApproximationScan();
+  DiskHead head;
+  ChargeApproximationScan(head);
   const unsigned bits = options_.bits_per_dim;
   FilterKernel kernel;
   kernel.BindBounds(q, options_.metric, domain_, bits);
@@ -348,7 +349,7 @@ Result<std::vector<Neighbor>> VaFile::KNearestNeighbors(PointView q,
   size_t visited = 0;
   for (uint32_t index : candidates) {
     if (best.size() >= k && lower[index] >= worst) break;
-    ChargeVectorLookup(index);
+    ChargeVectorLookup(head, index);
     ++visited;
     const double dist = Distance(q, Vector(index), options_.metric);
     // best is a bounded max-heap on distance: replacing the worst of k
@@ -385,7 +386,8 @@ Result<std::vector<PointId>> VaFile::WindowQuery(const Mbr& window) const {
   if (window.dims() != dims_) {
     return Status::InvalidArgument("window dimensionality mismatch");
   }
-  ChargeApproximationScan();
+  DiskHead head;
+  ChargeApproximationScan(head);
   const unsigned bits = options_.bits_per_dim;
   const uint32_t cells = uint32_t{1} << bits;
   std::vector<PointId> out;
@@ -414,7 +416,7 @@ Result<std::vector<PointId>> VaFile::WindowQuery(const Mbr& window) const {
       out.push_back(static_cast<PointId>(index));
       continue;
     }
-    ChargeVectorLookup(index);
+    ChargeVectorLookup(head, index);
     ++visited;
     if (window.Contains(Vector(index))) {
       out.push_back(static_cast<PointId>(index));
@@ -433,7 +435,8 @@ Result<std::vector<Neighbor>> VaFile::RangeSearch(PointView q,
   }
   if (radius < 0) return Status::InvalidArgument("negative radius");
   VaMetrics::Get().queries->Increment();
-  ChargeApproximationScan();
+  DiskHead head;
+  ChargeApproximationScan(head);
   // Phase 1 through the batch kernel (lower bounds only — bit-identical
   // to Bounds()); phase 2 refines the candidates of each chunk.
   const unsigned bits = options_.bits_per_dim;
@@ -453,7 +456,7 @@ Result<std::vector<Neighbor>> VaFile::RangeSearch(PointView q,
     kernel.SelectCandidates(cells.data(), n, radius, &candidates);
     for (uint32_t s : candidates) {
       const size_t i = base + s;
-      ChargeVectorLookup(i);
+      ChargeVectorLookup(head, i);
       ++visited;
       const double dist = Distance(q, Vector(i), options_.metric);
       if (dist <= radius) {

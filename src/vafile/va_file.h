@@ -82,11 +82,13 @@ class VaFile {
   /// Lower/upper distance bound of point `index` to `q` from its cells.
   void Bounds(PointView q, size_t index, double* lower, double* upper) const;
 
-  /// Charges the sequential scan of the approximation file.
-  void ChargeApproximationScan() const;
+  /// Charges the sequential scan of the approximation file to the
+  /// query's `head`.
+  void ChargeApproximationScan(DiskHead& head) const;
 
-  /// Charges the random lookup of one exact vector.
-  void ChargeVectorLookup(size_t index) const;
+  /// Charges the random lookup of one exact vector to the query's
+  /// `head`.
+  void ChargeVectorLookup(DiskHead& head, size_t index) const;
 
   PointView Vector(size_t index) const {
     return PointView(vectors_.data() + index * dims_, dims_);

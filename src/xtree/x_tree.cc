@@ -48,9 +48,9 @@ uint64_t XTree::NodeBlocks(const Node& node) const {
       1, CeilDiv(node.entries.size(), NodeFanout()));
 }
 
-void XTree::ChargeNodeRead(uint32_t id) const {
+void XTree::ChargeNodeRead(DiskHead& head, uint32_t id) const {
   const Node& node = nodes_[id];
-  disk_->ChargeRead(dir_file_id_, node.first_block, NodeBlocks(node));
+  disk_->ChargeRead(head, dir_file_id_, node.first_block, NodeBlocks(node));
 }
 
 void XTree::AssignNodeBlocks() {
@@ -61,13 +61,14 @@ void XTree::AssignNodeBlocks() {
   }
 }
 
-Status XTree::ReadDataPage(uint32_t page_id, std::vector<PointId>* ids,
+Status XTree::ReadDataPage(DiskHead& head, uint32_t page_id,
+                           std::vector<PointId>* ids,
                            std::vector<float>* coords) const {
   if (page_id >= data_pages_.size()) {
     return Status::Corruption("data page id out of range");
   }
   std::vector<uint8_t> block(disk_->params().block_size);
-  IQ_RETURN_NOT_OK(page_file_->ReadBlock(data_pages_[page_id].block,
+  IQ_RETURN_NOT_OK(page_file_->ReadBlock(head, data_pages_[page_id].block,
                                          block.data()));
   QuantPageCodec codec(dims_, disk_->params().block_size);
   IQ_RETURN_NOT_OK(codec.DecodeExact(block.data(), ids, coords));
@@ -77,19 +78,21 @@ Status XTree::ReadDataPage(uint32_t page_id, std::vector<PointId>* ids,
   return Status::OK();
 }
 
-Status XTree::WriteDataPage(uint32_t page_id, const std::vector<PointId>& ids,
+Status XTree::WriteDataPage(DiskHead& head, uint32_t page_id,
+                            const std::vector<PointId>& ids,
                             const std::vector<float>& coords) {
   QuantPageCodec codec(dims_, disk_->params().block_size);
   std::vector<uint8_t> block(disk_->params().block_size);
   IQ_RETURN_NOT_OK(codec.EncodeExact(ids, coords, block.data()));
   if (page_id == data_pages_.size()) {
-    IQ_ASSIGN_OR_RETURN(uint64_t b, page_file_->AppendBlock(block.data()));
+    IQ_ASSIGN_OR_RETURN(uint64_t b,
+                        page_file_->AppendBlock(head, block.data()));
     data_pages_.push_back(
         DataPageInfo{static_cast<uint32_t>(b),
                      static_cast<uint32_t>(ids.size())});
     return Status::OK();
   }
-  IQ_RETURN_NOT_OK(page_file_->WriteBlock(data_pages_[page_id].block,
+  IQ_RETURN_NOT_OK(page_file_->WriteBlock(head, data_pages_[page_id].block,
                                           block.data()));
   data_pages_[page_id].count = static_cast<uint32_t>(ids.size());
   return Status::OK();
@@ -234,7 +237,8 @@ Result<std::unique_ptr<XTree>> XTree::Build(const Dataset& data,
   IQ_RETURN_NOT_OK(tree->page_file_->Open(storage, XPageName(name), disk,
                                           /*create=*/true));
   IQ_ASSIGN_OR_RETURN(tree->dir_file_, storage.Create(XDirName(name)));
-  IQ_RETURN_NOT_OK(tree->BulkLoad(data));
+  DiskHead head;
+  IQ_RETURN_NOT_OK(tree->BulkLoad(head, data));
   tree->dirty_ = true;
   IQ_RETURN_NOT_OK(tree->Flush());
   return tree;

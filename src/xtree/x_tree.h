@@ -109,30 +109,35 @@ class XTree {
   uint64_t NodeBlocks(const Node& node) const;
 
   /// Charges the read of node `id` (all its blocks, random access).
-  void ChargeNodeRead(uint32_t id) const;
+  /// Here and below, `head` is the calling public operation's disk
+  /// head.
+  void ChargeNodeRead(DiskHead& head, uint32_t id) const;
 
   /// Recomputes node first_block layout after structural changes.
   void AssignNodeBlocks();
 
-  Status ReadDataPage(uint32_t page_id, std::vector<PointId>* ids,
+  Status ReadDataPage(DiskHead& head, uint32_t page_id,
+                      std::vector<PointId>* ids,
                       std::vector<float>* coords) const;
-  Status WriteDataPage(uint32_t page_id, const std::vector<PointId>& ids,
+  Status WriteDataPage(DiskHead& head, uint32_t page_id,
+                       const std::vector<PointId>& ids,
                        const std::vector<float>& coords);
 
   /// Bulk load (x_tree_build.cc): data pages via the shared top-down
   /// partitioner, directory built bottom-up over the recursive order.
-  Status BulkLoad(const Dataset& data);
+  Status BulkLoad(DiskHead& head, const Dataset& data);
 
   // --- dynamic insert helpers (x_tree_update.cc) ---
-  Status InsertRecursive(uint32_t node_id, PointId id, PointView p,
-                         std::vector<Entry>* promoted);
+  Status InsertRecursive(DiskHead& head, uint32_t node_id, PointId id,
+                         PointView p, std::vector<Entry>* promoted);
   /// Returns true via `found` if the point was removed somewhere below
   /// `node_id`; the caller refreshes its summary entry.
-  Status RemoveRecursive(uint32_t node_id, PointId id, PointView p,
-                         bool* found);
+  Status RemoveRecursive(DiskHead& head, uint32_t node_id, PointId id,
+                         PointView p, bool* found);
   /// Recomputes the summary (MBR + count) of node `node_id`.
   Entry Summarize(uint32_t node_id) const;
-  Status SplitDataPage(uint32_t page_id, std::vector<PointId> ids,
+  Status SplitDataPage(DiskHead& head, uint32_t page_id,
+                       std::vector<PointId> ids,
                        std::vector<float> coords, Entry* left_entry,
                        Entry* right_entry);
   /// Splits `entries` into two groups minimizing MBR overlap; returns

@@ -7,7 +7,7 @@
 
 namespace iq {
 
-Status XTree::BulkLoad(const Dataset& data) {
+Status XTree::BulkLoad(DiskHead& head, const Dataset& data) {
   nodes_.clear();
   data_pages_.clear();
   if (data.size() == 0) {
@@ -40,7 +40,7 @@ Status XTree::BulkLoad(const Dataset& data) {
       std::copy(row, row + dims_, page_coords.data() + i * dims_);
     }
     const uint32_t page_id = static_cast<uint32_t>(data_pages_.size());
-    IQ_RETURN_NOT_OK(WriteDataPage(page_id, page_ids, page_coords));
+    IQ_RETURN_NOT_OK(WriteDataPage(head, page_id, page_ids, page_coords));
     level.push_back(Entry{partition.mbr, page_id,
                           static_cast<uint32_t>(page_ids.size())});
   }

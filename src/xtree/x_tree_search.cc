@@ -41,7 +41,7 @@ class XTreeSearcher {
       heap.pop();
       if (top.is_node) {
         const XTree::Node& node = tree_.nodes_[top.id];
-        tree_.ChargeNodeRead(top.id);
+        tree_.ChargeNodeRead(head_, top.id);
         for (const XTree::Entry& entry : node.entries) {
           const double mindist =
               MinDist(q_, entry.mbr, tree_.options_.metric);
@@ -50,7 +50,7 @@ class XTreeSearcher {
           }
         }
       } else {
-        IQ_RETURN_NOT_OK(tree_.ReadDataPage(top.id, &ids, &coords));
+        IQ_RETURN_NOT_OK(tree_.ReadDataPage(head_, top.id, &ids, &coords));
         for (size_t s = 0; s < ids.size(); ++s) {
           const double dist = Distance(
               q_, PointView(coords.data() + s * tree_.dims_, tree_.dims_),
@@ -98,6 +98,7 @@ class XTreeSearcher {
   const XTree& tree_;
   PointView q_;
   size_t k_;
+  DiskHead head_;
   std::vector<Neighbor> results_;
   double worst_ = std::numeric_limits<double>::infinity();
 };
@@ -130,15 +131,16 @@ Result<std::vector<Neighbor>> XTree::RangeSearch(PointView q,
   std::vector<uint32_t> stack{root_};
   std::vector<PointId> ids;
   std::vector<float> coords;
+  DiskHead head;
   while (!stack.empty()) {
     const uint32_t node_id = stack.back();
     stack.pop_back();
     const Node& node = nodes_[node_id];
-    ChargeNodeRead(node_id);
+    ChargeNodeRead(head, node_id);
     for (const Entry& entry : node.entries) {
       if (MinDist(q, entry.mbr, options_.metric) > radius) continue;
       if (node.leaf_level) {
-        IQ_RETURN_NOT_OK(ReadDataPage(entry.child, &ids, &coords));
+        IQ_RETURN_NOT_OK(ReadDataPage(head, entry.child, &ids, &coords));
         for (size_t s = 0; s < ids.size(); ++s) {
           const double dist = Distance(
               q, PointView(coords.data() + s * dims_, dims_),
@@ -165,15 +167,16 @@ Result<std::vector<PointId>> XTree::WindowQuery(const Mbr& window) const {
   std::vector<uint32_t> stack{root_};
   std::vector<PointId> ids;
   std::vector<float> coords;
+  DiskHead head;
   while (!stack.empty()) {
     const uint32_t node_id = stack.back();
     stack.pop_back();
     const Node& node = nodes_[node_id];
-    ChargeNodeRead(node_id);
+    ChargeNodeRead(head, node_id);
     for (const Entry& entry : node.entries) {
       if (!window.Intersects(entry.mbr)) continue;
       if (node.leaf_level) {
-        IQ_RETURN_NOT_OK(ReadDataPage(entry.child, &ids, &coords));
+        IQ_RETURN_NOT_OK(ReadDataPage(head, entry.child, &ids, &coords));
         for (size_t s = 0; s < ids.size(); ++s) {
           if (window.Contains(PointView(coords.data() + s * dims_, dims_))) {
             out.push_back(ids[s]);

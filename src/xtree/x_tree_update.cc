@@ -19,7 +19,8 @@ double MarginEnlargement(const Mbr& mbr, PointView p) {
 
 }  // namespace
 
-Status XTree::SplitDataPage(uint32_t page_id, std::vector<PointId> ids,
+Status XTree::SplitDataPage(DiskHead& head, uint32_t page_id,
+                            std::vector<PointId> ids,
                             std::vector<float> coords, Entry* left_entry,
                             Entry* right_entry) {
   const Mbr mbr = Mbr::Of(coords.data(), ids.size(), dims_);
@@ -40,9 +41,9 @@ Status XTree::SplitDataPage(uint32_t page_id, std::vector<PointId> ids,
     out_coords.insert(out_coords.end(), coords.begin() + perm[i] * dims_,
                       coords.begin() + (perm[i] + 1) * dims_);
   }
-  IQ_RETURN_NOT_OK(WriteDataPage(page_id, left_ids, left_coords));
+  IQ_RETURN_NOT_OK(WriteDataPage(head, page_id, left_ids, left_coords));
   const uint32_t right_page = static_cast<uint32_t>(data_pages_.size());
-  IQ_RETURN_NOT_OK(WriteDataPage(right_page, right_ids, right_coords));
+  IQ_RETURN_NOT_OK(WriteDataPage(head, right_page, right_ids, right_coords));
   *left_entry = Entry{Mbr::Of(left_coords.data(), left_ids.size(), dims_),
                       page_id, static_cast<uint32_t>(left_ids.size())};
   *right_entry = Entry{Mbr::Of(right_coords.data(), right_ids.size(), dims_),
@@ -124,8 +125,8 @@ bool XTree::TrySplitNode(uint32_t node_id, Entry* left_entry,
   return true;
 }
 
-Status XTree::InsertRecursive(uint32_t node_id, PointId id, PointView p,
-                              std::vector<Entry>* promoted) {
+Status XTree::InsertRecursive(DiskHead& head, uint32_t node_id, PointId id,
+                              PointView p, std::vector<Entry>* promoted) {
   promoted->clear();
   Node& node = nodes_[node_id];
   if (node.entries.empty()) {
@@ -136,7 +137,7 @@ Status XTree::InsertRecursive(uint32_t node_id, PointId id, PointView p,
     std::vector<PointId> ids{id};
     std::vector<float> coords(p.begin(), p.end());
     const uint32_t page_id = static_cast<uint32_t>(data_pages_.size());
-    IQ_RETURN_NOT_OK(WriteDataPage(page_id, ids, coords));
+    IQ_RETURN_NOT_OK(WriteDataPage(head, page_id, ids, coords));
     node.entries.push_back(
         Entry{Mbr::Of(coords.data(), 1, dims_), page_id, 1});
     return Status::OK();
@@ -163,20 +164,20 @@ Status XTree::InsertRecursive(uint32_t node_id, PointId id, PointView p,
     const uint32_t page_id = node.entries[best].child;
     std::vector<PointId> ids;
     std::vector<float> coords;
-    IQ_RETURN_NOT_OK(ReadDataPage(page_id, &ids, &coords));
+    IQ_RETURN_NOT_OK(ReadDataPage(head, page_id, &ids, &coords));
     ids.push_back(id);
     coords.insert(coords.end(), p.begin(), p.end());
     if (ids.size() <= DataPageCapacity()) {
-      return WriteDataPage(page_id, ids, coords);
+      return WriteDataPage(head, page_id, ids, coords);
     }
     Entry left, right;
-    IQ_RETURN_NOT_OK(SplitDataPage(page_id, std::move(ids),
+    IQ_RETURN_NOT_OK(SplitDataPage(head, page_id, std::move(ids),
                                    std::move(coords), &left, &right));
     node.entries[best] = std::move(left);
     node.entries.push_back(std::move(right));
   } else {
     std::vector<Entry> child_promoted;
-    IQ_RETURN_NOT_OK(InsertRecursive(node.entries[best].child, id, p,
+    IQ_RETURN_NOT_OK(InsertRecursive(head, node.entries[best].child, id, p,
                                      &child_promoted));
     // InsertRecursive may reallocate nodes_; `node` must be re-fetched.
     Node& self = nodes_[node_id];
@@ -213,8 +214,8 @@ XTree::Entry XTree::Summarize(uint32_t node_id) const {
   return Entry{std::move(mbr), node_id, count};
 }
 
-Status XTree::RemoveRecursive(uint32_t node_id, PointId id, PointView p,
-                              bool* found) {
+Status XTree::RemoveRecursive(DiskHead& head, uint32_t node_id, PointId id,
+                              PointView p, bool* found) {
   *found = false;
   Node& node = nodes_[node_id];
   for (size_t i = 0; i < node.entries.size(); ++i) {
@@ -223,7 +224,7 @@ Status XTree::RemoveRecursive(uint32_t node_id, PointId id, PointView p,
       const uint32_t page_id = node.entries[i].child;
       std::vector<PointId> ids;
       std::vector<float> coords;
-      IQ_RETURN_NOT_OK(ReadDataPage(page_id, &ids, &coords));
+      IQ_RETURN_NOT_OK(ReadDataPage(head, page_id, &ids, &coords));
       const auto it = std::find(ids.begin(), ids.end(), id);
       if (it == ids.end()) continue;
       const size_t slot = static_cast<size_t>(it - ids.begin());
@@ -235,7 +236,7 @@ Status XTree::RemoveRecursive(uint32_t node_id, PointId id, PointView p,
         node.entries.erase(node.entries.begin() +
                            static_cast<ptrdiff_t>(i));
       } else {
-        IQ_RETURN_NOT_OK(WriteDataPage(page_id, ids, coords));
+        IQ_RETURN_NOT_OK(WriteDataPage(head, page_id, ids, coords));
         node.entries[i].mbr = Mbr::Of(coords.data(), ids.size(), dims_);
         node.entries[i].count -= 1;
       }
@@ -244,7 +245,7 @@ Status XTree::RemoveRecursive(uint32_t node_id, PointId id, PointView p,
     }
     bool child_found = false;
     IQ_RETURN_NOT_OK(
-        RemoveRecursive(node.entries[i].child, id, p, &child_found));
+        RemoveRecursive(head, node.entries[i].child, id, p, &child_found));
     // The recursion may invalidate `node`; re-fetch before mutating.
     Node& self = nodes_[node_id];
     if (!child_found) continue;
@@ -265,7 +266,8 @@ Status XTree::Remove(PointId id, PointView p) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
   bool found = false;
-  IQ_RETURN_NOT_OK(RemoveRecursive(root_, id, p, &found));
+  DiskHead head;
+  IQ_RETURN_NOT_OK(RemoveRecursive(head, root_, id, p, &found));
   if (!found) {
     return Status::NotFound("point " + std::to_string(id) +
                             " not in index");
@@ -281,7 +283,8 @@ Status XTree::Insert(PointId id, PointView p) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
   std::vector<Entry> promoted;
-  IQ_RETURN_NOT_OK(InsertRecursive(root_, id, p, &promoted));
+  DiskHead head;
+  IQ_RETURN_NOT_OK(InsertRecursive(head, root_, id, p, &promoted));
   if (!promoted.empty()) {
     Node new_root;
     new_root.leaf_level = false;

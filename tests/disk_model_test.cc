@@ -16,7 +16,8 @@ DiskParameters TestParams() {
 TEST(DiskModelTest, FirstAccessPaysSeek) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeRead(f, 0, 1);
+  DiskHead head;
+  disk.ChargeRead(head, f, 0, 1);
   EXPECT_EQ(disk.stats().seeks, 1u);
   EXPECT_EQ(disk.stats().blocks_read, 1u);
   EXPECT_DOUBLE_EQ(disk.stats().io_time_s, 0.012);
@@ -25,8 +26,9 @@ TEST(DiskModelTest, FirstAccessPaysSeek) {
 TEST(DiskModelTest, SequentialContinuationIsSeekFree) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeRead(f, 0, 4);
-  disk.ChargeRead(f, 4, 2);  // continues where the head is
+  DiskHead head;
+  disk.ChargeRead(head, f, 0, 4);
+  disk.ChargeRead(head, f, 4, 2);  // continues where the head is
   EXPECT_EQ(disk.stats().seeks, 1u);
   EXPECT_DOUBLE_EQ(disk.stats().io_time_s, 0.010 + 6 * 0.002);
 }
@@ -34,9 +36,10 @@ TEST(DiskModelTest, SequentialContinuationIsSeekFree) {
 TEST(DiskModelTest, GapOrBackwardCausesSeek) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeRead(f, 0, 1);
-  disk.ChargeRead(f, 5, 1);  // forward gap
-  disk.ChargeRead(f, 0, 1);  // backward
+  DiskHead head;
+  disk.ChargeRead(head, f, 0, 1);
+  disk.ChargeRead(head, f, 5, 1);  // forward gap
+  disk.ChargeRead(head, f, 0, 1);  // backward
   EXPECT_EQ(disk.stats().seeks, 3u);
 }
 
@@ -44,16 +47,18 @@ TEST(DiskModelTest, SwitchingFilesCausesSeek) {
   DiskModel disk(TestParams());
   const uint32_t a = disk.RegisterFile();
   const uint32_t b = disk.RegisterFile();
-  disk.ChargeRead(a, 0, 1);
-  disk.ChargeRead(b, 1, 1);
-  disk.ChargeRead(a, 1, 1);  // would have been sequential without b
+  DiskHead head;
+  disk.ChargeRead(head, a, 0, 1);
+  disk.ChargeRead(head, b, 1, 1);
+  disk.ChargeRead(head, a, 1, 1);  // would have been sequential without b
   EXPECT_EQ(disk.stats().seeks, 3u);
 }
 
 TEST(DiskModelTest, WritesTrackedSeparately) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeWrite(f, 0, 3);
+  DiskHead head;
+  disk.ChargeWrite(head, f, 0, 3);
   EXPECT_EQ(disk.stats().blocks_written, 3u);
   EXPECT_EQ(disk.stats().blocks_read, 0u);
 }
@@ -61,30 +66,42 @@ TEST(DiskModelTest, WritesTrackedSeparately) {
 TEST(DiskModelTest, ChargeReadBytesRoundsToBlocks) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
+  DiskHead head;
   // 1 byte at offset 8191 spans blocks 0 and 1.
-  disk.ChargeReadBytes(f, 8191, 2);
+  disk.ChargeReadBytes(head, f, 8191, 2);
   EXPECT_EQ(disk.stats().blocks_read, 2u);
   disk.ResetStats();
-  disk.ChargeReadBytes(f, 0, 0);  // empty read is free
+  disk.ChargeReadBytes(head, f, 0, 0);  // empty read is free
   EXPECT_EQ(disk.stats().blocks_read, 0u);
   EXPECT_EQ(disk.stats().seeks, 0u);
 }
 
-TEST(DiskModelTest, InvalidateHeadForcesSeek) {
+TEST(DiskModelTest, FreshHeadPaysSeek) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeRead(f, 0, 2);
-  disk.InvalidateHead();
-  disk.ChargeRead(f, 2, 1);  // would have been sequential
+  DiskHead first;
+  disk.ChargeRead(first, f, 0, 2);
+  // A second operation starts from its own head: block 2 would have
+  // been sequential for `first`, but a fresh head pays the seek.
+  DiskHead second;
+  disk.ChargeRead(second, f, 2, 1);
+  EXPECT_EQ(second.stats.seeks, 1u);
+  EXPECT_DOUBLE_EQ(second.stats.io_time_s, 0.012);
+  // `first` still sits at block 2, and the totals cover both heads.
+  disk.ChargeRead(first, f, 2, 1);
+  EXPECT_EQ(first.stats.seeks, 1u);
+  EXPECT_EQ(first.stats.blocks_read, 3u);
   EXPECT_EQ(disk.stats().seeks, 2u);
+  EXPECT_EQ(disk.stats().blocks_read, 4u);
 }
 
 TEST(DiskModelTest, StatsSubtraction) {
   DiskModel disk(TestParams());
   const uint32_t f = disk.RegisterFile();
-  disk.ChargeRead(f, 0, 2);
+  DiskHead head;
+  disk.ChargeRead(head, f, 0, 2);
   const IoStats before = disk.stats();
-  disk.ChargeRead(f, 2, 3);
+  disk.ChargeRead(head, f, 2, 3);
   const IoStats delta = disk.stats() - before;
   EXPECT_EQ(delta.blocks_read, 3u);
   EXPECT_EQ(delta.seeks, 0u);

@@ -156,12 +156,10 @@ TEST(IqSearchIoTest, OptimizedAccessUsesFewerSeeks) {
 
   auto run = [&](bool optimized) {
     disk.ResetStats();
-    disk.InvalidateHead();
     IqSearchOptions search;
     search.optimized_access = optimized;
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_TRUE((*tree)->NearestNeighbor(queries[i], search).ok());
-      disk.InvalidateHead();
     }
     return disk.stats();
   };
@@ -186,10 +184,8 @@ TEST(IqSearchIoTest, QuantizationReadsFewerBlocksThanExactHighDim) {
 
   auto run = [&](IqTree& tree) {
     disk.ResetStats();
-    disk.InvalidateHead();
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_TRUE(tree.NearestNeighbor(queries[i]).ok());
-      disk.InvalidateHead();
     }
     return disk.stats().io_time_s;
   };
@@ -326,7 +322,6 @@ GoldenPlan RunGoldenPlan(const GoldenSetup& setup) {
   search.optimized_access = true;
   for (size_t qi = setup.first_query; qi < queries.size(); ++qi) {
     disk.ResetStats();
-    disk.InvalidateHead();
     auto got = (*tree)->KNearestNeighbors(queries[qi], 10, search);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (!got.ok()) return plan;

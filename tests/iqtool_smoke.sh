@@ -29,15 +29,30 @@ trap 'rm -rf "$DIR"' EXIT
     --radius 0.4 >/dev/null
 "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
     --json | grep -q '"queries"'
-# Batch mode shares one tracer: the dropped-span count and the number
-# of calibrated queries are always reported (no drops at this size).
+# Batch mode runs the queries on a thread pool, each with its own
+# tracer and stats sink: every query is calibrated, and each query's
+# stats and the calibration report are the same, byte for byte, as
+# when the queries run one after another.
 "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
     --threads 2 --json > "$DIR/profile.json"
 grep -q '"queries"' "$DIR/profile.json"
-grep -Eq '"dropped_spans": ?0, ?"calibrated_queries": ?[0-9]+' \
+# With observability compiled out (-DIQ_OBS_DISABLED) traces are empty
+# and calibration records nothing.
+calibrated=4
+if grep -q '"trace":\[\]' "$DIR/profile.json"; then calibrated=0; fi
+grep -Eq "\"dropped_spans\": ?0, ?\"calibrated_queries\": ?$calibrated" \
     "$DIR/profile.json"
 "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 4 --k 2 \
-    --threads 2 | grep -Eq '^dropped_spans=0, calibrated [0-9]+ of 4 queries$'
+    --threads 2 \
+    | grep -Eq "^dropped_spans=0, calibrated $calibrated of 4 queries\$"
+for threads in 1 4; do
+  "$IQTOOL" profile --dir "$DIR" --index idx --queries ds --limit 8 --k 3 \
+      --threads "$threads" --json \
+      | grep -Eo '"stats":\{[^}]*\}|"calibration":.*"metrics"' \
+      > "$DIR/observed-$threads.txt"
+done
+grep -q '"seeks"' "$DIR/observed-1.txt"
+cmp "$DIR/observed-1.txt" "$DIR/observed-4.txt"
 "$IQTOOL" validate --dir "$DIR" --index idx | grep -q "^OK"
 "$IQTOOL" reopt --dir "$DIR" --index idx | grep -q "reoptimized"
 "$IQTOOL" validate --dir "$DIR" --index idx | grep -q "^OK"

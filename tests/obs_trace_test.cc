@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -13,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "concurrency/parallel_query_runner.h"
+#include "concurrency/thread_pool.h"
 #include "core/iq_tree.h"
 #include "data/generators.h"
 #include "io/storage.h"
@@ -143,6 +144,14 @@ class TracedQueryTest : public ::testing::Test {
               static_cast<double>(stats.refinements));
     EXPECT_EQ(AggregateSpans(spans, "page", "cells_enqueued"),
               static_cast<double>(stats.cells_enqueued));
+    // Every span's io_s is a difference of the query's own clock, so
+    // the spans add up to the query's io (up to rounding).
+    double io_s = 0;
+    for (const char* kind : {"dir_scan", "batch", "refine", "exact_page"}) {
+      io_s += AggregateSpans(spans, kind, "io_s");
+    }
+    EXPECT_NEAR(io_s, stats.io.io_time_s, 1e-9);
+    EXPECT_GT(stats.io.seeks, 0u);
   }
 
   Dataset data_{1};
@@ -156,8 +165,10 @@ TEST_F(TracedQueryTest, KnnSpanAggregatesEqualQueryStats) {
   BuildTree(4000, 12, 11);
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryTracer tracer;
+    IqTree::QueryStats stats;
     IqSearchOptions options;
     options.tracer = &tracer;
+    options.stats = &stats;
     auto hits = tree_->KNearestNeighbors(queries_[i], 5, options);
     ASSERT_TRUE(hits.ok()) << hits.status().ToString();
     if (!obs::kEnabled) {
@@ -167,34 +178,38 @@ TEST_F(TracedQueryTest, KnnSpanAggregatesEqualQueryStats) {
     const std::vector<SpanRecord> spans = tracer.Snapshot();
     ASSERT_FALSE(spans.empty());
     EXPECT_EQ(spans[0].name, "knn");
-    ExpectSpansMatchStats(spans, tree_->last_query_stats());
+    ExpectSpansMatchStats(spans, stats);
   }
 }
 
 TEST_F(TracedQueryTest, RangeSpanAggregatesEqualQueryStats) {
   BuildTree(4000, 12, 12);
   QueryTracer tracer;
+  IqTree::QueryStats stats;
   IqSearchOptions options;
   options.tracer = &tracer;
+  options.stats = &stats;
   auto hits = tree_->RangeSearch(queries_[0], 0.4, options);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   if (!obs::kEnabled) return;
   const std::vector<SpanRecord> spans = tracer.Snapshot();
   ASSERT_FALSE(spans.empty());
   EXPECT_EQ(spans[0].name, "range");
-  ExpectSpansMatchStats(spans, tree_->last_query_stats());
+  ExpectSpansMatchStats(spans, stats);
 }
 
 TEST_F(TracedQueryTest, StandardAccessKnnAlsoConsistent) {
   BuildTree(4000, 12, 13);
   QueryTracer tracer;
+  IqTree::QueryStats stats;
   IqSearchOptions options;
   options.optimized_access = false;
   options.tracer = &tracer;
+  options.stats = &stats;
   auto hits = tree_->KNearestNeighbors(queries_[0], 3, options);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   if (!obs::kEnabled) return;
-  ExpectSpansMatchStats(tracer.Snapshot(), tree_->last_query_stats());
+  ExpectSpansMatchStats(tracer.Snapshot(), stats);
 }
 
 TEST_F(TracedQueryTest, TracingDoesNotChangeResults) {
@@ -228,16 +243,17 @@ TEST_F(TracedQueryTest, SharedTracerParallelBatchBitIdentical) {
   QueryTracer tracer;
   IqSearchOptions options;
   options.tracer = &tracer;
-  ParallelQueryRunner runner(*tree_, 4);
-  auto batch = runner.KnnBatch(queries_, 5, options);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), expected.size());
+  ThreadPool pool(4);
+  std::vector<std::future<Result<std::vector<Neighbor>>>> batch;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    batch.push_back(pool.Submit(
+        [&, i] { return tree_->KNearestNeighbors(queries_[i], 5, options); }));
+  }
   for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ((*batch)[i].size(), expected[i].size()) << "query " << i;
-    for (size_t s = 0; s < expected[i].size(); ++s) {
-      EXPECT_EQ((*batch)[i][s].id, expected[i][s].id);
-      EXPECT_EQ((*batch)[i][s].distance, expected[i][s].distance);
-    }
+    const Result<std::vector<Neighbor>> got = batch[i].get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    // operator== on Neighbor is exact: ids and distances bit for bit.
+    EXPECT_EQ(*got, expected[i]) << "query " << i;
   }
   if (!obs::kEnabled) return;
   // One root span per query made it into the shared trace.

@@ -6,6 +6,7 @@
 // speed.
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,9 +29,9 @@ struct MatrixCase {
   uint64_t seed;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
+std::string MatrixCaseName(const MatrixCase& c) {
   std::string name;
-  switch (info.param.workload) {
+  switch (c.workload) {
     case Workload::kUniform:
       name = "Uniform";
       break;
@@ -44,10 +45,21 @@ std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
       name = "Weather";
       break;
   }
-  name += std::to_string(info.param.dims);
-  name += info.param.metric == Metric::kL2 ? "L2" : "LMax";
-  name += "Seed" + std::to_string(info.param.seed);
+  name += std::to_string(c.dims);
+  name += c.metric == Metric::kL2 ? "L2" : "LMax";
+  name += "Seed" + std::to_string(c.seed);
   return name;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
+  return MatrixCaseName(info.param);
+}
+
+// gtest would otherwise print the parameter as a raw byte dump that
+// includes the struct's uninitialised padding, so the listed test names
+// would differ between builds of the same source.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << MatrixCaseName(c);
 }
 
 Dataset MakeWorkload(Workload workload, size_t n, size_t dims,

@@ -57,7 +57,6 @@ TEST_F(SeqScanTest, CostIsOneSequentialPass) {
   auto scan = SeqScan::Build(data, storage_, "s", disk_, {});
   ASSERT_TRUE(scan.ok());
   disk_.ResetStats();
-  disk_.InvalidateHead();
   const std::vector<float> q(16, 0.5f);
   ASSERT_TRUE((*scan)->NearestNeighbor(q).ok());
   EXPECT_EQ(disk_.stats().seeks, 1u);

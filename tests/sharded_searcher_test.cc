@@ -160,13 +160,16 @@ TEST(ShardedSearcherTest, MbrPruningSkipsFarShardsOnClusteredData) {
   Fixture f = MakeFixture(data, 4, ShardPlan::kRankPartition,
                           /*batch_points=*/32, /*threads=*/1);
   std::vector<float> q(data[0].begin(), data[0].end());
+  ShardQueryStats stats;
+  ShardedSearchOptions options;
+  options.stats = &stats;
   auto expected = f.single->KNearestNeighbors(PointView(q.data(), dims), 5);
-  auto actual = f.sharded->KNearestNeighbors(PointView(q.data(), dims), 5);
+  auto actual =
+      f.sharded->KNearestNeighbors(PointView(q.data(), dims), 5, options);
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(*expected, *actual);
 
-  const ShardQueryStats stats = f.sharded->last_query_stats();
   EXPECT_EQ(stats.shards_total, 4u);
   // One shard answered; the far blob was MINDIST-pruned and the two
   // empty middle shards never ran.
@@ -178,9 +181,11 @@ TEST(ShardedSearcherTest, AggregatesQueryStatsAcrossShards) {
   Dataset data = GenerateUniform(210, 5, 17);
   Dataset queries = data.TakeTail(3);
   Fixture f = MakeFixture(data, 3);
-  auto result = f.sharded->KNearestNeighbors(queries[0], 7);
+  ShardQueryStats stats;
+  ShardedSearchOptions options;
+  options.stats = &stats;
+  auto result = f.sharded->KNearestNeighbors(queries[0], 7, options);
   ASSERT_TRUE(result.ok());
-  const ShardQueryStats stats = f.sharded->last_query_stats();
   EXPECT_EQ(stats.shards_total, 3u);
   EXPECT_EQ(stats.shards_queried + stats.shards_pruned, 3u);
   EXPECT_GT(stats.shards_queried, 0u);
@@ -189,9 +194,13 @@ TEST(ShardedSearcherTest, AggregatesQueryStatsAcrossShards) {
   EXPECT_GT(stats.io_s_max, 0.0);
   EXPECT_GE(stats.io_s_sum, stats.io_s_max);
   EXPECT_FALSE(stats.truncated);
+  // The shards' own io adds up to the aggregate.
+  EXPECT_GT(stats.totals.io.seeks, 0u);
+  EXPECT_EQ(stats.totals.io.io_time_s, stats.io_s_sum);
 
-  f.sharded->ResetQueryStats();
-  EXPECT_EQ(f.sharded->last_query_stats().shards_total, 0u);
+  // A query without a sink leaves the caller's copy alone.
+  ASSERT_TRUE(f.sharded->KNearestNeighbors(queries[1], 7).ok());
+  EXPECT_EQ(stats.shards_total, 3u);
 }
 
 TEST(ShardedSearcherTest, ExpiredDeadlineFailsQuery) {
@@ -256,12 +265,13 @@ TEST(ShardedSearcherTest, TracerDropsPropagateToStatsAndSlowLog) {
   obs::SlowLogOptions log_options;
   log_options.quantile = 0.0;
   obs::SlowQueryLog log(log_options);
+  ShardQueryStats stats;
   ShardedSearchOptions options;
   options.tracer = &tiny_tracer;
   options.slow_log = &log;
+  options.stats = &stats;
   ASSERT_TRUE(f.sharded->KNearestNeighbors(queries[0], 5, options).ok());
 
-  const ShardQueryStats stats = f.sharded->last_query_stats();
   EXPECT_GT(stats.dropped_spans, 0u);
   EXPECT_TRUE(stats.truncated);
   ASSERT_EQ(log.retained(), 1u);
@@ -328,10 +338,11 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE(root_name + " query " + std::to_string(qi));
       obs::QueryTracer tracer;
+      ShardQueryStats stats;
       ShardedSearchOptions options;
       options.tracer = &tracer;
+      options.stats = &stats;
       ASSERT_TRUE(RunShardedQuery(*f.sharded, kind, queries[qi], options));
-      const ShardQueryStats stats = f.sharded->last_query_stats();
       const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
 
       // Exactly one root, and it is the sharded facade's span.
@@ -389,7 +400,7 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
       EXPECT_EQ(obs::AggregateSpans(spans, "page", nullptr),
                 static_cast<double>(stats.totals.pages_decoded));
       if (kind == QueryKind::kWindow) {
-        // The single tree's WindowQuery reports no per-query stats.
+        // The single tree's WindowQuery reports only its io.
         EXPECT_EQ(stats.totals.pages_decoded, 0u);
         EXPECT_EQ(stats.totals.blocks_transferred, 0u);
         EXPECT_EQ(stats.totals.batches, 0u);
@@ -412,10 +423,11 @@ TEST(ShardedSearcherTest, SlowLogRecordCarriesPerShardSamples) {
   obs::SlowLogOptions log_options;
   log_options.quantile = 0.0;  // retain everything
   obs::SlowQueryLog log(log_options);
+  ShardQueryStats stats;
   ShardedSearchOptions options;
   options.slow_log = &log;
+  options.stats = &stats;
   ASSERT_TRUE(f.sharded->KNearestNeighbors(queries[0], 5, options).ok());
-  const ShardQueryStats stats = f.sharded->last_query_stats();
   ASSERT_EQ(log.retained(), 1u);
   const obs::SlowQueryRecord record = log.Snapshot()[0];
   ASSERT_EQ(record.per_shard.size(), stats.shards_queried);

@@ -1,17 +1,18 @@
 // Slow-query log: threshold policies (absolute and adaptive-quantile),
 // ring eviction, the truncated flag for capped tracers (the 64k
 // span-cap interaction), the JSON dump, and end-to-end capture through
-// IqTree queries and a ParallelQueryRunner batch.
+// IqTree queries and a concurrent batch on a ThreadPool.
 
 #include "obs/slow_log.h"
 
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "concurrency/parallel_query_runner.h"
+#include "concurrency/thread_pool.h"
 #include "core/iq_tree.h"
 #include "data/generators.h"
 #include "io/storage.h"
@@ -218,9 +219,17 @@ TEST_F(SlowLogQueryTest, ParallelBatchSharesOneLog) {
   SlowQueryLog log(options);
   IqSearchOptions search;
   search.slow_log = &log;
-  ParallelQueryRunner runner(*tree_, 4);
-  auto batch = runner.KnnBatch(queries_, 3, search);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ThreadPool pool(4);
+  std::vector<std::future<Status>> batch;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    batch.push_back(pool.Submit([&, i] {
+      return tree_->KNearestNeighbors(queries_[i], 3, search).status();
+    }));
+  }
+  for (std::future<Status>& done : batch) {
+    const Status status = done.get();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
   if (!obs::kEnabled) {
     EXPECT_EQ(log.offered(), 0u);
     return;

@@ -134,7 +134,6 @@ TEST_F(VaFileTest, ScanCostIndependentOfQuery) {
   std::vector<double> times;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     disk_.ResetStats();
-    disk_.InvalidateHead();
     ASSERT_TRUE((*va)->NearestNeighbor(queries[qi]).ok());
     times.push_back(disk_.stats().io_time_s);
   }

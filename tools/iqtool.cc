@@ -38,7 +38,7 @@
 // `profile` runs the queries with a QueryTracer attached and prints the
 // recorded span tree (or a JSON trace dump with --json) plus the
 // cost-model calibration report (predicted vs observed T_1st/T_2nd/
-// T_3rd); `slowlog` runs a query batch through ParallelQueryRunner with
+// T_3rd); `slowlog` runs a query batch on a ThreadPool with
 // a slow-query log attached and dumps the retained outliers; `health`
 // summarizes the index structure (per-page g distribution, occupancy,
 // MBR stats). See docs/observability.md for the span schema and report
@@ -58,6 +58,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -65,7 +66,7 @@
 #include <vector>
 
 #include "analysis/index_health.h"
-#include "concurrency/parallel_query_runner.h"
+#include "concurrency/thread_pool.h"
 #include "core/iq_tree.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
@@ -267,23 +268,25 @@ int Query(const Args& args) {
                  (*tree)->dims());
     return 2;
   }
-  disk.ResetStats();
+  IqTree::QueryStats stats;
+  IqSearchOptions options;
+  options.stats = &stats;
   if (!args.Get("radius").empty()) {
     const double radius = ParseNumber(args.Get("radius"), 0.0);
-    auto hits = (*tree)->RangeSearch(*q, radius);
+    auto hits = (*tree)->RangeSearch(*q, radius, options);
     if (!hits.ok()) return Fail(hits.status());
     std::printf("%zu points within %.4f (%.4f simulated s):\n",
-                hits->size(), radius, disk.stats().io_time_s);
+                hits->size(), radius, stats.io.io_time_s);
     for (const Neighbor& r : *hits) {
       std::printf("  id=%u dist=%.6f\n", r.id, r.distance);
     }
     return 0;
   }
   const size_t k = ParseCount(args.Get("k"), 1);
-  auto hits = (*tree)->KNearestNeighbors(*q, k);
+  auto hits = (*tree)->KNearestNeighbors(*q, k, options);
   if (!hits.ok()) return Fail(hits.status());
   std::printf("%zu nearest neighbors (%.4f simulated s):\n", hits->size(),
-              disk.stats().io_time_s);
+              stats.io.io_time_s);
   for (const Neighbor& r : *hits) {
     std::printf("  id=%u dist=%.6f\n", r.id, r.distance);
   }
@@ -453,6 +456,8 @@ void WriteStatsJson(obs::JsonWriter& w, const IqTree::QueryStats& stats) {
   w.Key("batches").Uint(stats.batches);
   w.Key("refinements").Uint(stats.refinements);
   w.Key("cells_enqueued").Uint(stats.cells_enqueued);
+  w.Key("seeks").Uint(stats.io.seeks);
+  w.Key("io_s").Double(stats.io.io_time_s);
   w.EndObject();
 }
 
@@ -496,7 +501,7 @@ int Profile(const Args& args) {
   const bool range = !args.Get("radius").empty();
   const double radius = ParseNumber(args.Get("radius"), 0.0);
   const size_t k = ParseCount(args.Get("k"), 1);
-  const size_t threads = ParseCount(args.Get("threads"), 0);
+  const size_t threads = ParseCount(args.Get("threads"), 1);
 
   obs::JsonWriter w;
   if (json) {
@@ -519,107 +524,91 @@ int Profile(const Args& args) {
   obs::CalibrationTracker calibration;
   const obs::CostBreakdown predicted = (*tree)->PredictCost();
 
-  bool all_consistent = true;
-  if (threads > 1) {
-    // Batch mode: all queries share one tracer (it is thread-safe); the
-    // trace holds one root span per query, interleaved in completion
-    // order. Per-query stats consistency is a sequential-mode check —
-    // last_query_stats() only keeps whichever query finished last. The
-    // tracer's span cap is shared too: a query whose root span was
-    // dropped is not calibrated, and one that lost only child spans is
-    // calibrated on a partial tree, so both counts are reported.
-    obs::QueryTracer tracer;
-    IqSearchOptions options;
-    options.tracer = &tracer;
-    ParallelQueryRunner runner(**tree, threads);
-    const auto batch = range ? runner.RangeBatch(queries, radius, options)
-                             : runner.KnnBatch(queries, k, options);
-    if (!batch.ok()) return Fail(batch.status());
-    const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
-    size_t calibrated = 0;
-    for (size_t i = 0; i < spans.size(); ++i) {
-      if (spans[i].parent != obs::kNoSpan) continue;
-      calibration.Record(
-          predicted,
-          obs::ObservedBreakdown(spans, static_cast<obs::SpanId>(i)));
-      ++calibrated;
-    }
-    const uint64_t dropped = tracer.dropped();
-    if (dropped > 0) {
-      std::fprintf(stderr,
-                   "warning: trace dropped %llu spans; calibrated %zu of "
-                   "%zu queries, some possibly on partial span trees\n",
-                   static_cast<unsigned long long>(dropped), calibrated,
-                   queries.size());
-    }
-    if (json) {
-      w.BeginObject();
-      w.Key("trace").Raw(obs::TraceToJson(spans));
-      w.Key("dropped_spans").Uint(dropped);
-      w.Key("calibrated_queries").Uint(calibrated);
-      w.EndObject();
-    } else {
-      std::printf("profiled %zu queries on %zu threads (one shared trace)\n",
-                  queries.size(), threads);
-      obs::PrintSpanTree(spans, std::cout);
-      std::printf("dropped_spans=%llu, calibrated %zu of %zu queries\n",
-                  static_cast<unsigned long long>(dropped), calibrated,
-                  queries.size());
-    }
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) {
+  // One tracer and one stats sink per query on a pool of `--threads`
+  // workers: each query's trace, stats and calibration sample are its
+  // own, so what it reports does not depend on the thread count. The
+  // worker keeps only the span snapshot and releases its tracer.
+  struct ProfiledQuery {
+    std::vector<obs::SpanRecord> spans;
+    uint64_t dropped = 0;
+    IqTree::QueryStats stats;
+    Status status;
+  };
+  ThreadPool pool(threads);
+  std::vector<std::future<ProfiledQuery>> runs;
+  runs.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    runs.push_back(pool.Submit([&, i] {
+      ProfiledQuery run;
       obs::QueryTracer tracer;
       IqSearchOptions options;
       options.tracer = &tracer;
-      if (range) {
-        auto hits = (*tree)->RangeSearch(queries[i], radius, options);
-        if (!hits.ok()) return Fail(hits.status());
-      } else {
-        auto hits = (*tree)->KNearestNeighbors(queries[i], k, options);
-        if (!hits.ok()) return Fail(hits.status());
-      }
-      const IqTree::QueryStats stats = (*tree)->last_query_stats();
-      const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
-      calibration.Record(predicted, obs::ObservedBreakdown(spans));
-      // With observability compiled out the trace is empty by design —
-      // nothing to cross-check.
-      std::string problems;
-      const bool consistent =
-          !obs::kEnabled || CheckTraceConsistency(spans, stats, &problems);
-      all_consistent &= consistent;
-      if (json) {
-        w.BeginObject();
-        w.Key("trace").Raw(obs::TraceToJson(spans));
-        w.Key("stats");
-        WriteStatsJson(w, stats);
-        w.Key("consistent").Bool(consistent);
-        w.EndObject();
-      } else {
-        std::printf("query %zu:\n", i);
-        obs::PrintSpanTree(spans, std::cout);
-        std::printf(
-            "  stats: pages_decoded=%zu blocks=%zu batches=%zu "
-            "refinements=%zu cells_enqueued=%zu\n",
-            stats.pages_decoded, stats.blocks_transferred, stats.batches,
-            stats.refinements, stats.cells_enqueued);
-        if (obs::kEnabled) {
-          std::printf("  trace/stats consistency: %s%s\n",
-                      consistent ? "OK" : "MISMATCH", problems.c_str());
-        }
+      options.stats = &run.stats;
+      run.status =
+          range ? (*tree)->RangeSearch(queries[i], radius, options).status()
+                : (*tree)->KNearestNeighbors(queries[i], k, options).status();
+      run.spans = tracer.Snapshot();
+      run.dropped = tracer.dropped();
+      return run;
+    }));
+  }
+
+  // Reported in query order; each run is dropped once printed.
+  bool all_consistent = true;
+  uint64_t dropped = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const ProfiledQuery run = runs[i].get();
+    if (!run.status.ok()) return Fail(run.status);
+    const IqTree::QueryStats& stats = run.stats;
+    const std::vector<obs::SpanRecord>& spans = run.spans;
+    dropped += run.dropped;
+    calibration.Record(predicted, obs::ObservedBreakdown(spans));
+    // With observability compiled out the trace is empty by design —
+    // nothing to cross-check.
+    std::string problems;
+    const bool consistent =
+        !obs::kEnabled || CheckTraceConsistency(spans, stats, &problems);
+    all_consistent &= consistent;
+    if (json) {
+      w.BeginObject();
+      w.Key("trace").Raw(obs::TraceToJson(spans));
+      w.Key("stats");
+      WriteStatsJson(w, stats);
+      w.Key("consistent").Bool(consistent);
+      w.EndObject();
+    } else {
+      std::printf("query %zu:\n", i);
+      obs::PrintSpanTree(spans, std::cout);
+      std::printf(
+          "  stats: pages_decoded=%zu blocks=%zu batches=%zu "
+          "refinements=%zu cells_enqueued=%zu seeks=%llu io_s=%.6f\n",
+          stats.pages_decoded, stats.blocks_transferred, stats.batches,
+          stats.refinements, stats.cells_enqueued,
+          static_cast<unsigned long long>(stats.io.seeks),
+          stats.io.io_time_s);
+      if (obs::kEnabled) {
+        std::printf("  trace/stats consistency: %s%s\n",
+                    consistent ? "OK" : "MISMATCH", problems.c_str());
       }
     }
   }
 
+  const uint64_t calibrated = calibration.Report().total.samples;
   if (json) {
     w.EndArray();
+    w.Key("dropped_spans").Uint(dropped);
+    w.Key("calibrated_queries").Uint(calibrated);
     w.Key("calibration").Raw(obs::CalibrationToJson(calibration.Report()));
     w.Key("metrics").Raw(
         obs::ExportJson(obs::MetricRegistry::Global().Snapshot()));
     w.Key("consistent").Bool(all_consistent);
     w.EndObject();
     std::printf("%s\n", w.str().c_str());
-  } else if (obs::kEnabled) {
-    PrintCalibration(calibration.Report());
+  } else {
+    std::printf("dropped_spans=%llu, calibrated %llu of %zu queries\n",
+                static_cast<unsigned long long>(dropped),
+                static_cast<unsigned long long>(calibrated), queries.size());
+    if (obs::kEnabled) PrintCalibration(calibration.Report());
   }
   if (!all_consistent) {
     std::fprintf(stderr, "error: trace disagrees with query stats\n");
@@ -665,10 +654,20 @@ int SlowLog(const Args& args) {
   const bool range = !args.Get("radius").empty();
   const double radius = ParseNumber(args.Get("radius"), 0.0);
   const size_t k = ParseCount(args.Get("k"), 1);
-  ParallelQueryRunner runner(**tree, threads);
-  const auto batch = range ? runner.RangeBatch(queries, radius, options)
-                           : runner.KnnBatch(queries, k, options);
-  if (!batch.ok()) return Fail(batch.status());
+  ThreadPool pool(threads);
+  std::vector<std::future<Status>> statuses;
+  statuses.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    statuses.push_back(pool.Submit([&, i] {
+      return range
+                 ? (*tree)->RangeSearch(queries[i], radius, options).status()
+                 : (*tree)->KNearestNeighbors(queries[i], k, options).status();
+    }));
+  }
+  for (std::future<Status>& status : statuses) {
+    const Status s = status.get();
+    if (!s.ok()) return Fail(s);
+  }
 
   const std::vector<obs::SlowQueryRecord> records = slow_log.Snapshot();
   if (args.Has("json")) {
@@ -842,8 +841,10 @@ int Trace(const Args& args) {
     // The sharded default cap (fan-out multiplies span volume; a
     // truncated trace would fail the consistency check by design).
     obs::QueryTracer tracer(kShardedTracerMaxSpans);
+    ShardQueryStats stats;
     ShardedSearchOptions options;
     options.tracer = &tracer;
+    options.stats = &stats;
     if (range) {
       auto hits = front_end.RangeSearch(queries[i], radius, options);
       if (!hits.ok()) return Fail(hits.status());
@@ -851,7 +852,6 @@ int Trace(const Args& args) {
       auto hits = front_end.KNearestNeighbors(queries[i], k, options);
       if (!hits.ok()) return Fail(hits.status());
     }
-    const ShardQueryStats stats = (*searcher)->last_query_stats();
     const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
     // With observability compiled out the trace is empty by design —
     // nothing to cross-check.

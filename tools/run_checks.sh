@@ -107,7 +107,7 @@ for step in $STEPS; do
         # TSan is mutually exclusive with ASan, hence its own build
         # tree. The whole suite runs — single-threaded tests are cheap
         # insurance against stray statics — but the signal comes from
-        # the *_concurrency/thread_pool/parallel_query_runner tests.
+        # the *_concurrency/thread_pool/per_query_io tests.
         # IQ_LOCK_RANK_CHECKS puts the LockOrderValidator on every
         # scoped lock here, proving under TSan that the validator
         # itself is race-free (its state is thread-local by design).
