@@ -1,22 +1,23 @@
-// Micro-benchmark: always-on flight-recorder overhead against the
-// micro_filter hot path, enforcing the observability overhead budget
-// (docs/observability.md, "Sharded queries"): one FlightRecorder::
-// Record() per filtered page must cost <= 2% of the page's filter
+// Micro-benchmark: the per-query report path against the micro_filter
+// hot path, enforcing the observability overhead budget
+// (docs/observability.md, "Overhead"): what every finished query does
+// to report itself — fill its IqQueryStats sink and publish the stats
+// (IqTree::PublishQueryStats: the locked last_query_stats() copy plus
+// the registry counter adds) — must cost <= 2% of one page's filter
 // work. The bench *fails* (exit 1) when the measured overhead exceeds
 // the budget, so the bench CI leg is the enforcement point, not just a
 // trajectory log.
 //
 // The reference body is micro_filter's per-point CellBox+MinDist page
-// loop — the page-processing cost a real query pays between
-// control-plane events. One event per page is already far denser than
-// production (the recorder fires per admission decision, per wave,
-// per shard — not per page), so a pass here bounds the real overhead
-// from above.
+// loop — the page-processing cost a real query pays. One report per
+// page is far denser than production (one report per query, which
+// decodes many pages), so a pass here bounds the real overhead from
+// above.
 //
 // IQBENCH series (wall-clock, so the gate tolerance is wide):
-//   record_ns     ns per Record() call (tight loop, min over reps)
+//   report_ns     ns per query report (tight loop, min over reps)
 //   ref_page_ns   ns per 1024-point reference filter page
-//   overhead_pct  100 * record_ns / ref_page_ns (one event per page)
+//   overhead_pct  100 * report_ns / ref_page_ns (one report per page)
 
 #include <chrono>
 #include <cstdio>
@@ -25,8 +26,10 @@
 
 #include "bench_common.h"
 #include "common/random.h"
+#include "core/iq_tree.h"
+#include "data/generators.h"
 #include "geom/metrics.h"
-#include "obs/flight_recorder.h"
+#include "io/storage.h"
 #include "quant/grid_quantizer.h"
 
 namespace iq {
@@ -68,7 +71,6 @@ double MeasureNs(double budget_ms, const Body& body) {
 
 int Main(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  (void)args;
   const double budget_ms = 80.0;
 
   // The micro_filter reference body: one page of quantized points,
@@ -98,35 +100,55 @@ int Main(int argc, char** argv) {
     g_sink += acc;
   });
 
-  auto& recorder = obs::FlightRecorder::Global();
-  uint32_t arg_counter = 0;
-  const double record_ns = MeasureNs(budget_ms, [&] {
-    recorder.Record(obs::FlightEventType::kShardQuery, arg_counter++, 0.5,
-                    0.25);
+  // A small tree to publish into, and the stats of a typical query.
+  MemoryStorage storage;
+  DiskModel disk;
+  auto tree = IqTree::Build(GenerateUniform(512, 4, args.seed), storage,
+                            "obs", disk, {});
+  if (!tree.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 tree.status().ToString().c_str());
+    return 1;
+  }
+  IqQueryStats stats;
+  stats.pages_decoded = 12;
+  stats.blocks_transferred = 14;
+  stats.batches = 5;
+  stats.refinements = 9;
+  stats.cells_enqueued = 180;
+  DiskHead head;
+  head.stats.seeks = 6;
+  head.stats.blocks_read = 23;
+  head.stats.io_time_s = 0.106;
+  IqQueryStats sink;
+  const double report_ns = MeasureNs(budget_ms, [&] {
+    stats.io = head.stats;
+    sink = stats;
+    (*tree)->PublishQueryStats(stats);
+    ++head.stats.blocks_read;
   });
+  g_sink += static_cast<double>(sink.io.blocks_read);
 
   const double overhead_pct =
-      ref_page_ns > 0 ? 100.0 * record_ns / ref_page_ns : 0.0;
+      ref_page_ns > 0 ? 100.0 * report_ns / ref_page_ns : 0.0;
 
-  std::printf("%14s %14s %14s\n", "record_ns", "ref_page_ns",
+  std::printf("%14s %14s %14s\n", "report_ns", "ref_page_ns",
               "overhead_pct");
-  std::printf("%14.2f %14.2f %14.4f\n", record_ns, ref_page_ns,
+  std::printf("%14.2f %14.2f %14.4f\n", report_ns, ref_page_ns,
               overhead_pct);
 
   bench::JsonReport report("micro_obs");
-  report.Add("record_ns", 1, record_ns);
+  report.Add("report_ns", 1, report_ns);
   report.Add("ref_page_ns", 1, ref_page_ns);
   report.Add("overhead_pct", 1, overhead_pct);
   report.Print();
 
-  // The enforcement point of the overhead budget. With observability
-  // compiled out Record() is an empty inline, so the budget holds
-  // trivially and the gate below never fires.
-  if (obs::kEnabled && overhead_pct > kOverheadBudgetPct) {
+  // The enforcement point of the overhead budget.
+  if (overhead_pct > kOverheadBudgetPct) {
     std::fprintf(stderr,
-                 "flight-recorder overhead %.3f%% exceeds the %.1f%% "
-                 "budget (record=%.1fns, page=%.1fns)\n",
-                 overhead_pct, kOverheadBudgetPct, record_ns, ref_page_ns);
+                 "query-report overhead %.3f%% exceeds the %.1f%% "
+                 "budget (report=%.1fns, page=%.1fns)\n",
+                 overhead_pct, kOverheadBudgetPct, report_ns, ref_page_ns);
     return 1;
   }
   return 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 
 namespace iq {
@@ -74,22 +73,16 @@ void ThreadPool::Schedule(std::function<void()> task) {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     Task task;
-    size_t depth = 0;
     {
       MutexLock lock(&mu_);
       while (queue_.empty() && !shutdown_) cv_.Wait();
       if (queue_.empty()) return;  // shutdown and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      depth = queue_.size();
-      PoolMetrics::Get().queue_depth->Set(static_cast<double>(depth));
+      PoolMetrics::Get().queue_depth->Set(static_cast<double>(queue_.size()));
     }
     if constexpr (obs::kEnabled) {
-      const double wait_s = SecondsSince(task.enqueued);
-      PoolMetrics::Get().wait_s->Observe(wait_s);
-      obs::FlightRecorder::Global().Record(obs::FlightEventType::kPoolTask,
-                                           static_cast<uint32_t>(depth),
-                                           wait_s);
+      PoolMetrics::Get().wait_s->Observe(SecondsSince(task.enqueued));
       const auto started = std::chrono::steady_clock::now();
       task.fn();
       PoolMetrics::Get().run_s->Observe(SecondsSince(started));

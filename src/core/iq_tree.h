@@ -42,6 +42,11 @@ struct IqQueryStats {
   /// Every access this query charged, from its own fresh disk head:
   /// the same whether the query runs alone or beside others.
   IoStats io;
+  /// io.io_time_s split by IQ-tree level (paper §3.4): t1 the `dir_scan`
+  /// I/O, t2 the `batch` I/O, t3 the `refine` and `exact_page` I/O.
+  /// Each term is added where the matching span's `io_s` is taken, so
+  /// it equals those spans' `io_s` summed in span order, traced or not.
+  obs::CostBreakdown observed;
 };
 
 /// Query-time options for the IQ-tree.
@@ -65,11 +70,10 @@ struct IqSearchOptions {
   /// "Sharded queries"). Ignored without a tracer.
   obs::SpanId parent_span = obs::kNoSpan;
   /// Optional slow-query sink (docs/observability.md): every finished
-  /// NN/k-NN/range query is offered with its span tree and the cost
-  /// model's predicted breakdown; the log retains outliers. When no
-  /// `tracer` is set, the query runs with a private tracer (with
-  /// QueryTracer's default span cap) so the log still sees full span
-  /// trees. Thread-safe; one log may be shared by concurrent queries.
+  /// NN/k-NN/range query is offered with its own observed breakdown
+  /// (IqQueryStats::observed) and the cost model's predicted one; the
+  /// log retains outliers, with `tracer`'s spans when it is set.
+  /// Thread-safe; one log may be shared by concurrent queries.
   obs::SlowQueryLog* slow_log = nullptr;
   /// Optional result sink: when set, the query writes its own
   /// IqQueryStats here once it has searched (also when the search
@@ -219,7 +223,7 @@ class IqTree {
   /// T_1st (eq. 22), T_2nd (eqns 16-21) and T_3rd (sum of eqns 6-15
   /// over the directory) in simulated seconds. This is the "predicted"
   /// side of the calibration telemetry (docs/observability.md); the
-  /// "observed" side is obs::ObservedBreakdown over a query trace.
+  /// "observed" side is each query's IqQueryStats::observed.
   obs::CostBreakdown PredictCost() const;
 
   const IndexMeta& meta() const { return meta_; }
@@ -238,6 +242,12 @@ class IqTree {
     MutexLock lock(&query_stats_mu_);
     return last_query_stats_;
   }
+  /// What every finished NN/k-NN/range query does to report itself:
+  /// publishes its stats as last_query_stats() and folds its counters
+  /// into the process-wide metric registry. Public so bench/micro_obs
+  /// can time that report path on its own.
+  void PublishQueryStats(const QueryStats& stats) const
+      IQ_EXCLUDES(query_stats_mu_);
   const std::vector<DirEntry>& directory() const { return dir_; }
 
   /// Checks that the query-only directory mirror (the dimension-major
@@ -301,11 +311,6 @@ class IqTree {
   /// Charges the per-query sequential scan of the first-level directory
   /// (T_1st, eq. 22).
   void ChargeDirectoryScan(DiskHead& head) const;
-
-  /// Publishes one finished query's counters as last_query_stats() and
-  /// folds them into the process-wide metric registry.
-  void PublishQueryStats(const QueryStats& stats) const
-      IQ_EXCLUDES(query_stats_mu_);
 
   /// Loads and decodes the exact data page backing directory entry
   /// `dir_index` (reads the whole variable-size extent; for g=32 pages

@@ -2,9 +2,9 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <queue>
 #include <span>
+#include <utility>
 
 #include "common/hot_path.h"
 #include "core/iq_tree.h"
@@ -77,43 +77,31 @@ class IqTreeSearcher {
         metric_(tree.metric()),
         dims_(tree.dims()),
         block_size_(tree.disk_->params().block_size),
-        codec_(tree.dims(), tree.disk_->params().block_size) {
-    // The slow-query log needs a span tree to retain; a query without
-    // its own tracer gets a private one so the log stays self-serve.
-    if (obs::kEnabled && options_.slow_log != nullptr &&
-        tracer_ == nullptr) {
-      private_tracer_.emplace();
-      tracer_ = &*private_tracer_;
-    }
-  }
-
-  /// The caller-requested parent for this query's root span. Only
-  /// meaningful for the caller's own tracer: a private slow-log tracer
-  /// has no such span, so the id would dangle.
-  obs::SpanId ParentSpan() const {
-    return private_tracer_.has_value() ? obs::kNoSpan : options_.parent_span;
-  }
+        codec_(tree.dims(), tree.disk_->params().block_size) {}
 
   /// Ends the query whose RunKnn/RunRange returned `run`: stamps its
   /// I/O into its stats, writes them to the options_.stats sink, and on
   /// success publishes them and offers the query to options_.slow_log
-  /// (the root span has ended, so the trace snapshot is complete).
+  /// (the root span has ended, so the caller's trace is complete).
   Status Finish(const Status& run) {
     stats_.io = head_.stats;
     if (options_.stats != nullptr) *options_.stats = stats_;
     IQ_RETURN_NOT_OK(run);
     tree_.PublishQueryStats(stats_);
-    if (obs::kEnabled && options_.slow_log != nullptr &&
-        tracer_ != nullptr) {
-      options_.slow_log->Offer(tracer_->Snapshot(), root_span_,
-                               tree_.PredictCost(), tracer_->dropped());
+    if (obs::kEnabled && options_.slow_log != nullptr) {
+      obs::SlowQueryRecord query;
+      query.kind = kind_;
+      query.predicted = tree_.PredictCost();
+      query.observed = stats_.observed;
+      options_.slow_log->Offer(std::move(query), tracer_);
     }
     return Status::OK();
   }
 
   Status RunKnn(size_t k, std::vector<Neighbor>* out) {
     k_ = k;
-    obs::ScopedSpan root(tracer_, "knn", ParentSpan());
+    kind_ = "knn";
+    obs::ScopedSpan root(tracer_, kind_, options_.parent_span);
     root_span_ = root.id();
     root.AddAttr("k", static_cast<double>(k));
     ScanDirectory(/*knn=*/true);
@@ -163,7 +151,7 @@ class IqTreeSearcher {
       batch_span.AddAttr(
           "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
                                  tree_.disk_->params()));
-      batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+      batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
       IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, batch_buf.data(), &cells,
                                    batch_span.id()));
     }
@@ -176,7 +164,8 @@ class IqTreeSearcher {
   }
 
   Status RunRange(double radius, std::vector<Neighbor>* out) {
-    obs::ScopedSpan root(tracer_, "range", ParentSpan());
+    kind_ = "range";
+    obs::ScopedSpan root(tracer_, kind_, options_.parent_span);
     root_span_ = root.id();
     root.AddAttr("radius", radius);
     ScanDirectory(/*knn=*/false);
@@ -204,7 +193,7 @@ class IqTreeSearcher {
       batch_span.AddAttr("blocks", static_cast<double>(run.count));
       batch_span.AddAttr("pred_io_s",
                          PlanCost(std::span(&run, 1), tree_.disk_->params()));
-      batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+      batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
       for (uint64_t b = 0; b < run.count; ++b) {
         const uint32_t dir_index = tree_.dir_geom_.EntryAt(run.first + b);
         if (dir_index == kNoEntry) continue;  // over-read gap
@@ -231,7 +220,15 @@ class IqTreeSearcher {
     tree_.ChargeDirectoryScan(head_);
     InitPages(knn);
     span.AddAttr("pages", static_cast<double>(tree_.dir_.size()));
-    span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+    span.AddAttr("io_s", Charged(io_before, &stats_.observed.t1));
+  }
+
+  /// The I/O this query charged since its clock read `io_before` (a
+  /// span's `io_s`), also added to `level`, its term of stats_.observed.
+  double Charged(double io_before, double* level) {
+    const double io_s = head_.stats.io_time_s - io_before;
+    *level += io_s;
+    return io_s;
   }
 
   void InitPages(bool knn) {
@@ -369,7 +366,7 @@ class IqTreeSearcher {
     batch_span.AddAttr("blocks", static_cast<double>(range.count()));
     batch_span.AddAttr("pred_io_s",
                        BatchCost(range, tree_.disk_->params()));
-    batch_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+    batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
     size_t pruned = 0;
     for (uint64_t b = 0; b < range.count(); ++b) {
       const uint32_t dir_index = tree_.dir_geom_.EntryAt(range.first + b);
@@ -470,7 +467,7 @@ class IqTreeSearcher {
     IQ_RETURN_NOT_OK(
         tree_.exact_->Read(head_, record_extent, record_buf_.data()));
     stats_.refinements += 1;
-    span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+    span.AddAttr("io_s", Charged(io_before, &stats_.observed.t3));
     PointId id;
     std::memcpy(&id, record_buf_.data(), sizeof(PointId));
     // iqlint: allow(hotpath-alloc): fixed dims-size member buffer,
@@ -531,7 +528,7 @@ class IqTreeSearcher {
     // The exact-page scratch is free here: this page is quantized.
     IQ_RETURN_NOT_OK(tree_.LoadExactPage(head_, dir_index, &ids_scratch_,
                                          &coords_scratch_));
-    exact_span.AddAttr("io_s", head_.stats.io_time_s - io_before);
+    exact_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t3));
     for (uint32_t s : candidates_scratch_) {
       const double dist = Distance(
           q_, PointView(coords_scratch_.data() + s * dims_, dims_), metric_);
@@ -548,9 +545,9 @@ class IqTreeSearcher {
   /// Null unless this query asked for a trace; all span calls no-op on
   /// null (one pointer test inside ScopedSpan).
   obs::QueryTracer* tracer_;
-  /// Backs tracer_ for slow-log-only queries (no caller tracer).
-  std::optional<obs::QueryTracer> private_tracer_;
   obs::SpanId root_span_ = obs::kNoSpan;
+  /// The root span's name, "knn" or "range": the slow-log record's kind.
+  const char* kind_ = "";
   Metric metric_;
   size_t dims_;
   uint32_t block_size_;

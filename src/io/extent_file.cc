@@ -35,18 +35,6 @@ Status ExtentFile::Read(DiskHead& head, const Extent& extent,
   return file_->Read(extent.offset, extent.length, out);
 }
 
-Status ExtentFile::Overwrite(DiskHead& head, const Extent& extent,
-                             const void* data) {
-  if (extent.offset + extent.length > file_->Size()) {
-    return Status::OutOfRange("extent past end of file");
-  }
-  if (extent.length == 0) return Status::OK();
-  disk_->ChargeWrite(head, file_id_,
-                     extent.offset / disk_->params().block_size,
-                     BlocksSpanned(extent));
-  return file_->Write(extent.offset, extent.length, data);
-}
-
 uint64_t ExtentFile::BlocksSpanned(const Extent& extent) const {
   if (extent.length == 0) return 0;
   const uint64_t bs = disk_->params().block_size;

@@ -29,9 +29,10 @@ struct Extent {
 /// access ended is sequential.
 ///
 /// Concurrency: Read is safe from many threads at once, each with its
-/// own head (positional File reads, atomic DiskModel totals);
-/// Append/Overwrite need external exclusion, per the single-writer
-/// model (docs/concurrency.md).
+/// own head (positional File reads, atomic DiskModel totals); Append
+/// needs external exclusion, per the single-writer model
+/// (docs/concurrency.md). Extents are never rewritten in place: an
+/// update appends a new one and leaves the old one as garbage.
 ///
 /// Lifecycle: default-construct, then Open() exactly once before any
 /// I/O — the same Open-before-I/O protocol (common/contract.h) as
@@ -53,10 +54,6 @@ class ExtentFile {
 
   /// Reads a whole extent into `out` (must hold extent.length bytes).
   Status Read(DiskHead& head, const Extent& extent, void* out) const
-      IQ_TS_REQUIRES("open");
-
-  /// Overwrites an extent in place (length must match).
-  Status Overwrite(DiskHead& head, const Extent& extent, const void* data)
       IQ_TS_REQUIRES("open");
 
   uint64_t SizeBytes() const IQ_TS_REQUIRES("open") { return file_->Size(); }

@@ -2,55 +2,12 @@
 
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <span>
 
 #include "obs/json.h"
 #include "obs/metric_names.h"
 
 namespace iq::obs {
-
-namespace {
-
-/// True when `id`'s parent chain reaches `root` (or id == root).
-bool InSubtree(const std::vector<SpanRecord>& spans, SpanId id, SpanId root) {
-  if (root == kNoSpan) return true;
-  while (id != kNoSpan) {
-    if (id == root) return true;
-    if (id >= spans.size()) return false;
-    id = spans[id].parent;
-  }
-  return false;
-}
-
-double AttrValue(const SpanRecord& span, const char* key) {
-  for (const auto& [k, v] : span.attrs) {
-    if (k == key) return v;
-  }
-  return 0.0;
-}
-
-}  // namespace
-
-CostBreakdown ObservedBreakdown(const std::vector<SpanRecord>& spans,
-                                SpanId root) {
-  CostBreakdown out;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& span = spans[i];
-    double* sink = nullptr;
-    if (span.name == "dir_scan") {
-      sink = &out.t1;
-    } else if (span.name == "batch") {
-      sink = &out.t2;
-    } else if (span.name == "refine" || span.name == "exact_page") {
-      sink = &out.t3;
-    }
-    if (sink == nullptr) continue;
-    if (!InSubtree(spans, static_cast<SpanId>(i), root)) continue;
-    *sink += AttrValue(span, "io_s");
-  }
-  return out;
-}
 
 namespace {
 

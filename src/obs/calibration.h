@@ -3,20 +3,18 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/thread_annotations.h"
 #include "common/mutex.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace iq::obs {
 
 /// Simulated query cost split by IQ-tree level, in seconds of the
 /// configured disk. The same struct carries both sides of a calibration
 /// sample: the cost model's prediction (T_1st/T_2nd/T_3rd, paper §3.4
-/// eqns 6-22) and the cost actually observed through span `io_s`
-/// attributes.
+/// eqns 6-22) and the cost a query actually charged
+/// (IqQueryStats::observed, the sums of its spans' `io_s` per level).
 struct CostBreakdown {
   /// Level-1 directory scan (eq. 22 / `dir_scan` spans).
   double t1 = 0.0;
@@ -26,16 +24,14 @@ struct CostBreakdown {
   double t3 = 0.0;
 
   double total() const { return t1 + t2 + t3; }
-};
 
-/// Extracts the observed per-level cost of one traced query from its
-/// span tree by summing `io_s` attributes: `dir_scan` spans feed t1,
-/// `batch` spans t2, `refine` and `exact_page` spans t3. When `root` is
-/// a valid span id, only spans in that root's subtree contribute — the
-/// way to pick one query out of a shared (parallel-batch) trace; with
-/// kNoSpan every span counts.
-CostBreakdown ObservedBreakdown(const std::vector<SpanRecord>& spans,
-                                SpanId root = kNoSpan);
+  CostBreakdown& operator+=(const CostBreakdown& other) {
+    t1 += other.t1;
+    t2 += other.t2;
+    t3 += other.t3;
+    return *this;
+  }
+};
 
 /// Calibration verdict for one cost component over all recorded
 /// queries. Relative error is (observed - predicted) / predicted per

@@ -100,11 +100,6 @@ inline constexpr char kFrontendQueueDepth[] = "iq_frontend_queue_depth";
 inline constexpr char kFrontendQueueWaitSeconds[] =
     "iq_frontend_queue_wait_seconds";
 
-// --- flight recorder (src/obs/flight_recorder.cc) ------------------------
-inline constexpr char kFlightEventsTotal[] = "iq_flight_events_total";
-inline constexpr char kFlightDroppedTotal[] = "iq_flight_dropped_total";
-inline constexpr char kFlightDumpsTotal[] = "iq_flight_dumps_total";
-
 /// Expands a declared `iq_shard_*` base name to its per-shard variant by
 /// splicing the shard index into the component token:
 ///   PerShardMetricName(kShardQueriesTotal, 2) == "iq_shard2_queries_total".

@@ -1,11 +1,9 @@
 #include "obs/slow_log.h"
 
-#include <algorithm>
 #include <array>
 #include <span>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 
 namespace iq::obs {
@@ -19,32 +17,6 @@ namespace {
 constexpr std::array<double, 16> kIoSecondsBounds = {
     0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1,  0.2,
     0.5,   1.0,   2.0,   5.0,  10.0, 20.0, 50.0, 100.0};
-
-/// Span-subtree extraction: keeps every span whose parent chain reaches
-/// `root`, remapping parent ids onto the compacted vector so the result
-/// is a self-contained trace (PrintSpanTree/TraceToJson treat parent as
-/// an index into the vector they are given). The root's parent becomes
-/// kNoSpan.
-std::vector<SpanRecord> SubtreeSpans(const std::vector<SpanRecord>& spans,
-                                     SpanId root) {
-  if (root == kNoSpan) return spans;
-  std::vector<SpanRecord> out;
-  std::vector<SpanId> remap(spans.size(), kNoSpan);
-  for (size_t i = 0; i < spans.size(); ++i) {
-    SpanId id = static_cast<SpanId>(i);
-    while (id != kNoSpan && id != root) {
-      id = id < spans.size() ? spans[id].parent : kNoSpan;
-    }
-    if (id != root) continue;
-    remap[i] = static_cast<SpanId>(out.size());
-    out.push_back(spans[i]);
-    SpanRecord& copied = out.back();
-    copied.parent = (i == root || copied.parent >= spans.size())
-                        ? kNoSpan
-                        : remap[copied.parent];
-  }
-  return out;
-}
 #endif
 
 }  // namespace
@@ -67,48 +39,20 @@ double SlowQueryLog::ThresholdLocked() const {
   return io_s_window_.Quantile(options_.quantile);
 }
 
-void SlowQueryLog::Offer(const std::vector<SpanRecord>& spans, SpanId root,
-                         const CostBreakdown& predicted,
-                         uint64_t dropped_spans,
-                         std::vector<ShardCostSample> per_shard) {
-  const CostBreakdown observed = ObservedBreakdown(spans, root);
-  FlightRecorder::Global().Record(FlightEventType::kSlowLogOffer, 0,
-                                  observed.total());
-  bool captured = false;
-  {
-    MutexLock lock(&mu_);
-    const double threshold = ThresholdLocked();
-    const uint64_t index = offered_++;
-    io_s_window_.Observe(observed.total());
-    if (observed.total() < threshold) return;
-    SlowQueryRecord record;
-    record.query_index = index;
-    record.observed_io_s = observed.total();
-    record.queue_wait_s = AggregateSpans(spans, "queue_wait", "wait_s");
-    record.predicted = predicted;
-    record.observed = observed;
-    record.per_shard = std::move(per_shard);
-    record.spans = SubtreeSpans(spans, root);
-    record.truncated = dropped_spans > 0;
-    if (root != kNoSpan && root < spans.size()) {
-      record.kind = spans[root].name;
-    } else {
-      for (const SpanRecord& span : record.spans) {
-        if (span.parent == kNoSpan) {
-          record.kind = span.name;
-          break;
-        }
-      }
-    }
-    ring_.push_back(std::move(record));
-    retained_ += 1;
-    while (ring_.size() > options_.capacity) ring_.pop_front();
-    captured = true;
+void SlowQueryLog::Offer(SlowQueryRecord query, const QueryTracer* tracer) {
+  query.observed_io_s = query.observed.total();
+  MutexLock lock(&mu_);
+  const double threshold = ThresholdLocked();
+  query.query_index = offered_++;
+  io_s_window_.Observe(query.observed_io_s);
+  if (query.observed_io_s < threshold) return;
+  if (tracer != nullptr) {
+    query.spans = tracer->Snapshot();
+    query.truncated = tracer->dropped() > 0;
   }
-  // A capture means the query was an outlier — snapshot the flight
-  // recorder so the post-mortem rides along (mu_ released: the dump
-  // touches the registry, whose lock ranks above ours).
-  if (captured) FlightRecorder::Global().TriggerDump("slow_query");
+  ring_.push_back(std::move(query));
+  retained_ += 1;
+  while (ring_.size() > options_.capacity) ring_.pop_front();
 }
 
 double SlowQueryLog::current_threshold_s() const {

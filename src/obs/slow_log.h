@@ -40,31 +40,34 @@ struct ShardCostSample {
   double observed_io_s = 0.0;
 };
 
-/// One retained outlier query: the full span tree plus the
-/// predicted-vs-observed cost breakdown that explains where the time
-/// went.
+/// One offered query's record: its own predicted-vs-observed cost
+/// breakdown, which explains where the time went, plus the span tree
+/// when the caller traced the query.
 struct SlowQueryRecord {
-  /// 0-based index of the query among all queries offered to this log.
+  /// 0-based index of the query among all queries offered to this log
+  /// (set by Offer).
   uint64_t query_index = 0;
-  /// Root span name ("knn" / "range"); empty if the trace has no root.
+  /// The query's root span name ("knn", "range", "sharded_knn", ...).
   std::string kind;
-  /// The retention key: observed.total().
+  /// The retention key: observed.total() (set by Offer).
   double observed_io_s = 0.0;
-  /// Wall seconds the query waited for admission (sum of `wait_s` over
-  /// `queue_wait` spans in the trace; 0 when it bypassed a front end).
+  /// Wall seconds the query waited for admission in a QueryFrontEnd
+  /// (ShardQueryStats::queue_wait_s; 0 when it bypassed one).
   double queue_wait_s = 0.0;
   CostBreakdown predicted;
+  /// The query's own per-level cost (IqQueryStats::observed), complete
+  /// whether or not the query was traced.
   CostBreakdown observed;
   /// Per-shard breakdown for sharded queries (empty for single-tree
   /// searches): one predicted-vs-observed pair per queried shard.
   std::vector<ShardCostSample> per_shard;
-  /// The query's spans: the subtree of its root, compacted and with
-  /// parent ids remapped so the vector is a self-contained trace
-  /// (feed it straight to PrintSpanTree / TraceToJson).
+  /// The caller's tracer as it stood when the query finished (set by
+  /// Offer); empty when the caller did not trace the query. A tracer
+  /// shared by several queries contributes all of their spans.
   std::vector<SpanRecord> spans;
-  /// True when the source tracer dropped spans (its max_spans cap was
-  /// hit), so `spans` and `observed` under-report the query. Never
-  /// silently under-reported: the flag survives into the JSON dump.
+  /// True when that tracer dropped spans (its max_spans cap was hit),
+  /// so `spans` is incomplete; `observed` never is. The flag survives
+  /// into the JSON dump.
   bool truncated = false;
 };
 
@@ -83,24 +86,20 @@ class SlowQueryLog {
   SlowQueryLog& operator=(const SlowQueryLog&) = delete;
 
 #if defined(IQ_OBS_DISABLED)
-  void Offer(const std::vector<SpanRecord>&, SpanId, const CostBreakdown&,
-             uint64_t, std::vector<ShardCostSample> = {}) {}
+  void Offer(SlowQueryRecord, const QueryTracer* = nullptr) {}
   double current_threshold_s() const { return 0; }
   uint64_t offered() const { return 0; }
   uint64_t retained() const { return 0; }
   std::vector<SlowQueryRecord> Snapshot() const { return {}; }
   void Clear() {}
 #else
-  /// Offers one finished query: `spans` is a tracer snapshot, `root`
-  /// the query's root span (kNoSpan treats every span as the query's),
-  /// `predicted` the cost model's T_1st/T_2nd/T_3rd for the index, and
-  /// `dropped_spans` the tracer's dropped() — non-zero marks the
-  /// record truncated. Sharded callers pass `per_shard`
-  /// predicted-vs-observed pairs; queue wait is derived from any
-  /// `queue_wait` span in the trace.
-  void Offer(const std::vector<SpanRecord>& spans, SpanId root,
-             const CostBreakdown& predicted, uint64_t dropped_spans,
-             std::vector<ShardCostSample> per_shard = {})
+  /// Offers one finished query. The caller fills `query`'s kind,
+  /// predicted and observed breakdowns, queue wait and per-shard
+  /// samples; the log sets query_index and observed_io_s. `tracer` is
+  /// the caller's tracer if it traced the query, else null: a retained
+  /// record copies its spans and is marked truncated when it dropped
+  /// any.
+  void Offer(SlowQueryRecord query, const QueryTracer* tracer = nullptr)
       IQ_EXCLUDES(mu_);
 
   /// The io_s a query currently needs to be retained.

@@ -80,12 +80,12 @@ class QueryFrontEnd {
  private:
   /// The one admission path behind every query kind: opens the
   /// `frontend` root span, wraps Admit in a `queue_wait` child, records
-  /// the decision in an `admission` child plus the flight recorder (a
-  /// rejection triggers a dump), applies the default deadline and
-  /// charges the queue wait against it, then calls `search(options)`
-  /// with the stitched trace (tracer + parent_span) and the remaining
-  /// budget. Any admission failure is the query's result. Defined in
-  /// the .cc.
+  /// the decision in an `admission` child, applies the default deadline
+  /// and charges the queue wait against it, then calls
+  /// `search(options, queue_wait_s)` with the stitched trace (tracer +
+  /// parent_span) and the remaining budget. Any admission failure is
+  /// the query's result, and its stats sink then holds only the queue
+  /// wait. Defined in the .cc.
   template <typename T, typename Search>
   Result<T> Run(const ShardedSearchOptions& options,
                 const Search& search) const IQ_EXCLUDES(mu_);

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 
 namespace iq {
@@ -31,14 +30,11 @@ std::string IndexedName(const char* prefix, size_t index) {
 }
 
 /// Records a pruned shard into the stitched trace as a zero-cost span
-/// annotated with the pruning evidence, and into the flight recorder.
-/// `bound` is the value the shard's MINDIST lost to (current kth
-/// distance, range radius; negative when not distance-based).
+/// annotated with the pruning evidence. `bound` is the value the
+/// shard's MINDIST lost to (current kth distance, range radius;
+/// negative when not distance-based).
 void RecordPrunedShard(obs::QueryTracer* tracer, obs::SpanId parent,
                        size_t index, double mindist, double bound) {
-  obs::FlightRecorder::Global().Record(obs::FlightEventType::kShardPrune,
-                                       static_cast<uint32_t>(index), mindist,
-                                       bound);
   if (tracer == nullptr) return;
   const obs::SpanId span = tracer->BeginSpan(IndexedName("shard", index),
                                              parent);
@@ -49,22 +45,9 @@ void RecordPrunedShard(obs::QueryTracer* tracer, obs::SpanId parent,
   tracer->EndSpan(span);
 }
 
-/// Between-wave deadline bookkeeping: records the check (and the
-/// exceedance, with a flight-recorder dump — the post-mortem the
-/// recorder exists for) and returns true when the budget is spent.
-bool DeadlineExpired(Clock::time_point start, double deadline_s,
-                     size_t shards_queried) {
-  if (deadline_s <= 0) return false;
-  const double elapsed = ElapsedSeconds(start);
-  auto& recorder = obs::FlightRecorder::Global();
-  recorder.Record(obs::FlightEventType::kDeadlineCheck,
-                  static_cast<uint32_t>(shards_queried),
-                  deadline_s - elapsed);
-  if (elapsed < deadline_s) return false;
-  recorder.Record(obs::FlightEventType::kDeadlineExceeded,
-                  static_cast<uint32_t>(shards_queried), elapsed);
-  recorder.TriggerDump("deadline_exceeded");
-  return true;
+/// Between-wave deadline check: true when the budget is spent.
+bool DeadlineExpired(Clock::time_point start, double deadline_s) {
+  return deadline_s > 0 && ElapsedSeconds(start) >= deadline_s;
 }
 
 /// Merge order ties break on id so the facade's output is a total
@@ -114,6 +97,7 @@ void AddQueryStats(IqQueryStats& totals, const IqQueryStats& shard) {
   totals.refinements += shard.refinements;
   totals.cells_enqueued += shard.cells_enqueued;
   totals.io += shard.io;
+  totals.observed += shard.observed;
 }
 
 }  // namespace
@@ -169,11 +153,8 @@ Result<std::unique_ptr<ShardedSearcher>> ShardedSearcher::Open(
     shard.points = info.points;
     shard.queries = obs::MetricRegistry::Global().GetCounter(
         obs::metric::PerShardMetricName(obs::metric::kShardQueriesTotal, i));
-    const obs::CostBreakdown cost = shard.tree->PredictCost();
-    shard.predicted = cost;
-    searcher->predicted_.t1 += cost.t1;
-    searcher->predicted_.t2 += cost.t2;
-    searcher->predicted_.t3 += cost.t3;
+    shard.predicted = shard.tree->PredictCost();
+    searcher->predicted_ += shard.predicted;
     searcher->shards_.push_back(std::move(shard));
   }
   return searcher;
@@ -190,27 +171,20 @@ struct ShardedSearcher::FanOut {
 template <typename Hit, typename Screen, typename Search, typename Merge>
 Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
                                       const ShardedSearchOptions& options,
+                                      double queue_wait_s,
                                       const Screen& screen,
                                       const Search& search,
                                       const Merge& merge) const {
   const Clock::time_point start = Clock::now();
   ShardQueryStats agg;
   agg.shards_total = shards_.size();
+  agg.queue_wait_s = queue_wait_s;
 
-  obs::QueryTracer* tracer = options.tracer;
-  std::unique_ptr<obs::QueryTracer> owned_tracer;
-  if (tracer == nullptr && options.slow_log != nullptr) {
-    owned_tracer = std::make_unique<obs::QueryTracer>(kShardedTracerMaxSpans);
-    tracer = owned_tracer.get();
-  }
-  // A caller-requested parent only makes sense in the caller's tracer.
-  const obs::SpanId parent =
-      owned_tracer == nullptr ? options.parent_span : obs::kNoSpan;
-
+  obs::QueryTracer* const tracer = options.tracer;
   std::vector<obs::ShardCostSample> per_shard;
   Status error;
   {
-    obs::ScopedSpan root(tracer, fan_out.root, parent);
+    obs::ScopedSpan root(tracer, fan_out.root, options.parent_span);
     if (fan_out.attr != nullptr) root.AddAttr(fan_out.attr, fan_out.value);
 
     std::vector<Candidate> candidates;
@@ -241,7 +215,7 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
     size_t next = 0;
     size_t wave_index = 0;
     while (next < candidates.size() && error.ok()) {
-      if (DeadlineExpired(start, options.deadline_s, agg.shards_queried)) {
+      if (DeadlineExpired(start, options.deadline_s)) {
         deadline_->Increment();
         error = Status::DeadlineExceeded(std::string(fan_out.root) +
                                          " deadline exceeded");
@@ -265,10 +239,6 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
       obs::ScopedSpan wave(tracer, IndexedName("wave", wave_index),
                            root.id());
       wave.AddAttr("shards", static_cast<double>(wave_end - next));
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kWaveDispatch,
-          static_cast<uint32_t>(wave_index),
-          static_cast<double>(wave_end - next));
       std::vector<std::future<WorkerOut<Hit>>> futures;
       std::vector<obs::SpanId> shard_spans;
       futures.reserve(wave_end - next);
@@ -315,9 +285,6 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
           tracer->AddAttr(shard_spans[j - next], "io_s", io_s);
           tracer->EndSpan(shard_spans[j - next]);
         }
-        obs::FlightRecorder::Global().Record(
-            obs::FlightEventType::kShardQuery,
-            static_cast<uint32_t>(index), candidates[j].mindist, io_s);
         if (!out.status.ok()) {
           if (error.ok()) error = out.status;
           continue;
@@ -343,9 +310,14 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
     agg.dropped_spans = tracer->dropped();
     agg.truncated = agg.dropped_spans > 0;
   }
-  if (options.slow_log != nullptr && tracer != nullptr) {
-    options.slow_log->Offer(tracer->Snapshot(), obs::kNoSpan, predicted_,
-                            agg.dropped_spans, std::move(per_shard));
+  if (obs::kEnabled && options.slow_log != nullptr) {
+    obs::SlowQueryRecord query;
+    query.kind = fan_out.root;
+    query.queue_wait_s = queue_wait_s;
+    query.predicted = predicted_;
+    query.observed = agg.totals.observed;
+    query.per_shard = std::move(per_shard);
+    options.slow_log->Offer(std::move(query), tracer);
   }
   fanout_->Increment();
   queried_->Add(agg.shards_queried);
@@ -356,6 +328,22 @@ Status ShardedSearcher::ScatterGather(const FanOut& fan_out,
 
 Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
     PointView q, size_t k, const ShardedSearchOptions& options) const {
+  return KNearestNeighbors(q, k, options, 0.0);
+}
+
+Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
+    PointView q, double radius, const ShardedSearchOptions& options) const {
+  return RangeSearch(q, radius, options, 0.0);
+}
+
+Result<std::vector<PointId>> ShardedSearcher::WindowQuery(
+    const Mbr& window, const ShardedSearchOptions& options) const {
+  return WindowQuery(window, options, 0.0);
+}
+
+Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
+    PointView q, size_t k, const ShardedSearchOptions& options,
+    double queue_wait_s) const {
   IQ_RETURN_NOT_OK(CheckQueryPoint(q, dims_));
   if (k == 0) return std::vector<Neighbor>{};
 
@@ -363,6 +351,7 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
   heap.reserve(k);
   IQ_RETURN_NOT_OK(ScatterGather<Neighbor>(
       FanOut{"sharded_knn", "k", static_cast<double>(k)}, options,
+      queue_wait_s,
       [&](const Mbr& bounds) {
         return Screening{true, MinDist(q, bounds, metric_), -1.0};
       },
@@ -387,13 +376,14 @@ Result<std::vector<Neighbor>> ShardedSearcher::KNearestNeighbors(
 }
 
 Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
-    PointView q, double radius, const ShardedSearchOptions& options) const {
+    PointView q, double radius, const ShardedSearchOptions& options,
+    double queue_wait_s) const {
   IQ_RETURN_NOT_OK(CheckQueryPoint(q, dims_));
   IQ_RETURN_NOT_OK(CheckQueryRadius(radius));
 
   std::vector<Neighbor> results;
   IQ_RETURN_NOT_OK(ScatterGather<Neighbor>(
-      FanOut{"sharded_range", "radius", radius}, options,
+      FanOut{"sharded_range", "radius", radius}, options, queue_wait_s,
       [&](const Mbr& bounds) {
         const double mindist = MinDist(q, bounds, metric_);
         return Screening{mindist <= radius, mindist, radius};
@@ -410,20 +400,22 @@ Result<std::vector<Neighbor>> ShardedSearcher::RangeSearch(
 }
 
 Result<std::vector<PointId>> ShardedSearcher::WindowQuery(
-    const Mbr& window, const ShardedSearchOptions& options) const {
+    const Mbr& window, const ShardedSearchOptions& options,
+    double queue_wait_s) const {
   if (window.dims() != dims_) {
     return Status::InvalidArgument("window dims mismatch in sharded query");
   }
-  // The single tree's WindowQuery is untraced, so a window offer would
-  // carry 0 s of observed I/O and drag the slow log's adaptive
-  // threshold down; window queries are never offered. The facade still
-  // stitches its wave/shard skeleton with io_s into a caller's tracer.
+  // The single tree's WindowQuery splits no cost by level, so a window
+  // offer would carry 0 s of observed I/O and drag the slow log's
+  // adaptive threshold down; window queries are never offered. The
+  // facade still stitches its wave/shard skeleton with io_s into a
+  // caller's tracer.
   ShardedSearchOptions unlogged = options;
   unlogged.slow_log = nullptr;
 
   std::vector<PointId> ids;
   IQ_RETURN_NOT_OK(ScatterGather<PointId>(
-      FanOut{"sharded_window", nullptr, 0.0}, unlogged,
+      FanOut{"sharded_window", nullptr, 0.0}, unlogged, queue_wait_s,
       [&window](const Mbr& bounds) {
         return Screening{bounds.Intersects(window), 0.0, -1.0};
       },

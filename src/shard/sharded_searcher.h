@@ -27,12 +27,6 @@
 
 namespace iq {
 
-/// Span cap of the private tracer a sharded query (or QueryFrontEnd)
-/// creates for slow-log-only queries — 16x QueryTracer's default:
-/// fan-out multiplies span volume by the shard count, and a truncated
-/// trace is exactly the one the slow log exists to keep.
-inline constexpr size_t kShardedTracerMaxSpans = 1 << 20;
-
 struct ShardQueryStats;
 
 /// Per-query options of the sharded facade — the sharded analogue of
@@ -51,18 +45,14 @@ struct ShardedSearchOptions {
   /// When `tracer` is set, the `sharded_*` root opens under this span
   /// — QueryFrontEnd grafts the whole query under its `frontend` span.
   obs::SpanId parent_span = obs::kNoSpan;
-  /// Optional slow-query sink for kNN and range queries. As with
-  /// IqSearchOptions, when no `tracer` is set the query runs with a
-  /// private tracer (kShardedTracerMaxSpans) shared by the whole
-  /// fan-out, and the finished query is offered once with the facade's
-  /// aggregate trace (root = kNoSpan: every span counts) and per-shard
-  /// predicted-vs-observed cost samples. Window queries are never
-  /// offered: the single tree's WindowQuery records no `dir_scan`/
-  /// `batch` spans, so the record would carry 0 s of observed I/O and
-  /// drag the log's adaptive threshold down.
-  /// When the caller supplies both a shared tracer and a slow log, the
-  /// offered record covers everything in the shared tracer, not just
-  /// this query — prefer the private-tracer mode for attribution.
+  /// Optional slow-query sink for kNN and range queries: the finished
+  /// query is offered once with its own observed breakdown (the sum of
+  /// its shards' IqQueryStats::observed), the summed prediction, its
+  /// queue wait and per-shard predicted-vs-observed samples, plus
+  /// `tracer`'s spans when it is set. Window queries are never offered:
+  /// the single tree's WindowQuery splits no cost by level, so the
+  /// record would carry 0 s of observed I/O and drag the log's adaptive
+  /// threshold down.
   obs::SlowQueryLog* slow_log = nullptr;
   /// Wall-clock budget in seconds from query start; 0 disables. The
   /// deadline is checked between fan-out waves (a running per-shard
@@ -71,8 +61,8 @@ struct ShardedSearchOptions {
   double deadline_s = 0;
   /// Optional result sink: when set, the query writes its own
   /// ShardQueryStats here before returning (also when it fails after
-  /// its argument checks). An output like `tracer`, not a behaviour
-  /// switch.
+  /// its argument checks, or QueryFrontEnd turns it away). An output
+  /// like `tracer`, not a behaviour switch.
   ShardQueryStats* stats = nullptr;
 };
 
@@ -99,6 +89,11 @@ struct ShardQueryStats {
   /// into the aggregate (and into the slow log's truncated flag).
   uint64_t dropped_spans = 0;
   bool truncated = false;
+  /// Wall seconds the query waited for admission in a QueryFrontEnd,
+  /// which measures it; 0 when the searcher was called directly. A
+  /// query the front end turns away (rejected, or expired before it
+  /// ran) reports only this field.
+  double queue_wait_s = 0;
 };
 
 /// Scatter-gather query facade over the shards of a ShardManifest:
@@ -161,6 +156,21 @@ class ShardedSearcher {
   const IqTree& shard_tree(size_t shard) const { return *shards_[shard].tree; }
 
  private:
+  /// QueryFrontEnd runs queries through the overloads below, which
+  /// carry the queue wait it measured into the query's stats and
+  /// slow-log record.
+  friend class QueryFrontEnd;
+
+  Result<std::vector<Neighbor>> KNearestNeighbors(
+      PointView q, size_t k, const ShardedSearchOptions& options,
+      double queue_wait_s) const;
+  Result<std::vector<Neighbor>> RangeSearch(
+      PointView q, double radius, const ShardedSearchOptions& options,
+      double queue_wait_s) const;
+  Result<std::vector<PointId>> WindowQuery(
+      const Mbr& window, const ShardedSearchOptions& options,
+      double queue_wait_s) const;
+
   struct Shard {
     std::unique_ptr<DiskModel> disk;
     std::unique_ptr<IqTree> tree;
@@ -185,14 +195,14 @@ class ShardedSearcher {
   /// `search(tree, shard_options)` (returns the shard's hits and fills
   /// the shard_options.stats sink); each shard's hits are folded by
   /// `merge(hits)`, which returns the current pruning bound (remaining
-  /// shards with MINDIST >= it are skipped). Tracing, deadline, flight
-  /// events, stats, wave metrics and the slow-log offer happen here
-  /// once for all kinds. Defined in the .cc.
+  /// shards with MINDIST >= it are skipped). Tracing, deadline, stats
+  /// (with `queue_wait_s`), wave metrics and the slow-log offer happen
+  /// here once for all kinds. Defined in the .cc.
   template <typename Hit, typename Screen, typename Search, typename Merge>
   Status ScatterGather(const FanOut& fan_out,
                        const ShardedSearchOptions& options,
-                       const Screen& screen, const Search& search,
-                       const Merge& merge) const;
+                       double queue_wait_s, const Screen& screen,
+                       const Search& search, const Merge& merge) const;
 
   const size_t dims_;
   const Metric metric_;

@@ -60,18 +60,6 @@ TEST_F(ExtentFileTest, ReadPastEndFails) {
   EXPECT_TRUE(ef->Read(head_, bogus, buf.data()).IsOutOfRange());
 }
 
-TEST_F(ExtentFileTest, OverwriteInPlace) {
-  auto ef = Make();
-  const std::string a = "aaaaaaaa";
-  auto extent = ef->Append(head_, a.data(), a.size());
-  ASSERT_TRUE(extent.ok());
-  const std::string b = "bbbbbbbb";
-  ASSERT_TRUE(ef->Overwrite(head_, *extent, b.data()).ok());
-  std::string buf(b.size(), '\0');
-  ASSERT_TRUE(ef->Read(head_, *extent, buf.data()).ok());
-  EXPECT_EQ(buf, b);
-}
-
 TEST_F(ExtentFileTest, EmptyExtent) {
   auto ef = Make();
   auto extent = ef->Append(head_, nullptr, 0);

@@ -1,21 +1,20 @@
-// Cost-model calibration telemetry: ObservedBreakdown must classify
-// trace spans into the paper's T_1st/T_2nd/T_3rd components, the
-// tracker must aggregate predicted-vs-observed error correctly, and —
-// the regression contract — the model's predicted T_2nd/T_3rd must
-// agree with the observed simulated I/O on uniform data within a
-// documented factor (a perturbed model must fail the same check).
+// Cost-model calibration telemetry: the tracker must aggregate
+// predicted-vs-observed error correctly, and — the regression
+// contract — the model's predicted T_2nd/T_3rd must agree with each
+// query's observed per-level simulated I/O (IqQueryStats::observed) on
+// uniform data within a documented factor (a perturbed model must fail
+// the same check). That the observed split equals the query's span
+// io_s per level is obs_trace_test's and per_query_io_test's.
 
 #include "obs/calibration.h"
 
 #include <memory>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/iq_tree.h"
 #include "data/generators.h"
 #include "io/storage.h"
-#include "obs/trace.h"
 
 namespace iq {
 namespace {
@@ -23,50 +22,6 @@ namespace {
 using obs::CalibrationReport;
 using obs::CalibrationTracker;
 using obs::CostBreakdown;
-using obs::ObservedBreakdown;
-using obs::QueryTracer;
-using obs::SpanRecord;
-
-SpanRecord MakeSpan(const char* name, obs::SpanId parent, double io_s) {
-  SpanRecord span;
-  span.name = name;
-  span.parent = parent;
-  if (io_s >= 0) span.attrs.emplace_back("io_s", io_s);
-  return span;
-}
-
-TEST(ObservedBreakdownTest, ClassifiesSpansByComponent) {
-  std::vector<SpanRecord> spans;
-  spans.push_back(MakeSpan("knn", obs::kNoSpan, -1));     // 0: root
-  spans.push_back(MakeSpan("dir_scan", 0, 0.5));          // t1
-  spans.push_back(MakeSpan("batch", 0, 2.0));             // t2
-  spans.push_back(MakeSpan("page", 2, 99.0));             // ignored
-  spans.push_back(MakeSpan("refine", 0, 0.25));           // t3
-  spans.push_back(MakeSpan("exact_page", 3, 0.125));      // t3
-  const CostBreakdown observed = ObservedBreakdown(spans);
-  EXPECT_DOUBLE_EQ(observed.t1, 0.5);
-  EXPECT_DOUBLE_EQ(observed.t2, 2.0);
-  EXPECT_DOUBLE_EQ(observed.t3, 0.375);
-  EXPECT_DOUBLE_EQ(observed.total(), 2.875);
-}
-
-TEST(ObservedBreakdownTest, RootFiltersToOneQuerySubtree) {
-  // Two interleaved query trees on one (shared) tracer snapshot.
-  std::vector<SpanRecord> spans;
-  spans.push_back(MakeSpan("knn", obs::kNoSpan, -1));  // 0: query A
-  spans.push_back(MakeSpan("knn", obs::kNoSpan, -1));  // 1: query B
-  spans.push_back(MakeSpan("dir_scan", 0, 1.0));       // A.t1
-  spans.push_back(MakeSpan("dir_scan", 1, 4.0));       // B.t1
-  spans.push_back(MakeSpan("batch", 2, 8.0));          // A.t2 (nested)
-  const CostBreakdown a = ObservedBreakdown(spans, 0);
-  EXPECT_DOUBLE_EQ(a.t1, 1.0);
-  EXPECT_DOUBLE_EQ(a.t2, 8.0);
-  const CostBreakdown b = ObservedBreakdown(spans, 1);
-  EXPECT_DOUBLE_EQ(b.t1, 4.0);
-  EXPECT_DOUBLE_EQ(b.t2, 0.0);
-  const CostBreakdown all = ObservedBreakdown(spans);
-  EXPECT_DOUBLE_EQ(all.t1, 5.0);
-}
 
 TEST(CalibrationTrackerTest, AggregatesErrorAndBias) {
   CalibrationTracker tracker;
@@ -148,12 +103,12 @@ TEST_P(CalibrationAccuracyTest, PredictionMatchesObservationWithinFactor) {
   const CostBreakdown predicted = (*tree)->PredictCost();
   CalibrationTracker tracker;
   for (size_t i = 0; i < queries.size(); ++i) {
-    QueryTracer tracer;
+    IqTree::QueryStats stats;
     IqSearchOptions options;
-    options.tracer = &tracer;
+    options.stats = &stats;
     auto hits = (*tree)->KNearestNeighbors(queries[i], 5, options);
     ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-    tracker.Record(predicted, ObservedBreakdown(tracer.Snapshot()));
+    tracker.Record(predicted, stats.observed);
   }
   const CalibrationReport report = tracker.Report();
   ASSERT_EQ(report.total.samples, kQueries);

@@ -152,6 +152,14 @@ class TracedQueryTest : public ::testing::Test {
     }
     EXPECT_NEAR(io_s, stats.io.io_time_s, 1e-9);
     EXPECT_GT(stats.io.seeks, 0u);
+    // The per-level split is the same io_s folded per level in span
+    // order, bit for bit. A query records `refine` spans (kNN) or
+    // `exact_page` spans (range), never both, so the t3 sum adds 0.
+    EXPECT_EQ(stats.observed.t1, AggregateSpans(spans, "dir_scan", "io_s"));
+    EXPECT_EQ(stats.observed.t2, AggregateSpans(spans, "batch", "io_s"));
+    EXPECT_EQ(stats.observed.t3,
+              AggregateSpans(spans, "refine", "io_s") +
+                  AggregateSpans(spans, "exact_page", "io_s"));
   }
 
   Dataset data_{1};
@@ -215,10 +223,15 @@ TEST_F(TracedQueryTest, StandardAccessKnnAlsoConsistent) {
 TEST_F(TracedQueryTest, TracingDoesNotChangeResults) {
   BuildTree(4000, 12, 14);
   for (size_t i = 0; i < queries_.size(); ++i) {
-    auto plain = tree_->KNearestNeighbors(queries_[i], 5);
+    IqTree::QueryStats plain_stats;
+    IqSearchOptions plain_options;
+    plain_options.stats = &plain_stats;
+    auto plain = tree_->KNearestNeighbors(queries_[i], 5, plain_options);
     QueryTracer tracer;
+    IqTree::QueryStats traced_stats;
     IqSearchOptions options;
     options.tracer = &tracer;
+    options.stats = &traced_stats;
     auto traced = tree_->KNearestNeighbors(queries_[i], 5, options);
     ASSERT_TRUE(plain.ok() && traced.ok());
     ASSERT_EQ(plain->size(), traced->size());
@@ -226,6 +239,11 @@ TEST_F(TracedQueryTest, TracingDoesNotChangeResults) {
       EXPECT_EQ((*plain)[s].id, (*traced)[s].id);
       EXPECT_EQ((*plain)[s].distance, (*traced)[s].distance);
     }
+    // The per-level split needs no tracer.
+    EXPECT_GT(plain_stats.observed.t1, 0.0);
+    EXPECT_EQ(plain_stats.observed.t1, traced_stats.observed.t1);
+    EXPECT_EQ(plain_stats.observed.t2, traced_stats.observed.t2);
+    EXPECT_EQ(plain_stats.observed.t3, traced_stats.observed.t3);
   }
 }
 

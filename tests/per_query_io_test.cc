@@ -1,7 +1,8 @@
 // Per-query I/O accounting is the same whether a query runs alone or
 // beside others: every query charges its own disk head, so its answers,
-// its IqQueryStats (with `io`), its ShardQueryStats and every span's
-// io_s are bitwise equal to the same query run alone. Under
+// its IqQueryStats (with `io` and the per-level `observed` split), its
+// ShardQueryStats and every span's io_s are bitwise equal to the same
+// query run alone. Under
 // IQ_SANITIZE=thread this is also the race hunt for many threads
 // querying one IqTree and one QueryFrontEnd.
 
@@ -62,6 +63,13 @@ void ExpectSameIo(const IoStats& got, const IoStats& want) {
   EXPECT_EQ(got.io_time_s, want.io_time_s);
 }
 
+void ExpectSameSplit(const obs::CostBreakdown& got,
+                     const obs::CostBreakdown& want) {
+  EXPECT_EQ(got.t1, want.t1);
+  EXPECT_EQ(got.t2, want.t2);
+  EXPECT_EQ(got.t3, want.t3);
+}
+
 void ExpectSameStats(const IqQueryStats& got, const IqQueryStats& want) {
   EXPECT_EQ(got.pages_decoded, want.pages_decoded);
   EXPECT_EQ(got.blocks_transferred, want.blocks_transferred);
@@ -69,6 +77,22 @@ void ExpectSameStats(const IqQueryStats& got, const IqQueryStats& want) {
   EXPECT_EQ(got.refinements, want.refinements);
   EXPECT_EQ(got.cells_enqueued, want.cells_enqueued);
   ExpectSameIo(got.io, want.io);
+  ExpectSameSplit(got.observed, want.observed);
+}
+
+/// A query's per-level split is its spans' io_s folded per level in
+/// span order, bit for bit. A query records `refine` spans (kNN) or
+/// `exact_page` spans (range), never both, so the t3 sum adds 0.
+void ExpectSplitIsSpanFold(const std::vector<obs::SpanRecord>& spans,
+                           const obs::CostBreakdown& observed) {
+  if (!obs::kEnabled) return;
+  ExpectSameSplit(
+      observed,
+      obs::CostBreakdown{obs::AggregateSpans(spans, "dir_scan", "io_s"),
+                         obs::AggregateSpans(spans, "batch", "io_s"),
+                         obs::AggregateSpans(spans, "refine", "io_s") +
+                             obs::AggregateSpans(spans, "exact_page",
+                                                 "io_s")});
 }
 
 bool SameStats(const IqQueryStats& a, const IqQueryStats& b) {
@@ -78,7 +102,9 @@ bool SameStats(const IqQueryStats& a, const IqQueryStats& b) {
          a.cells_enqueued == b.cells_enqueued && a.io.seeks == b.io.seeks &&
          a.io.blocks_read == b.io.blocks_read &&
          a.io.blocks_written == b.io.blocks_written &&
-         a.io.io_time_s == b.io.io_time_s;
+         a.io.io_time_s == b.io.io_time_s &&
+         a.observed.t1 == b.observed.t1 && a.observed.t2 == b.observed.t2 &&
+         a.observed.t3 == b.observed.t3;
 }
 
 enum class Kind { kKnn, kRange };
@@ -121,7 +147,9 @@ class PerQueryIoTest : public ::testing::Test {
             : tree_->RangeSearch(queries_[qi], param, options);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (result.ok()) record.answers = std::move(result).value();
-    record.span_io = IoSpansByShard(tracer.Snapshot());
+    const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+    ExpectSplitIsSpanFold(spans, record.stats.observed);
+    record.span_io = IoSpansByShard(spans);
     return record;
   }
 
@@ -230,7 +258,7 @@ struct ShardedRecord {
 ShardedRecord RunSharded(const QueryFrontEnd& front_end, PointView q,
                          Kind kind) {
   ShardedRecord record;
-  obs::QueryTracer tracer(kShardedTracerMaxSpans);
+  obs::QueryTracer tracer;
   ShardedSearchOptions options;
   options.tracer = &tracer;
   options.stats = &record.stats;

@@ -12,9 +12,9 @@
 #include "data/generators.h"
 #include "io/disk_model.h"
 #include "io/storage.h"
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/slow_log.h"
 #include "obs/trace.h"
 #include "shard/sharded_bulk_loader.h"
 #include "shard/sharded_searcher.h"
@@ -238,41 +238,80 @@ TEST(QueryFrontEndTest, ObservesQueueWaitInHistogram) {
   EXPECT_EQ(queue_wait->count(), before + 1);
 }
 
-TEST(QueryFrontEndTest, RejectionTriggersFlightDump) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
+/// A query the front end turns away never reaches the searcher; its
+/// own stats record says how long it waited, and the rejection is
+/// counted.
+TEST(QueryFrontEndTest, RejectionIsInQuerysOwnRecord) {
   Fixture f = MakeFixture();
-  obs::FlightRecorder::Global().Clear();
   QueryFrontEnd front_end(*f.searcher,
                           QueryFrontEnd::Options{/*max_in_flight=*/0,
                                                  /*max_queued=*/0,
                                                  /*default_deadline_s=*/0});
-  auto result = front_end.KNearestNeighbors(f.queries[0], 3);
+  auto* rejected = obs::MetricRegistry::Global().GetCounter(
+      obs::metric::kFrontendRejectedTotal);
+  const uint64_t before = rejected->Value();
+  ShardQueryStats stats;
+  stats.shards_total = 99;  // stale: the rejection overwrites the sink
+  ShardedSearchOptions options;
+  options.stats = &stats;
+  auto result = front_end.KNearestNeighbors(f.queries[0], 3, options);
   EXPECT_TRUE(result.status().IsUnavailable());
-  auto& recorder = obs::FlightRecorder::Global();
-  EXPECT_GE(recorder.dumps(), 1u);
-  EXPECT_EQ(recorder.last_dump_reason(), "rejected");
-  const std::string dump = recorder.last_dump();
-  ASSERT_FALSE(dump.empty());
-  EXPECT_NE(dump.find("\"admission_reject\""), std::string::npos);
+  EXPECT_EQ(stats.shards_total, 0u);
+  EXPECT_EQ(stats.shards_queried, 0u);
+  EXPECT_GE(stats.queue_wait_s, 0.0);
+  EXPECT_LT(stats.queue_wait_s, 1.0);  // turned away at once
+  if (obs::kEnabled) {
+    EXPECT_EQ(rejected->Value(), before + 1);
+  }
 }
 
-TEST(QueryFrontEndTest, QueueDeadlineTriggersFlightDump) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
+TEST(QueryFrontEndTest, QueueDeadlineIsInQuerysOwnRecord) {
   Fixture f = MakeFixture();
-  obs::FlightRecorder::Global().Clear();
   QueryFrontEnd::Options options;
   options.max_in_flight = 0;
   options.max_queued = 1;
   options.default_deadline_s = 0.02;
   QueryFrontEnd front_end(*f.searcher, options);
-  auto result = front_end.KNearestNeighbors(f.queries[0], 3);
+  auto* expired = obs::MetricRegistry::Global().GetCounter(
+      obs::metric::kFrontendDeadlineExceededTotal);
+  const uint64_t before = expired->Value();
+  ShardQueryStats stats;
+  ShardedSearchOptions query_options;
+  query_options.stats = &stats;
+  auto result = front_end.KNearestNeighbors(f.queries[0], 3, query_options);
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
-  auto& recorder = obs::FlightRecorder::Global();
-  EXPECT_GE(recorder.dumps(), 1u);
-  EXPECT_EQ(recorder.last_dump_reason(), "deadline_exceeded");
-  const std::string dump = recorder.last_dump();
-  ASSERT_FALSE(dump.empty());
-  EXPECT_NE(dump.find("\"deadline_exceeded\""), std::string::npos);
+  // It waited out its whole budget in the queue.
+  EXPECT_GE(stats.queue_wait_s, 0.02);
+  EXPECT_EQ(stats.shards_queried, 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(expired->Value(), before + 1);
+  }
+}
+
+/// An admitted query's stats and slow-log record carry the queue wait
+/// the front end measured; without a caller tracer the record has no
+/// trace.
+TEST(QueryFrontEndTest, SlowLogRecordCarriesQueueWait) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
+  Fixture f = MakeFixture();
+  QueryFrontEnd front_end(*f.searcher);
+  obs::SlowLogOptions log_options;
+  log_options.absolute_threshold_s = 1e-9;  // retain everything
+  obs::SlowQueryLog log(log_options);
+  ShardQueryStats stats;
+  ShardedSearchOptions options;
+  options.slow_log = &log;
+  options.stats = &stats;
+  ASSERT_TRUE(front_end.KNearestNeighbors(f.queries[0], 3, options).ok());
+  ASSERT_EQ(log.retained(), 1u);
+  const obs::SlowQueryRecord record = log.Snapshot()[0];
+  EXPECT_EQ(record.kind, "sharded_knn");
+  EXPECT_GT(stats.queue_wait_s, 0.0);
+  EXPECT_EQ(record.queue_wait_s, stats.queue_wait_s);
+  EXPECT_EQ(record.observed.t1, stats.totals.observed.t1);
+  EXPECT_EQ(record.observed.t2, stats.totals.observed.t2);
+  EXPECT_EQ(record.observed.t3, stats.totals.observed.t3);
+  EXPECT_TRUE(record.spans.empty());
 }
 
 /// The IQ_OBS_DISABLED counterpart of the metric tests above: with
@@ -295,9 +334,6 @@ TEST(QueryFrontEndTest, DisabledBuildKeepsQueriesWorkingWithoutTelemetry) {
                 .GetCounter(obs::metric::kFrontendAdmittedTotal)
                 ->Value(),
             0u);
-  auto& recorder = obs::FlightRecorder::Global();
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_TRUE(recorder.last_dump().empty());
 }
 
 }  // namespace

@@ -236,7 +236,9 @@ TEST(ShardedSearcherTest, OffersOneAggregateRecordPerQueryToSlowLog) {
   EXPECT_EQ(log.offered(), 1u);
   ASSERT_EQ(log.retained(), 1u);
   const obs::SlowQueryRecord record = log.Snapshot()[0];
+  EXPECT_EQ(record.kind, "sharded_knn");
   EXPECT_FALSE(record.truncated);
+  EXPECT_TRUE(record.spans.empty());  // the caller traced nothing
   EXPECT_GT(record.observed_io_s, 0.0);
   EXPECT_GT(record.predicted.total(), 0.0);
   ASSERT_TRUE(f.sharded->RangeSearch(queries[1], 0.3, options).ok());
@@ -276,6 +278,39 @@ TEST(ShardedSearcherTest, TracerDropsPropagateToStatsAndSlowLog) {
   EXPECT_TRUE(stats.truncated);
   ASSERT_EQ(log.retained(), 1u);
   EXPECT_TRUE(log.Snapshot()[0].truncated);
+}
+
+/// A truncated stitched trace no longer under-reports the record: with
+/// a tracer capped at one span (the `sharded_knn` root, which carries
+/// no io_s), the slow-log record's observed split is still the query's
+/// own, the sum of its shards' IqQueryStats::observed.
+TEST(ShardedSearcherTest, OneSpanTracerKeepsQuerysObservedSplit) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
+  Dataset data = GenerateUniform(150, 4, 29);
+  Dataset queries = data.TakeTail(2);
+  Fixture f = MakeFixture(data, 3);
+
+  obs::QueryTracer one_span(/*max_spans=*/1);
+  obs::SlowLogOptions log_options;
+  log_options.quantile = 0.0;
+  obs::SlowQueryLog log(log_options);
+  ShardQueryStats stats;
+  ShardedSearchOptions options;
+  options.tracer = &one_span;
+  options.slow_log = &log;
+  options.stats = &stats;
+  ASSERT_TRUE(f.sharded->KNearestNeighbors(queries[0], 5, options).ok());
+
+  ASSERT_EQ(log.retained(), 1u);
+  const obs::SlowQueryRecord record = log.Snapshot()[0];
+  EXPECT_TRUE(record.truncated);
+  EXPECT_EQ(record.observed.t1, stats.totals.observed.t1);
+  EXPECT_EQ(record.observed.t2, stats.totals.observed.t2);
+  EXPECT_EQ(record.observed.t3, stats.totals.observed.t3);
+  EXPECT_GT(stats.totals.observed.t1, 0.0);
+  EXPECT_GT(stats.totals.observed.t2, 0.0);
+  EXPECT_NEAR(record.observed_io_s, stats.io_s_sum, 1e-9);
+  EXPECT_EQ(record.per_shard.size(), stats.shards_queried);
 }
 
 /// The sharded query kinds the stitched-trace contract covers.

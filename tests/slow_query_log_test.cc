@@ -1,13 +1,16 @@
 // Slow-query log: threshold policies (absolute and adaptive-quantile),
 // ring eviction, the truncated flag for capped tracers (the 64k
 // span-cap interaction), the JSON dump, and end-to-end capture through
-// IqTree queries and a concurrent batch on a ThreadPool.
+// IqTree queries and a concurrent batch on a ThreadPool. A record's
+// observed split is its query's own IqQueryStats::observed, complete
+// whether or not the query was traced and however small its tracer.
 
 #include "obs/slow_log.h"
 
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,26 +28,22 @@ using obs::CostBreakdown;
 using obs::SlowLogOptions;
 using obs::SlowQueryLog;
 using obs::SlowQueryRecord;
-using obs::SpanRecord;
 
-/// A minimal self-contained query trace whose observed total is `io_s`
-/// (one root "knn" span with one "batch" child carrying the time).
-std::vector<SpanRecord> MakeTrace(double io_s) {
-  std::vector<SpanRecord> spans(2);
-  spans[0].name = "knn";
-  spans[0].parent = obs::kNoSpan;
-  spans[1].name = "batch";
-  spans[1].parent = 0;
-  spans[1].attrs.emplace_back("io_s", io_s);
-  return spans;
+/// A finished kNN query whose observed total is `io_s`, all of it
+/// level-2 I/O.
+SlowQueryRecord MakeQuery(double io_s) {
+  SlowQueryRecord query;
+  query.kind = "knn";
+  query.observed.t2 = io_s;
+  return query;
 }
 
 TEST(SlowQueryLogTest, AbsoluteThresholdFiltersCheapQueries) {
   SlowLogOptions options;
   options.absolute_threshold_s = 1.0;
   SlowQueryLog log(options);
-  log.Offer(MakeTrace(0.5), 0, CostBreakdown{}, 0);
-  log.Offer(MakeTrace(2.0), 0, CostBreakdown{}, 0);
+  log.Offer(MakeQuery(0.5));
+  log.Offer(MakeQuery(2.0));
   if (!obs::kEnabled) {
     EXPECT_EQ(log.offered(), 0u);
     EXPECT_TRUE(log.Snapshot().empty());
@@ -59,6 +58,7 @@ TEST(SlowQueryLogTest, AbsoluteThresholdFiltersCheapQueries) {
   EXPECT_EQ(records[0].kind, "knn");
   EXPECT_DOUBLE_EQ(records[0].observed_io_s, 2.0);
   EXPECT_FALSE(records[0].truncated);
+  EXPECT_TRUE(records[0].spans.empty());  // offered without a tracer
 }
 
 TEST(SlowQueryLogTest, RingEvictsOldestBeyondCapacity) {
@@ -68,7 +68,7 @@ TEST(SlowQueryLogTest, RingEvictsOldestBeyondCapacity) {
   options.absolute_threshold_s = 0.001;
   SlowQueryLog log(options);
   for (int i = 0; i < 5; ++i) {
-    log.Offer(MakeTrace(1.0), 0, CostBreakdown{}, 0);
+    log.Offer(MakeQuery(1.0));
   }
   EXPECT_EQ(log.retained(), 5u);  // counts every retention, not the ring
   const std::vector<SlowQueryRecord> records = log.Snapshot();
@@ -85,16 +85,16 @@ TEST(SlowQueryLogTest, AdaptiveQuantileRetainsOutliersOnly) {
   SlowQueryLog log(options);
   // Warm-up: below min_samples everything clears the (zero) threshold.
   for (int i = 0; i < 8; ++i) {
-    log.Offer(MakeTrace(0.01), 0, CostBreakdown{}, 0);
+    log.Offer(MakeQuery(0.01));
   }
   EXPECT_EQ(log.retained(), 8u);
   // Warmed: the p75 of the io_s window sits at the 0.01 bucket bound,
   // so an equal-cost query no longer clears it...
   EXPECT_GT(log.current_threshold_s(), 0.0);
-  log.Offer(MakeTrace(0.005), 0, CostBreakdown{}, 0);
+  log.Offer(MakeQuery(0.005));
   EXPECT_EQ(log.retained(), 8u);
   // ...but a 100x outlier does.
-  log.Offer(MakeTrace(1.0), 0, CostBreakdown{}, 0);
+  log.Offer(MakeQuery(1.0));
   EXPECT_EQ(log.retained(), 9u);
   const std::vector<SlowQueryRecord> records = log.Snapshot();
   EXPECT_DOUBLE_EQ(records.back().observed_io_s, 1.0);
@@ -105,45 +105,22 @@ TEST(SlowQueryLogTest, DroppedSpansMarkRecordTruncatedIntoJson) {
   SlowLogOptions options;
   options.absolute_threshold_s = 0.001;
   SlowQueryLog log(options);
-  log.Offer(MakeTrace(1.0), 0, CostBreakdown{1.0, 2.0, 3.0},
-            /*dropped_spans=*/7);
+  obs::QueryTracer tracer(/*max_spans=*/1);
+  tracer.EndSpan(tracer.BeginSpan("knn"));
+  tracer.BeginSpan("batch");  // over the cap: dropped
+  SlowQueryRecord query = MakeQuery(1.0);
+  query.predicted = CostBreakdown{1.0, 2.0, 3.0};
+  log.Offer(std::move(query), &tracer);
   const std::vector<SlowQueryRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].truncated);
+  ASSERT_EQ(records[0].spans.size(), 1u);
+  EXPECT_EQ(records[0].spans[0].name, "knn");
+  EXPECT_DOUBLE_EQ(records[0].observed_io_s, 1.0);
   const std::string json = obs::SlowLogToJson(records);
   EXPECT_NE(json.find("\"truncated\":true"), std::string::npos);
   EXPECT_NE(json.find("\"predicted\":{\"t1\":1"), std::string::npos);
   EXPECT_NE(json.find("\"trace\":["), std::string::npos);
-}
-
-TEST(SlowQueryLogTest, SubtreeExtractionRemapsParents) {
-  if (!obs::kEnabled) return;
-  // Shared-tracer layout: two query roots, children interleaved.
-  std::vector<SpanRecord> spans(4);
-  spans[0].name = "knn";
-  spans[0].parent = obs::kNoSpan;
-  spans[1].name = "range";
-  spans[1].parent = obs::kNoSpan;
-  spans[2].name = "batch";
-  spans[2].parent = 1;
-  spans[2].attrs.emplace_back("io_s", 5.0);
-  spans[3].name = "dir_scan";
-  spans[3].parent = 0;
-  spans[3].attrs.emplace_back("io_s", 0.5);
-  SlowLogOptions options;
-  options.absolute_threshold_s = 0.001;
-  SlowQueryLog log(options);
-  log.Offer(spans, 1, CostBreakdown{}, 0);  // query B only
-  const std::vector<SlowQueryRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].kind, "range");
-  EXPECT_DOUBLE_EQ(records[0].observed_io_s, 5.0);
-  // Only the "range" subtree survives, with remapped parent ids.
-  ASSERT_EQ(records[0].spans.size(), 2u);
-  EXPECT_EQ(records[0].spans[0].name, "range");
-  EXPECT_EQ(records[0].spans[0].parent, obs::kNoSpan);
-  EXPECT_EQ(records[0].spans[1].name, "batch");
-  EXPECT_EQ(records[0].spans[1].parent, 0u);
 }
 
 class SlowLogQueryTest : public ::testing::Test {
@@ -169,8 +146,10 @@ TEST_F(SlowLogQueryTest, CapturesQueriesWithoutCallerTracer) {
   SlowLogOptions options;
   options.absolute_threshold_s = 1e-9;  // retain everything
   SlowQueryLog log(options);
+  IqTree::QueryStats stats;
   IqSearchOptions search;
-  search.slow_log = &log;  // no tracer: the search makes a private one
+  search.slow_log = &log;  // no tracer: the record carries no trace
+  search.stats = &stats;
   auto hits = tree_->KNearestNeighbors(queries_[0], 3, search);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   if (!obs::kEnabled) {
@@ -181,8 +160,11 @@ TEST_F(SlowLogQueryTest, CapturesQueriesWithoutCallerTracer) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].kind, "knn");
   EXPECT_GT(records[0].observed_io_s, 0.0);
+  EXPECT_EQ(records[0].observed.t1, stats.observed.t1);
+  EXPECT_EQ(records[0].observed.t2, stats.observed.t2);
+  EXPECT_EQ(records[0].observed.t3, stats.observed.t3);
   EXPECT_GT(records[0].predicted.total(), 0.0);  // tree's PredictCost
-  EXPECT_FALSE(records[0].spans.empty());
+  EXPECT_TRUE(records[0].spans.empty());
   EXPECT_FALSE(records[0].truncated);
   // Slow-logging must not change results.
   auto plain = tree_->KNearestNeighbors(queries_[0], 3);
@@ -209,6 +191,36 @@ TEST_F(SlowLogQueryTest, SpanCapMarksCapturedQueryTruncated) {
   const std::vector<SlowQueryRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].truncated);
+  EXPECT_EQ(records[0].spans.size(), 4u);
+}
+
+/// A truncated trace no longer under-reports the record: with a tracer
+/// capped at one span (the root, which carries no io_s), the record's
+/// observed split is still the query's own, all three levels of it.
+TEST_F(SlowLogQueryTest, OneSpanTracerKeepsQuerysObservedSplit) {
+  BuildTree(2000, 8, 7);
+  obs::QueryTracer one_span(/*max_spans=*/1);
+  SlowLogOptions options;
+  options.absolute_threshold_s = 1e-9;
+  SlowQueryLog log(options);
+  IqTree::QueryStats stats;
+  IqSearchOptions search;
+  search.tracer = &one_span;
+  search.slow_log = &log;
+  search.stats = &stats;
+  auto hits = tree_->KNearestNeighbors(queries_[0], 3, search);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  if (!obs::kEnabled) return;
+  ASSERT_GT(one_span.dropped(), 0u);
+  const std::vector<SlowQueryRecord> records = log.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].truncated);
+  EXPECT_EQ(records[0].observed.t1, stats.observed.t1);
+  EXPECT_EQ(records[0].observed.t2, stats.observed.t2);
+  EXPECT_EQ(records[0].observed.t3, stats.observed.t3);
+  EXPECT_GT(stats.observed.t1, 0.0);
+  EXPECT_GT(stats.observed.t2, 0.0);
+  EXPECT_NEAR(records[0].observed_io_s, stats.io.io_time_s, 1e-9);
 }
 
 TEST_F(SlowLogQueryTest, ParallelBatchSharesOneLog) {
@@ -239,7 +251,7 @@ TEST_F(SlowLogQueryTest, ParallelBatchSharesOneLog) {
   for (const SlowQueryRecord& record : log.Snapshot()) {
     EXPECT_EQ(record.kind, "knn");
     EXPECT_GT(record.observed_io_s, 0.0);
-    EXPECT_FALSE(record.spans.empty());
+    EXPECT_TRUE(record.spans.empty());
   }
 }
 

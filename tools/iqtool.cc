@@ -23,10 +23,6 @@
 //                   --queries DSNAME [--limit N]) [--k K] [--radius R]
 //                   [--threads T] [--max-in-flight N] [--max-queued N]
 //                   [--deadline S] [--json]
-//   iqtool flight   [--dir DIR --manifest NAME --queries DSNAME
-//                   [--limit N] [--k K] [--radius R] [--threads T]
-//                   [--max-in-flight N] [--max-queued N] [--deadline S]]
-//                   [--json]
 //   iqtool validate --dir DIR --index NAME
 //   iqtool reopt    --dir DIR --index NAME
 //   iqtool shard build  --dir DIR --dataset NAME --manifest NAME
@@ -38,18 +34,16 @@
 // `profile` runs the queries with a QueryTracer attached and prints the
 // recorded span tree (or a JSON trace dump with --json) plus the
 // cost-model calibration report (predicted vs observed T_1st/T_2nd/
-// T_3rd); `slowlog` runs a query batch on a ThreadPool with
-// a slow-query log attached and dumps the retained outliers; `health`
+// T_3rd); `slowlog` runs a query batch on a ThreadPool, each query
+// with its own tracer and all with one slow-query log attached, and
+// dumps the retained outliers with their span trees; `health`
 // summarizes the index structure (per-page g distribution, occupancy,
 // MBR stats). See docs/observability.md for the span schema and report
 // formats. `trace` replays queries against a sharded layout through a
 // QueryFrontEnd with the stitched span tree attached (frontend →
 // wave<i> → shard<i> → per-shard IQ-tree subtree) and exits non-zero
-// when the trace disagrees with the aggregated ShardQueryStats;
-// `flight` drains the always-on flight recorder (optionally provoking
-// admission/deadline events first — `--max-in-flight 0 --deadline S`
-// makes every query time out deterministically). `shard build`
-// streams a dataset into a multi-shard layout
+// when the trace disagrees with the aggregated ShardQueryStats.
+// `shard build` streams a dataset into a multi-shard layout
 // (manifest + one IQ-tree per shard, src/shard/); `shard stats` and
 // `shard health` report per-shard and aggregated figures —
 // `stats --manifest M` / `health --manifest M` are shorthands for the
@@ -72,7 +66,6 @@
 #include "data/generators.h"
 #include "io/storage.h"
 #include "obs/calibration.h"
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
@@ -142,7 +135,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: iqtool "
-      "<generate|build|query|stats|health|profile|slowlog|trace|flight|"
+      "<generate|build|query|stats|health|profile|slowlog|trace|"
       "validate|reopt> ...\n"
       "  generate --out DIR/NAME --workload uniform|cad|color|weather\n"
       "           --n N --dims D [--seed S]\n"
@@ -161,9 +154,6 @@ int Usage() {
       "           --queries DSNAME [--limit N]) [--k K] [--radius R]\n"
       "           [--threads T] [--max-in-flight N] [--max-queued N]\n"
       "           [--deadline S] [--json]\n"
-      "  flight   [--dir DIR --manifest NAME --queries DSNAME [--limit N]\n"
-      "           [--k K] [--radius R] [--threads T] [--max-in-flight N]\n"
-      "           [--max-queued N] [--deadline S]] [--json]\n"
       "  validate --dir DIR --index NAME\n"
       "  reopt    --dir DIR --index NAME\n"
       "  shard build  --dir DIR --dataset NAME --manifest NAME [--shards N]\n"
@@ -519,8 +509,9 @@ int Profile(const Args& args) {
   }
 
   // Calibration telemetry: the cost model's predicted breakdown is a
-  // per-index constant; every traced query contributes one observed
-  // breakdown (docs/observability.md, "Calibration").
+  // per-index constant; every query contributes its own observed
+  // breakdown, IqQueryStats::observed (docs/observability.md,
+  // "Calibration").
   obs::CalibrationTracker calibration;
   const obs::CostBreakdown predicted = (*tree)->PredictCost();
 
@@ -562,7 +553,7 @@ int Profile(const Args& args) {
     const IqTree::QueryStats& stats = run.stats;
     const std::vector<obs::SpanRecord>& spans = run.spans;
     dropped += run.dropped;
-    calibration.Record(predicted, obs::ObservedBreakdown(spans));
+    calibration.Record(predicted, stats.observed);
     // With observability compiled out the trace is empty by design —
     // nothing to cross-check.
     std::string problems;
@@ -648,17 +639,21 @@ int SlowLog(const Args& args) {
   log_options.min_samples = queries.size() / 4 + 1;
   obs::SlowQueryLog slow_log(log_options);
 
-  IqSearchOptions options;
-  options.slow_log = &slow_log;
   const size_t threads = std::max<size_t>(1, ParseCount(args.Get("threads"), 2));
   const bool range = !args.Get("radius").empty();
   const double radius = ParseNumber(args.Get("radius"), 0.0);
   const size_t k = ParseCount(args.Get("k"), 1);
+  // One tracer per query, so each retained record carries exactly its
+  // own query's span tree.
   ThreadPool pool(threads);
   std::vector<std::future<Status>> statuses;
   statuses.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     statuses.push_back(pool.Submit([&, i] {
+      obs::QueryTracer tracer;
+      IqSearchOptions options;
+      options.tracer = &tracer;
+      options.slow_log = &slow_log;
       return range
                  ? (*tree)->RangeSearch(queries[i], radius, options).status()
                  : (*tree)->KNearestNeighbors(queries[i], k, options).status();
@@ -838,9 +833,9 @@ int Trace(const Args& args) {
 
   bool all_consistent = true;
   for (size_t i = 0; i < queries.size(); ++i) {
-    // The sharded default cap (fan-out multiplies span volume; a
-    // truncated trace would fail the consistency check by design).
-    obs::QueryTracer tracer(kShardedTracerMaxSpans);
+    // 16x QueryTracer's default cap: fan-out multiplies span volume,
+    // and a truncated trace would fail the consistency check by design.
+    obs::QueryTracer tracer(1 << 20);
     ShardQueryStats stats;
     ShardedSearchOptions options;
     options.tracer = &tracer;
@@ -895,96 +890,6 @@ int Trace(const Args& args) {
     std::fprintf(stderr,
                  "error: stitched trace disagrees with shard query stats\n");
     return 1;
-  }
-  return 0;
-}
-
-/// Drains the process-wide flight recorder, optionally after replaying
-/// a workload through a QueryFrontEnd first so the rings have
-/// something to say (`--max-in-flight 0 --deadline S` deterministically
-/// provokes deadline-exceeded dumps; a failing query is this command's
-/// subject matter, not an error).
-int Flight(const Args& args) {
-  auto& recorder = obs::FlightRecorder::Global();
-  size_t ran = 0;
-  size_t failures = 0;
-  const std::string manifest_name = args.Get("manifest");
-  const std::string queries_name = args.Get("queries");
-  if (!manifest_name.empty() && !queries_name.empty()) {
-    const std::string dir = args.Get("dir", ".");
-    FileStorage storage(dir);
-    auto manifest = ShardManifest::Read(storage, manifest_name);
-    if (!manifest.ok()) return Fail(manifest.status());
-    ShardedSearcher::Options open_options;
-    open_options.threads = ParseCount(args.Get("threads"), 4);
-    auto searcher = ShardedSearcher::Open(storage, *manifest, open_options);
-    if (!searcher.ok()) return Fail(searcher.status());
-    auto data = ReadDataset(storage, queries_name);
-    if (!data.ok()) return Fail(data.status());
-    if (data->dims() != (*searcher)->dims()) {
-      std::fprintf(stderr, "dataset has %zu dims, manifest has %zu\n",
-                   data->dims(), (*searcher)->dims());
-      return 2;
-    }
-    QueryFrontEnd::Options fe_options;
-    fe_options.max_in_flight = ParseCount(args.Get("max-in-flight"), 4);
-    fe_options.max_queued = ParseCount(args.Get("max-queued"), 16);
-    fe_options.default_deadline_s = ParseNumber(args.Get("deadline"), 0.0);
-    QueryFrontEnd front_end(**searcher, fe_options);
-    const bool range = !args.Get("radius").empty();
-    const double radius = ParseNumber(args.Get("radius"), 0.0);
-    const size_t k = ParseCount(args.Get("k"), 1);
-    const size_t limit = ParseCount(args.Get("limit"), 8);
-    for (size_t i = 0; i < data->size() && i < limit; ++i) {
-      ++ran;
-      if (range) {
-        if (!front_end.RangeSearch((*data)[i], radius).ok()) ++failures;
-      } else {
-        if (!front_end.KNearestNeighbors((*data)[i], k).ok()) ++failures;
-      }
-    }
-  }
-
-  const std::vector<obs::FlightEvent> events = recorder.Snapshot();
-  if (args.Has("json")) {
-    obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("schema_version").Uint(1);
-    w.Key("queries_run").Uint(ran);
-    w.Key("queries_failed").Uint(failures);
-    w.Key("dumps").Uint(recorder.dumps());
-    w.Key("last_dump_reason").String(recorder.last_dump_reason());
-    w.Key("last_dump");
-    if (recorder.last_dump().empty()) {
-      w.Null();
-    } else {
-      w.Raw(recorder.last_dump());
-    }
-    w.Key("drain").Raw(obs::FlightToJson(events, "on_demand",
-                                         recorder.recorded(),
-                                         recorder.dropped()));
-    w.EndObject();
-    std::printf("%s\n", w.str().c_str());
-    return 0;
-  }
-  std::printf(
-      "flight recorder: %llu events recorded, %llu dropped, %llu dumps",
-      static_cast<unsigned long long>(recorder.recorded()),
-      static_cast<unsigned long long>(recorder.dropped()),
-      static_cast<unsigned long long>(recorder.dumps()));
-  if (!recorder.last_dump_reason().empty()) {
-    std::printf(" (last: %s)", recorder.last_dump_reason().c_str());
-  }
-  std::printf("\n");
-  if (ran > 0) {
-    std::printf("replayed %zu queries, %zu failed\n", ran, failures);
-  }
-  for (const obs::FlightEvent& event : events) {
-    std::printf("  %12lld ns t%02u #%-4llu %-18s arg=%u v0=%.6g v1=%.6g\n",
-                static_cast<long long>(event.ts_ns), event.thread,
-                static_cast<unsigned long long>(event.seq),
-                obs::FlightEventTypeName(event.type), event.arg, event.v0,
-                event.v1);
   }
   return 0;
 }
@@ -1244,7 +1149,6 @@ int Run(int argc, char** argv) {
   if (args.command == "profile") return Profile(args);
   if (args.command == "slowlog") return SlowLog(args);
   if (args.command == "trace") return Trace(args);
-  if (args.command == "flight") return Flight(args);
   if (args.command == "validate") return Validate(args);
   if (args.command == "reopt") return Reoptimize(args);
   if (args.command == "shard") return Shard(argc, argv);

@@ -13,14 +13,14 @@
 #   obs       observability smoke (docs/observability.md): builds with
 #             -DIQ_OBS_DISABLED=ON (metrics/tracing compiled out), runs
 #             the full suite there, then exercises `iqtool profile`,
-#             `iqtool health`, `iqtool slowlog`, `iqtool trace` (the
-#             stitched-trace consistency gate), and `iqtool flight`
-#             against a sample index in both the disabled and the
-#             release build and validates the JSON output with
-#             tools/json_check; asserts a deadline-exceeded replay
-#             leaves a flight dump in the enabled build, and that the
-#             FlightRecorder::Record symbol does not exist in the
-#             IQ_OBS_DISABLED object file (zero hot-path instructions)
+#             `iqtool health`, `iqtool slowlog` and `iqtool trace` (the
+#             stitched-trace consistency gate) against a sample index
+#             in both the disabled and the release build and validates
+#             the JSON output with tools/json_check; asserts that every
+#             slow-log record of the enabled build carries its query's
+#             trace, and that the QueryTracer::BeginSpan symbol does not
+#             exist in the IQ_OBS_DISABLED object file (zero hot-path
+#             instructions) but does in the release one
 #   lint      project-contract static analysis (docs/static_analysis.md):
 #             exports compile_commands.json, builds tools/iqlint, runs
 #             an incremental `--changed` pre-check (IQLINT_BASE_REF,
@@ -53,7 +53,7 @@
 #             tightly against BENCH_planner.json, bench/micro_shard,
 #             whose simulated io_s and pruning rows are gated against
 #             BENCH_shard.json, and bench/micro_obs, which self-gates
-#             the flight recorder's hot-path overhead at 2% and is
+#             the per-query report path's overhead at 2% and is
 #             tracked in BENCH_obs.json
 #
 # Usage: tools/run_checks.sh [release|sanitize|thread|tidy|lint|obs|scalar|bench]...
@@ -254,8 +254,9 @@ SEED
                     --require level3_indirection_ratio
             "$IQTOOL" slowlog --dir "$OBS_TMP" --index "$tree-idx" \
                 --queries "$tree-ds" --limit 8 --k 3 --json \
-                | "$CHECK" --require records --require retained \
-                    --require threshold_s
+                > "$OBS_TMP/$tree-slowlog.json"
+            "$CHECK" --require records --require retained \
+                --require threshold_s < "$OBS_TMP/$tree-slowlog.json"
             "$IQTOOL" shard build --dir "$OBS_TMP" --dataset "$tree-ds" \
                 --manifest "$tree-m" --shards 3 --plan rank >/dev/null
             "$IQTOOL" shard stats --dir "$OBS_TMP" --manifest "$tree-m" \
@@ -280,38 +281,30 @@ SEED
                     --require metrics --require consistent \
                     < "$OBS_TMP/$tree-trace.json"
             done
-            # Replay with zero in-flight slots and a short deadline:
-            # every query expires in the queue, deterministically
-            # provoking deadline-exceeded flight dumps (enabled build).
-            "$IQTOOL" flight --dir "$OBS_TMP" --manifest "$tree-m" \
-                --queries "$tree-ds" --limit 3 --k 3 \
-                --max-in-flight 0 --deadline 0.02 --json \
-                > "$OBS_TMP/$tree-flight.json"
-            "$CHECK" --require schema_version --require dumps \
-                --require last_dump_reason --require drain \
-                < "$OBS_TMP/$tree-flight.json"
             echo "==> obs: $tree JSON valid"
         done
-        echo "==> obs: deadline-exceeded queries leave a flight dump"
-        grep -q '"last_dump_reason":"deadline_exceeded"' \
-            "$OBS_TMP/build-release-flight.json"
-        if grep -q '"deadline_exceeded"' \
-            "$OBS_TMP/build-obsoff-flight.json"; then
-            echo "obs: IQ_OBS_DISABLED build produced flight events" >&2
+        # `slowlog` traces every query with its own tracer, so each
+        # retained record of the enabled build carries a non-empty
+        # trace: no record may hold an empty "trace":[] array, and at
+        # least one record must exist.
+        echo "==> obs: every slow-log record carries its query's trace"
+        grep -q '"trace":\[{' "$OBS_TMP/build-release-slowlog.json"
+        if grep -q '"trace":\[\]' "$OBS_TMP/build-release-slowlog.json"; then
+            echo "obs: slow-log record without a trace" >&2
             exit 1
         fi
-        echo "==> obs: flight Record compiled out under IQ_OBS_DISABLED"
-        OBSOFF_OBJ="$(find "$ROOT/build-obsoff" -name 'flight_recorder.cc.o' \
+        echo "==> obs: tracer BeginSpan compiled out under IQ_OBS_DISABLED"
+        OBSOFF_OBJ="$(find "$ROOT/build-obsoff" -name 'trace.cc.o' \
             | head -n 1)"
-        REL_OBJ="$(find "$ROOT/build-release" -name 'flight_recorder.cc.o' \
+        REL_OBJ="$(find "$ROOT/build-release" -name 'trace.cc.o' \
             | head -n 1)"
         [ -n "$OBSOFF_OBJ" ] && [ -n "$REL_OBJ" ]
-        if nm -C "$OBSOFF_OBJ" | grep -q 'FlightRecorder::Record'; then
-            echo "obs: Record symbol present in IQ_OBS_DISABLED build" >&2
+        if nm -C "$OBSOFF_OBJ" | grep -q 'QueryTracer::BeginSpan'; then
+            echo "obs: BeginSpan symbol present in IQ_OBS_DISABLED build" >&2
             exit 1
         fi
-        nm -C "$REL_OBJ" | grep -q 'FlightRecorder::Record' || {
-            echo "obs: Record symbol missing from enabled build" >&2
+        nm -C "$REL_OBJ" | grep -q 'QueryTracer::BeginSpan' || {
+            echo "obs: BeginSpan symbol missing from enabled build" >&2
             exit 1
         }
         ;;
@@ -394,10 +387,11 @@ SEED
             < "$BENCH_TMP/shard.out"
         "$ROOT/build-release/tools/json_check" --require schema_version \
             --require suite --require benches < "$BENCH_TMP/shard.json"
-        echo "==> bench: flight-recorder overhead micro (bench/micro_obs)"
+        echo "==> bench: query-report overhead micro (bench/micro_obs)"
         cmake --build "$ROOT/build-release" -j "$JOBS" --target micro_obs
-        # micro_obs self-gates (exits non-zero when Record() costs more
-        # than 2% of the reference page-filter loop); the aggregate
+        # micro_obs self-gates (exits non-zero when a query's stats
+        # report costs more than 2% of the reference page-filter loop);
+        # the aggregate
         # gate only tracks the trajectory, hence the wide tolerance on
         # these wall-clock numbers.
         IQBENCH_SUITE=obs IQBENCH_GIT_REV="$GIT_REV" \
