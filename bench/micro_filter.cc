@@ -5,7 +5,8 @@
 // same loop, of the directory MINDIST kernel (FilterKernel::BoxMinDists)
 // against a MinDist loop over the same boxes as Mbr objects, and of the
 // exact-point distance kernel (FilterKernel::BatchDistances) against a
-// Distance() loop over the same points.
+// Distance() loop over the same points, and of a whole IQ-tree 10-NN
+// query against a BatchDistances pass over the same points.
 //
 // Unlike the figure benches this measures real CPU time, so the IQBENCH
 // rows are *relative costs* (kernel ns / reference ns, lower is
@@ -15,13 +16,17 @@
 // the human table only (docs/perf_kernels.md quotes them).
 
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <string>
 
 #include "bench_common.h"
 #include "common/random.h"
 #include "core/format.h"
+#include "core/iq_tree.h"
+#include "data/generators.h"
 #include "io/disk_model.h"
+#include "io/storage.h"
 #include "quant/filter_kernel.h"
 #include "quant/grid_quantizer.h"
 
@@ -180,6 +185,32 @@ KernelTimes TimePageConfig(Rng& rng, unsigned bits, double budget_ms) {
   return t;
 }
 
+/// The directory reference loop: geom::MinDist's L2 arithmetic over
+/// `boxes`, as the bench's own copy. MinDist branches per dimension, and
+/// how well those branches predict depends on where the linker puts
+/// the code, so a library MinDist moved with every unrelated change to
+/// the library (docs/perf_kernels.md). This copy is never inlined and
+/// starts on a 64-byte boundary, so its layout is the same in every
+/// link.
+__attribute__((noinline, aligned(64))) void ReferenceBoxMinDists(
+    const std::vector<float>& q, const std::vector<Mbr>& boxes,
+    double* out) {
+  for (size_t j = 0; j < boxes.size(); ++j) {
+    const Mbr& box = boxes[j];
+    double s = 0.0;
+    for (size_t i = 0; i < q.size(); ++i) {
+      double diff = 0.0;
+      if (q[i] < box.lb(i)) {
+        diff = box.lb(i) - static_cast<double>(q[i]);
+      } else if (q[i] > box.ub(i)) {
+        diff = static_cast<double>(q[i]) - box.ub(i);
+      }
+      s += diff * diff;
+    }
+    out[j] = std::sqrt(s);
+  }
+}
+
 /// Directory MINDIST: kPagePoints boxes as Mbr objects (the reference
 /// MinDist loop) and dimension-major (the kernel), one query.
 KernelTimes TimeBoxConfig(Rng& rng, size_t dims, double budget_ms) {
@@ -202,9 +233,7 @@ KernelTimes TimeBoxConfig(Rng& rng, size_t dims, double budget_ms) {
   KernelTimes t{};
   std::vector<double> out(kPagePoints);
   t.ref_ns = MeasureNsPerPoint(budget_ms, [&] {
-    for (size_t j = 0; j < kPagePoints; ++j) {
-      out[j] = MinDist(q, boxes[j], Metric::kL2);
-    }
+    ReferenceBoxMinDists(q, boxes, out.data());
     g_sink += out[0];
   });
   SetKernelDispatch(KernelDispatch::kScalar);
@@ -258,6 +287,56 @@ KernelTimes TimeDistConfig(Rng& rng, size_t dims, double budget_ms) {
   }
   SetKernelDispatch(KernelDispatch::kAuto);
   return t;
+}
+
+/// CPU of one exact 10-NN query on an in-memory IQ-tree over uniform
+/// 16-d points, every page stored at g = 8 (directory scan, §2.1
+/// planning, page decode and filter, the HS cell queue, refinements;
+/// the disk is simulated), as a multiple of the reference loop over the
+/// same points: one FilterKernel::BatchDistances pass per query, the
+/// distances a scan computes. Both sides run the same queries.
+double TimeKnnRelCost(double budget_ms) {
+  constexpr size_t kDims = 16;
+  constexpr size_t kPoints = 20000;
+  constexpr size_t kQueries = 16;
+  Dataset data = GenerateUniform(kPoints + kQueries, kDims, 11);
+  const Dataset queries = data.TakeTail(kQueries);
+  MemoryStorage storage;
+  DiskModel disk{DiskParameters{}};
+  IqTree::Options options;
+  options.fixed_quant_bits = 8;
+  options.fractal_dimension = kDims;  // uniform data: D_F = d
+  auto tree = IqTree::Build(data, storage, "knn", disk, options);
+  if (!tree.ok()) {
+    std::fprintf(stderr, "micro_filter: kNN tree build failed: %s\n",
+                 tree.status().ToString().c_str());
+    std::exit(1);
+  }
+  const double knn_ns = MeasureNsPerPoint(
+      budget_ms,
+      [&] {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          auto got = (*tree)->KNearestNeighbors(queries[i], 10);
+          if (!got.ok() || got->empty()) std::exit(1);
+          g_sink += got->back().distance;
+        }
+      },
+      kQueries);
+  std::vector<double> out(kPoints);
+  const double ref_ns = MeasureNsPerPoint(
+      budget_ms,
+      [&] {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          FilterKernel::BatchDistances(queries[i], Metric::kL2, data.data(),
+                                       kPoints, out.data());
+          g_sink += out[i];
+        }
+      },
+      kQueries);
+  std::printf("10-NN query, uniform d=16 g=8, %zu points: %.1f us/query, "
+              "reference %.1f us/query\n",
+              kPoints, knn_ns / 1e3, ref_ns / 1e3);
+  return knn_ns / ref_ns;
 }
 
 double MptsPerSec(double ns_per_point) { return 1e3 / ns_per_point; }
@@ -335,6 +414,9 @@ int main(int argc, char** argv) {
            "d=16 g=" + std::to_string(bits) + " page", t);
   }
 
+  // Whole kNN query against a scan's distance pass (x = k).
+  report.Add("knn_relcost", 10, TimeKnnRelCost(4 * budget_ms));
+
   table.Print(std::cout);
   report.Print();
   std::printf(
@@ -347,6 +429,7 @@ int main(int argc, char** argv) {
       "arithmetic, so it sits near 1; the AVX2 kernel is below it.\n"
       "A whole page (unpack + table bind + filter) stays below the\n"
       "reference loop at every g, g = 16 (direct path) included.\n"
+      "A 10-NN query costs a small multiple of one scan distance pass.\n"
       "Sink=%g\n",
       g_sink == 12345.0 ? 1.0 : 0.0);
   return 0;

@@ -82,7 +82,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Open(Storage& storage,
   IQ_RETURN_NOT_OK(checker.CheckDirectory(
       tree->dir_, InvariantChecker::FileBounds{
                       tree->qpages_->NumBlocks(), tree->exact_->SizeBytes()}));
-  tree->dir_geom_ = tree->MakeDirGeometry();
+  tree->RefreshFromDirectory();
   return tree;
 }
 
@@ -167,7 +167,15 @@ CostModel IqTree::MakeCostModel() const {
   return CostModel(params);
 }
 
+void IqTree::RefreshFromDirectory() {
+  dir_geom_ = MakeDirGeometry();
+  MutexLock lock(&predicted_mu_);
+  predicted_.reset();
+}
+
 obs::CostBreakdown IqTree::PredictCost() const {
+  MutexLock lock(&predicted_mu_);
+  if (predicted_.has_value()) return *predicted_;
   const CostModel model = MakeCostModel();
   obs::CostBreakdown out;
   out.t1 = model.DirectoryScanCost(num_pages());
@@ -176,6 +184,7 @@ obs::CostBreakdown IqTree::PredictCost() const {
     out.t3 += model.PageRefinementCost(entry.mbr, entry.count,
                                        entry.quant_bits);
   }
+  predicted_ = out;
   return out;
 }
 
@@ -222,7 +231,7 @@ Status IqTree::Reoptimize() {
   const Status populated =
       PopulateFromDataset(head, snapshot, &row_ids, options);
   // Mirror whatever directory was written, a partial one included.
-  dir_geom_ = MakeDirGeometry();
+  RefreshFromDirectory();
   IQ_RETURN_NOT_OK(populated);
   dirty_ = true;
   IQ_RETURN_NOT_OK(Flush());

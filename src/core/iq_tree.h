@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ struct IqQueryStats {
   size_t batches = 0;
   /// Third-level record lookups (exact-geometry consultations).
   size_t refinements = 0;
-  /// Point approximations that entered the priority queue.
+  /// k-NN candidates: point approximations under the prune distance
+  /// when their page was decoded (each may later be refined).
   size_t cells_enqueued = 0;
   /// Every access this query charged, from its own fresh disk head:
   /// the same whether the query runs alone or beside others.
@@ -102,8 +104,8 @@ struct IqSearchOptions {
 ///   1. The const query methods — NearestNeighbor, KNearestNeighbors,
 ///      RangeSearch, WindowQuery — may run concurrently with each other
 ///      on one tree (each query's head and counters are its own; the
-///      DiskModel totals are atomic and the last_query_stats_
-///      publication is locked).
+///      DiskModel totals are atomic, and the last_query_stats_
+///      publication and the stored PredictCost value are locked).
 ///   2. Updates (Insert, InsertBatch, Remove, Flush, Reoptimize)
 ///      require external exclusion against everything, single-writer
 ///      style — they rewrite live blocks in place.
@@ -223,8 +225,11 @@ class IqTree {
   /// T_1st (eq. 22), T_2nd (eqns 16-21) and T_3rd (sum of eqns 6-15
   /// over the directory) in simulated seconds. This is the "predicted"
   /// side of the calibration telemetry (docs/observability.md); the
-  /// "observed" side is each query's IqQueryStats::observed.
-  obs::CostBreakdown PredictCost() const;
+  /// "observed" side is each query's IqQueryStats::observed. A
+  /// per-index constant: evaluated on the first call after the
+  /// directory last changed (Build, Open, an update, Reoptimize) and a
+  /// stored copy after that. Thread-safe, like the queries.
+  obs::CostBreakdown PredictCost() const IQ_EXCLUDES(predicted_mu_);
 
   const IndexMeta& meta() const { return meta_; }
   size_t dims() const { return meta_.dims; }
@@ -268,11 +273,11 @@ class IqTree {
   IqTree() = default;
 
   /// Query-only mirror of dir_'s geometry, rebuilt from dir_ (the
-  /// source of truth) by MakeDirGeometry at Build, Open and Reoptimize
-  /// and once at the end of every update (FinishUpdate). Entry j's MBR
-  /// side in dimension i is [lo[i*stride + j], hi[i*stride + j]] with
-  /// stride = the entry count, the layout FilterKernel::BoxMinDists
-  /// sweeps. block_entry maps each qpage block that existed at the
+  /// source of truth) by RefreshFromDirectory at Build, Open and
+  /// Reoptimize and once at the end of every update (FinishUpdate).
+  /// Entry j's MBR side in dimension i is [lo[i*stride + j],
+  /// hi[i*stride + j]] with stride = the entry count, the layout
+  /// FilterKernel::BoxMinDists sweeps. block_entry maps each qpage block that existed at the
   /// refresh to the entry that owns it, kNoEntry for garbage.
   struct DirGeometry {
     static constexpr uint32_t kNoEntry = 0xFFFFFFFF;
@@ -292,6 +297,10 @@ class IqTree {
   /// The mirror of the current dir_ and qpage file (dir_geom_'s value
   /// after a refresh).
   DirGeometry MakeDirGeometry() const;
+
+  /// Rebuilds dir_geom_ from dir_ and drops the stored prediction, so
+  /// the next PredictCost evaluates the changed directory.
+  void RefreshFromDirectory() IQ_EXCLUDES(predicted_mu_);
 
   /// Ends an update whose body returned `update`: refreshes the
   /// mirror once (also after a failure, which may have changed part of
@@ -353,7 +362,7 @@ class IqTree {
   /// -DIQ_DEBUG_INVARIANTS=ON.
   Status DebugCheckInvariants() const;
 
-  // Everything below except the query-stats pair follows the tree's
+  // Everything below except the two locked pairs follows the tree's
   // two-tier model (docs/concurrency.md): concurrent queries only read,
   // and structural updates require external exclusion.
   IndexMeta meta_ IQ_UNGUARDED("single-writer: set by Build/Open, updates require external exclusion");
@@ -369,6 +378,11 @@ class IqTree {
   BuildStats build_stats_ IQ_UNGUARDED("single-writer: rewritten by build paths under external exclusion");
   mutable Mutex query_stats_mu_{IQ_LOCK_RANK(10)};
   mutable QueryStats last_query_stats_ IQ_GUARDED_BY(query_stats_mu_);
+  mutable Mutex predicted_mu_{IQ_LOCK_RANK(12)};
+  /// PredictCost's value for the current dir_; empty until its first
+  /// call after a refresh.
+  mutable std::optional<obs::CostBreakdown> predicted_
+      IQ_GUARDED_BY(predicted_mu_);
   bool dirty_ IQ_UNGUARDED("single-writer: updates require external exclusion") = false;
 };
 

@@ -126,7 +126,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
 
   DiskHead head;
   IQ_RETURN_NOT_OK(tree->PopulateFromDataset(head, data, nullptr, options));
-  tree->dir_geom_ = tree->MakeDirGeometry();
+  tree->RefreshFromDirectory();
 
   tree->dirty_ = true;
   IQ_RETURN_NOT_OK(tree->Flush());

@@ -20,15 +20,42 @@ namespace {
 constexpr size_t kMaxPrunerRegions = 512;
 constexpr double kMinCandidateProbability = 0.10;
 
-/// Min-heap entry: the cell approximation of one point of an
-/// already-decoded page. Pages never enter this heap; they come from the
-/// searcher's (MINDIST, dir_index) page order. Ties go by (dir_index,
-/// slot), so a page's tied cells are refined in their third-level
-/// record order.
+/// One cell approximation of a decoded page that is still a candidate
+/// (§3.2): its lower bound and its slot in the page.
+struct Candidate {
+  double mindist;
+  uint32_t slot;
+};
+
+/// Heap comparator of a page's candidates: (mindist, slot) ascending.
+inline bool LaterCandidate(const Candidate& a, const Candidate& b) {
+  return a.mindist > b.mindist || (a.mindist == b.mindist && a.slot > b.slot);
+}
+
+/// One decoded page with candidates. Until its head first pops, the
+/// page is just its lower bounds, one per point from `bounds` in the
+/// searcher's bound arena. From then on, its remaining candidates are
+/// candidates_[begin, end), a LaterCandidate heap whose top is the
+/// page's next head.
+struct PageCursor {
+  size_t bounds;
+  size_t begin;
+  size_t end;
+  bool ordered;
+};
+
+/// Min-heap entry: the head (best remaining candidate) of one decoded
+/// page, `cursor` its PageCursor. Pages never enter this heap; they
+/// come from the searcher's (MINDIST, dir_index) page order. Ties go by
+/// (dir_index, slot). A page's head is its least candidate by
+/// (mindist, slot), so merging the heads pops every candidate in the
+/// global (mindist, dir_index, slot) order, and a page's tied cells are
+/// refined in their third-level record order.
 struct CellEntry {
   double mindist;
   uint32_t dir_index;
   uint32_t slot;
+  uint32_t cursor;
 
   bool operator>(const CellEntry& other) const {
     if (mindist != other.mindist) return mindist > other.mindist;
@@ -37,6 +64,7 @@ struct CellEntry {
   }
 };
 
+/// The HS cell queue: at most one entry per decoded page.
 using CellHeap =
     std::priority_queue<CellEntry, std::vector<CellEntry>,
                         std::greater<CellEntry>>;
@@ -108,7 +136,6 @@ class IqTreeSearcher {
     // HS search (§2.2) over two sources: the next unprocessed page of
     // the page order and the cell heap; on equal MINDIST the page goes
     // first.
-    CellHeap cells;
     std::vector<uint8_t> batch_buf;
     // MINDIST of a source with nothing left.
     constexpr double kExhausted = std::numeric_limits<double>::infinity();
@@ -123,19 +150,19 @@ class IqTreeSearcher {
           next_page < NumOrdered() ? OrderedPage(next_page).mindist
                                    : kExhausted;
       const double cell_mindist =
-          cells.empty() ? kExhausted : cells.top().mindist;
+          cells_.empty() ? kExhausted : cells_.top().mindist;
       if (!(std::min(page_mindist, cell_mindist) < PruneDistance())) break;
       if (cell_mindist < page_mindist) {
-        const CellEntry top = cells.top();
-        cells.pop();
+        const CellEntry top = cells_.top();
+        cells_.pop();
         IQ_RETURN_NOT_OK(RefineSlot(top.dir_index, top.slot));
+        AdvanceCursor(top);
         continue;
       }
       const size_t page_pos = next_page++;
       const RankedPage page = OrderedPage(page_pos);
       if (options_.optimized_access) {
-        IQ_RETURN_NOT_OK(
-            LoadBatch(page.dir_index, page_pos, &batch_buf, &cells));
+        IQ_RETURN_NOT_OK(LoadBatch(page.dir_index, page_pos, &batch_buf));
         continue;
       }
       const uint32_t qpage_block = tree_.dir_[page.dir_index].qpage_block;
@@ -152,8 +179,8 @@ class IqTreeSearcher {
           "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
                                  tree_.disk_->params()));
       batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
-      IQ_RETURN_NOT_OK(ProcessPage(page.dir_index, batch_buf.data(), &cells,
-                                   batch_span.id()));
+      IQ_RETURN_NOT_OK(
+          ProcessPage(page.dir_index, batch_buf.data(), batch_span.id()));
     }
     out->assign(results_.begin(), results_.end());
     std::sort(out->begin(), out->end(),
@@ -344,7 +371,7 @@ class IqTreeSearcher {
   /// over-reading cheaper than a later seek, then process everything
   /// that was transferred.
   Status LoadBatch(size_t pivot_dir_index, size_t pivot_pos,
-                   std::vector<uint8_t>* buf, CellHeap* cells) {
+                   std::vector<uint8_t>* buf) {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = head_.stats.io_time_s;
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
@@ -380,16 +407,18 @@ class IqTreeSearcher {
         continue;
       }
       IQ_RETURN_NOT_OK(ProcessPage(dir_index, buf->data() + b * block_size_,
-                                   cells, batch_span.id()));
+                                   batch_span.id()));
     }
     batch_span.AddAttr("pages_pruned", static_cast<double>(pruned));
     return Status::OK();
   }
 
   /// Decodes a loaded quantized page: exact points are evaluated
-  /// directly; cell approximations enter the priority queue (§3.2).
+  /// directly; the cell approximations under the prune distance become
+  /// the page's candidates (§3.2), and only the best of them enters the
+  /// cell heap.
   IQ_HOT_NOALLOC
-  Status ProcessPage(size_t dir_index, const uint8_t* page, CellHeap* cells,
+  Status ProcessPage(size_t dir_index, const uint8_t* page,
                      obs::SpanId parent_span) {
     processed_[dir_index] = 1;
     stats_.pages_decoded += 1;
@@ -424,24 +453,80 @@ class IqTreeSearcher {
     // CellBox+MinDist loop — and the kernel's bounds are bit-identical
     // to it (see quant/filter_kernel.h).
     kernel_.BindMinDist(q_, metric_, entry.mbr, entry.quant_bits);
-    // iqlint: allow(hotpath-alloc): reused member scratch (see above).
-    dist_scratch_.resize(entry.count);
-    kernel_.MinDistLowerBounds(cells_scratch_.data(), entry.count,
-                               dist_scratch_.data());
+    // The page's bounds go straight into the query's bound arena.
+    const size_t bounds = bounds_.size();
+    // iqlint: allow(hotpath-alloc): the query's bound arena grows
+    // amortized and only holds this query's decoded pages.
+    bounds_.resize(bounds + entry.count);
+    double* const bound = bounds_.data() + bounds;
+    kernel_.MinDistLowerBounds(cells_scratch_.data(), entry.count, bound);
+    // The candidates are the cells under the prune distance; the first
+    // least bound is the page's head.
     const double prune = PruneDistance();
     size_t enqueued = 0;
+    double head_mindist = prune;
+    uint32_t head = 0;
     for (uint32_t s = 0; s < entry.count; ++s) {
-      const double mindist = dist_scratch_[s];
-      if (mindist < prune) {
-        // iqlint: allow(hotpath-alloc): the priority list's backing
-        // vector grows amortized and is reused across pages of a query.
-        cells->push(CellEntry{mindist, static_cast<uint32_t>(dir_index), s});
-        stats_.cells_enqueued += 1;
-        ++enqueued;
+      enqueued += bound[s] < prune;
+      if (bound[s] < head_mindist) {
+        head_mindist = bound[s];
+        head = s;
       }
     }
+    stats_.cells_enqueued += enqueued;
     span.AddAttr("cells_enqueued", static_cast<double>(enqueued));
+    if (enqueued == 0) {
+      // iqlint: allow(hotpath-alloc): shrinks back, never allocates.
+      bounds_.resize(bounds);
+      return Status::OK();
+    }
+    const uint32_t cursor = static_cast<uint32_t>(cursors_.size());
+    // iqlint: allow(hotpath-alloc): one cursor per decoded page, grows
+    // amortized over the query.
+    cursors_.push_back(PageCursor{bounds, 0, 0, false});
+    // iqlint: allow(hotpath-alloc): the cell heap's backing vector holds
+    // one entry per decoded page and grows amortized.
+    cells_.push(CellEntry{head_mindist, static_cast<uint32_t>(dir_index),
+                          head, cursor});
     return Status::OK();
+  }
+
+  /// After `popped`, its page's head, was refined: puts the page's next
+  /// head into the cell heap. The page's candidates are gathered and
+  /// ordered only now, on its first pop, without the cells the prune
+  /// distance has excluded since decode (it never grows, so they would
+  /// never pop).
+  IQ_HOT_NOALLOC
+  void AdvanceCursor(const CellEntry& popped) {
+    PageCursor& run = cursors_[popped.cursor];
+    const double prune = PruneDistance();
+    if (!run.ordered) {
+      const double* const bound = bounds_.data() + run.bounds;
+      const uint32_t count = tree_.dir_[popped.dir_index].count;
+      run.begin = candidates_.size();
+      for (uint32_t s = 0; s < count; ++s) {
+        if (s != popped.slot && bound[s] < prune) {
+          // iqlint: allow(hotpath-alloc): the query's candidate arena
+          // grows amortized and only holds this query's candidates.
+          candidates_.push_back(Candidate{bound[s], s});
+        }
+      }
+      run.end = candidates_.size();
+      std::make_heap(candidates_.data() + run.begin,
+                     candidates_.data() + run.end, LaterCandidate);
+      run.ordered = true;
+    } else {
+      std::pop_heap(candidates_.data() + run.begin,
+                    candidates_.data() + run.end, LaterCandidate);
+      --run.end;
+    }
+    if (run.begin == run.end) return;
+    const Candidate& next = candidates_[run.begin];
+    if (!(next.mindist < prune)) return;
+    // iqlint: allow(hotpath-alloc): replaces the entry just popped, so
+    // the heap never outgrows its high-water size.
+    cells_.push(CellEntry{next.mindist, popped.dir_index, next.slot,
+                          popped.cursor});
   }
 
   /// Consults the exact geometry of one point (§3.2): reads only the
@@ -567,6 +652,15 @@ class IqTreeSearcher {
 
   std::vector<Neighbor> results_;
   double results_top_ = std::numeric_limits<double>::infinity();
+
+  /// kNN cell queue (§2.2) as a k-way merge over the decoded pages
+  /// (cursors_): each page's head in cells_, its lower bounds in
+  /// bounds_ and, once its head has popped, its remaining candidates
+  /// in candidates_.
+  std::vector<double> bounds_;
+  std::vector<Candidate> candidates_;
+  std::vector<PageCursor> cursors_;
+  CellHeap cells_;
 
   /// Batch filter kernel plus per-page scratch, reused across pages so
   /// the steady-state per-point filter loop performs no heap traffic.

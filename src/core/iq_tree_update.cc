@@ -219,7 +219,7 @@ Status IqTree::InsertRecords(DiskHead& head, std::vector<PointId> ids,
 Status IqTree::FinishUpdate(const Status& update) {
   // Refresh on failure too: a failed update may have published part of
   // its directory changes before the failing write.
-  dir_geom_ = MakeDirGeometry();
+  RefreshFromDirectory();
   IQ_RETURN_NOT_OK(update);
   return DebugCheckInvariants();
 }

@@ -417,5 +417,153 @@ TEST(IqSearchGoldenPlanTest, L2KnnPlansAtThePrunerCapAreUnchanged) {
                    want);
 }
 
+// Golden pop order: the sequence in which the HS loop (§2.2) refines cell
+// approximations (§3.2), pinned through the `refine` spans' (dir_index,
+// slot) values, plus every query's IqQueryStats (its own I/O included)
+// and answers. A uniform 16-d tree at a fixed g = 8 over data with many
+// duplicates and grid-snapped coordinates: duplicates tie their lower
+// bounds inside a page, and pages with equal MBR sides tie them across
+// pages, so the (mindist, dir_index, slot) tie-break decides the order.
+// k = N refines every cell, popping each page's candidates to the end.
+struct PopOrderGolden {
+  uint64_t refine_digest = 14695981039346656037ull;  // FNV-1a offset basis
+  uint64_t stats_digest = 14695981039346656037ull;
+  size_t refinements = 0;
+  size_t cells_enqueued = 0;
+  uint64_t seeks = 0;
+
+  static void Mix(uint64_t* digest, uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *digest ^= (word >> (8 * byte)) & 0xFF;
+      *digest *= 1099511628211ull;  // FNV-1a prime
+    }
+  }
+};
+
+/// 600 grid points (coordinates snapped to multiples of 1/4) stored five
+/// times each, then 1000 uniform points: N = 4000.
+Dataset TiedUniformData() {
+  const Dataset grid = GenerateUniform(600, 16, 91);
+  const Dataset spread = GenerateUniform(1000, 16, 92);
+  std::vector<float> values;
+  for (int copy = 0; copy < 5; ++copy) {
+    for (size_t i = 0; i < grid.size(); ++i) {
+      for (float x : grid[i]) values.push_back(std::round(x * 4.0f) / 4.0f);
+    }
+  }
+  for (size_t i = 0; i < spread.size(); ++i) {
+    for (float x : spread[i]) values.push_back(x);
+  }
+  return Dataset(16, std::move(values));
+}
+
+PopOrderGolden RunPopOrderGolden(bool optimized_access) {
+  const Dataset data = TiedUniformData();
+  MemoryStorage storage;
+  DiskModel disk(DiskParameters{0.010, 0.002, 2048});
+  IqTree::Options options;
+  options.fixed_quant_bits = 8;
+  auto tree = IqTree::Build(data, storage, "t", disk, options);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  auto scan = SeqScan::Build(data, storage, "s", disk, {});
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  PopOrderGolden golden;
+  if (!tree.ok() || !scan.ok()) return golden;
+  // Queries: four stored grid points (lower bound 0 in every page whose
+  // cells hold them) and four points off the data.
+  std::vector<std::vector<float>> queries;
+  for (size_t row : {0u, 7u, 1801u, 2999u}) {
+    queries.emplace_back(data[row].begin(), data[row].end());
+  }
+  const Dataset off = GenerateUniform(4, 16, 93);
+  for (size_t i = 0; i < off.size(); ++i) {
+    queries.emplace_back(off[i].begin(), off[i].end());
+  }
+  for (const std::vector<float>& q : queries) {
+    for (size_t k : {size_t{1}, size_t{10}, size_t{500}, data.size()}) {
+      obs::QueryTracer tracer;
+      IqQueryStats stats;
+      IqSearchOptions search;
+      search.optimized_access = optimized_access;
+      search.tracer = &tracer;
+      search.stats = &stats;
+      auto got = (*tree)->KNearestNeighbors(q, k, search);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (!got.ok()) return golden;
+      auto want = (*scan)->KNearestNeighbors(q, k);
+      EXPECT_TRUE(want.ok()) << want.status().ToString();
+      if (!want.ok()) return golden;
+      EXPECT_EQ(got->size(), want->size()) << "k=" << k;
+      for (size_t i = 0; i < std::min(got->size(), want->size()); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>((*got)[i].distance),
+                  std::bit_cast<uint64_t>((*want)[i].distance))
+            << "k=" << k << " rank " << i;
+        EXPECT_EQ((*got)[i].distance,
+                  Distance(q, data[(*got)[i].id], Metric::kL2));
+      }
+      EXPECT_EQ(tracer.dropped(), 0u);
+      for (const obs::SpanRecord& span : tracer.Snapshot()) {
+        if (span.name != "refine") continue;
+        for (const auto& [key, value] : span.attrs) {
+          if (key != "dir_index" && key != "slot") continue;
+          PopOrderGolden::Mix(&golden.refine_digest,
+                              static_cast<uint64_t>(value));
+        }
+      }
+      for (uint64_t word :
+           {uint64_t{stats.pages_decoded}, uint64_t{stats.blocks_transferred},
+            uint64_t{stats.batches}, uint64_t{stats.refinements},
+            uint64_t{stats.cells_enqueued}, stats.io.seeks,
+            stats.io.blocks_read, std::bit_cast<uint64_t>(stats.io.io_time_s),
+            std::bit_cast<uint64_t>(stats.observed.t1),
+            std::bit_cast<uint64_t>(stats.observed.t2),
+            std::bit_cast<uint64_t>(stats.observed.t3)}) {
+        PopOrderGolden::Mix(&golden.stats_digest, word);
+      }
+      for (const Neighbor& n : *got) {
+        PopOrderGolden::Mix(&golden.stats_digest, n.id);
+        PopOrderGolden::Mix(&golden.stats_digest,
+                            std::bit_cast<uint64_t>(n.distance));
+      }
+      golden.refinements += stats.refinements;
+      golden.cells_enqueued += stats.cells_enqueued;
+      golden.seeks += stats.io.seeks;
+    }
+  }
+  return golden;
+}
+
+void ExpectPopOrderGolden(const PopOrderGolden& got,
+                          const PopOrderGolden& want) {
+  EXPECT_EQ(got.refinements, want.refinements);
+  EXPECT_EQ(got.cells_enqueued, want.cells_enqueued);
+  EXPECT_EQ(got.seeks, want.seeks);
+  EXPECT_EQ(got.stats_digest, want.stats_digest);
+  // Spans exist only with observability compiled in.
+  if (obs::kEnabled) {
+    EXPECT_EQ(got.refine_digest, want.refine_digest);
+  }
+}
+
+TEST(IqSearchPopOrderGoldenTest, OptimizedAccessRefinesInTheSameOrder) {
+  PopOrderGolden want;
+  want.refinements = 36328;
+  want.cells_enqueued = 127239;
+  want.seeks = 30593;
+  want.stats_digest = 0x7b3e302ede355007ull;
+  want.refine_digest = 0x77690714008eff03ull;
+  ExpectPopOrderGolden(RunPopOrderGolden(/*optimized_access=*/true), want);
+}
+
+TEST(IqSearchPopOrderGoldenTest, StandardAccessRefinesInTheSameOrder) {
+  PopOrderGolden want;
+  want.refinements = 36328;
+  want.cells_enqueued = 112889;
+  want.seeks = 31402;
+  want.stats_digest = 0xfb56d83d099201ecull;
+  want.refine_digest = 0x77690714008eff03ull;
+  ExpectPopOrderGolden(RunPopOrderGolden(/*optimized_access=*/false), want);
+}
+
 }  // namespace
 }  // namespace iq

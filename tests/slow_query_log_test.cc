@@ -7,6 +7,8 @@
 
 #include "obs/slow_log.h"
 
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -140,6 +142,66 @@ class SlowLogQueryTest : public ::testing::Test {
   std::unique_ptr<DiskModel> disk_;
   std::unique_ptr<IqTree> tree_;
 };
+
+/// The cost model evaluated afresh over the tree's current directory,
+/// the way PredictCost documents it.
+CostBreakdown FreshPrediction(const IqTree& tree) {
+  const CostModel model = tree.MakeCostModel();
+  CostBreakdown out;
+  out.t1 = model.DirectoryScanCost(tree.num_pages());
+  out.t2 = model.SecondLevelCost(tree.num_pages());
+  for (const DirEntry& entry : tree.directory()) {
+    out.t3 += model.PageRefinementCost(entry.mbr, entry.count,
+                                       entry.quant_bits);
+  }
+  return out;
+}
+
+void ExpectSameBits(const CostBreakdown& got, const CostBreakdown& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.t1), std::bit_cast<uint64_t>(want.t1));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.t2), std::bit_cast<uint64_t>(want.t2));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.t3), std::bit_cast<uint64_t>(want.t3));
+}
+
+// The prediction is stored with the directory, not recomputed per
+// query: after every kind of update a slow-logged record must still
+// carry exactly what a fresh evaluation of the cost model gives.
+TEST_F(SlowLogQueryTest, PredictedCostStaysFreshAcrossUpdates) {
+  BuildTree(2000, 8, 3);
+  SlowLogOptions options;
+  options.absolute_threshold_s = 1e-9;  // retain everything
+  SlowQueryLog log(options);
+  IqSearchOptions search;
+  search.slow_log = &log;
+  const auto expect_fresh = [&](const char* after) -> CostBreakdown {
+    SCOPED_TRACE(after);
+    const CostBreakdown fresh = FreshPrediction(*tree_);
+    ExpectSameBits(tree_->PredictCost(), fresh);
+    log.Clear();
+    EXPECT_TRUE(tree_->KNearestNeighbors(queries_[0], 3, search).ok());
+    if (!obs::kEnabled) return fresh;
+    const std::vector<SlowQueryRecord> records = log.Snapshot();
+    EXPECT_EQ(records.size(), 1u);
+    if (!records.empty()) ExpectSameBits(records[0].predicted, fresh);
+    return fresh;
+  };
+  const CostBreakdown built = expect_fresh("Build");
+  // Enough inserts to split pages, so the prediction must move.
+  const Dataset extra = GenerateCadLike(600, 8, 4);
+  for (size_t i = 0; i < extra.size(); ++i) {
+    ASSERT_TRUE(tree_->Insert(static_cast<PointId>(100000 + i), extra[i]).ok());
+  }
+  const CostBreakdown inserted = expect_fresh("Insert");
+  EXPECT_NE(inserted.total(), built.total());
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(tree_->Remove(static_cast<PointId>(100000 + i), extra[i]).ok());
+  }
+  const CostBreakdown removed = expect_fresh("Remove");
+  EXPECT_NE(removed.total(), inserted.total());
+  ASSERT_TRUE(tree_->Reoptimize().ok());
+  const CostBreakdown reoptimized = expect_fresh("Reoptimize");
+  EXPECT_NE(reoptimized.total(), removed.total());
+}
 
 TEST_F(SlowLogQueryTest, CapturesQueriesWithoutCallerTracer) {
   BuildTree(2000, 8, 3);
