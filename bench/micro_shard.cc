@@ -3,18 +3,23 @@
 // rank partition so manifest-MBR pruning has real work to do.
 //
 // The gated IQBENCH series are *simulated* disk seconds and pruning
-// fractions — both deterministic functions of the dataset and the
-// merge algorithm, independent of host speed, so the trajectory gate
-// (tools/bench_aggregate --suite shard) can run tight. Wall-clock
-// queries/sec is printed for humans only.
+// fractions, plus the simulated blocks the bulk load writes — all
+// deterministic functions of the dataset and the algorithms,
+// independent of host speed, so the trajectory gate
+// (tools/bench_aggregate --suite shard) can run tight. Wall-clock load
+// seconds and queries/sec are printed for humans only.
 //
 //   io_s_sum    mean per-query sum of per-shard simulated I/O seconds
 //               (total work; flat-ish once pruning saturates)
 //   io_s_max    mean per-query max over shards (critical path of a
 //               perfectly parallel gather; falls with the shard count)
 //   pruned_frac fraction of (query, shard) pairs skipped by pruning
+//   load_blocks_written
+//               blocks the loader's Add...Finish writes (the delta of
+//               the iq_disk_blocks_written_total registry counter)
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -23,6 +28,8 @@
 #include "bench_common.h"
 #include "data/generators.h"
 #include "io/storage.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "shard/sharded_bulk_loader.h"
 #include "shard/sharded_searcher.h"
 
@@ -42,8 +49,12 @@ int Main(int argc, char** argv) {
   Dataset queries = data.TakeTail(num_queries);
 
   bench::JsonReport report("micro_shard");
-  std::printf("%8s %12s %12s %12s %12s\n", "shards", "io_s_sum", "io_s_max",
-              "pruned_frac", "wall_qps");
+  const obs::Counter* blocks_written =
+      obs::MetricRegistry::Global().GetCounter(
+          obs::metric::kDiskBlocksWrittenTotal);
+  std::printf("%8s %12s %12s %12s %12s %12s %12s\n", "shards", "io_s_sum",
+              "io_s_max", "pruned_frac", "load_blocks", "load_wall_s",
+              "wall_qps");
 
   for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     MemoryStorage storage;
@@ -51,6 +62,8 @@ int Main(int argc, char** argv) {
     loader_options.num_shards = num_shards;
     loader_options.plan = ShardPlan::kRankPartition;
     loader_options.disk = args.disk;
+    const uint64_t written_before = blocks_written->Value();
+    const auto load_start = std::chrono::steady_clock::now();
     ShardedBulkLoader loader(storage, "bench", loader_options);
     for (size_t row = 0; row < data.size(); ++row) {
       if (Status s = loader.Add(data[row]); !s.ok()) {
@@ -64,6 +77,11 @@ int Main(int argc, char** argv) {
                    manifest.status().ToString().c_str());
       return 1;
     }
+    const double load_wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      load_start)
+            .count();
+    const uint64_t load_blocks = blocks_written->Value() - written_before;
 
     ShardedSearcher::Options searcher_options;
     searcher_options.threads = kThreads;
@@ -105,13 +123,16 @@ int Main(int argc, char** argv) {
         static_cast<double>(queries.size() * num_shards);
     const double qps =
         wall_s > 0 ? static_cast<double>(queries.size()) / wall_s : 0;
-    std::printf("%8zu %12.6f %12.6f %12.3f %12.1f\n", num_shards, mean_sum,
-                mean_max, pruned_frac, qps);
+    std::printf("%8zu %12.6f %12.6f %12.3f %12llu %12.3f %12.1f\n",
+                num_shards, mean_sum, mean_max, pruned_frac,
+                static_cast<unsigned long long>(load_blocks), load_wall_s,
+                qps);
 
     const double x = static_cast<double>(num_shards);
     report.Add("io_s_sum", x, mean_sum);
     report.Add("io_s_max", x, mean_max);
     report.Add("pruned_frac", x, pruned_frac);
+    report.Add("load_blocks_written", x, static_cast<double>(load_blocks));
   }
 
   report.Print();

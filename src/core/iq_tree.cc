@@ -229,7 +229,7 @@ Status IqTree::Reoptimize() {
   options.fractal_dimension = meta_.fractal_dimension;
   options.optimize_for_k = meta_.knn_k;
   const Status populated =
-      PopulateFromDataset(head, snapshot, &row_ids, options);
+      PopulateFromDataset(head, snapshot, row_ids, options);
   // Mirror whatever directory was written, a partial one included.
   RefreshFromDirectory();
   IQ_RETURN_NOT_OK(populated);

@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,12 +155,13 @@ class IqTree {
 
   /// Bulk-loads an IQ-tree over `data` (§3.3): top-down partitioning to
   /// 1-bit pages, then cost-model-driven optimal quantization (§3.5),
-  /// then the three files are laid out in partitioning order.
-  static Result<std::unique_ptr<IqTree>> Build(const Dataset& data,
-                                               Storage& storage,
-                                               const std::string& name,
-                                               DiskModel& disk,
-                                               const Options& options);
+  /// then the three files are laid out in partitioning order. Row r
+  /// gets id `ids[r]`, or r when `ids` is empty; a non-empty `ids`
+  /// whose length differs from the row count is InvalidArgument.
+  static Result<std::unique_ptr<IqTree>> Build(
+      const Dataset& data, Storage& storage, const std::string& name,
+      DiskModel& disk, const Options& options,
+      std::span<const PointId> ids = {});
 
   /// Opens a previously built index. Fails with Corruption on damaged
   /// files.
@@ -351,10 +353,10 @@ class IqTree {
                          const std::vector<float>& coords, bool append_qpage);
 
   /// Partitions/optimizes `data` and writes all pages into the (fresh)
-  /// files. Row r of `data` gets id `row_ids[r]` (or r if null). Shared
-  /// by Build and Reoptimize.
+  /// files. Row r of `data` gets id `row_ids[r]` (or r if empty).
+  /// Shared by Build and Reoptimize.
   Status PopulateFromDataset(DiskHead& head, const Dataset& data,
-                             const std::vector<PointId>* row_ids,
+                             std::span<const PointId> row_ids,
                              const Options& options);
 
   /// Re-checks the directory invariants (analysis/invariant_checker.h)

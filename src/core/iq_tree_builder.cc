@@ -11,16 +11,16 @@ namespace {
 
 /// Gathers the exact records (ids + coords) of one solution page. The
 /// rows referenced by `rows` get their public ids from `row_ids` (or
-/// the row index itself when null).
+/// the row index itself when empty).
 void GatherRecords(const Dataset& data, std::span<const PointId> rows,
-                   const std::vector<PointId>* row_ids,
+                   std::span<const PointId> row_ids,
                    std::vector<PointId>* out_ids,
                    std::vector<float>* out_coords) {
   const size_t dims = data.dims();
   out_ids->resize(rows.size());
   out_coords->resize(rows.size() * dims);
   for (size_t i = 0; i < rows.size(); ++i) {
-    (*out_ids)[i] = row_ids != nullptr ? (*row_ids)[rows[i]] : rows[i];
+    (*out_ids)[i] = row_ids.empty() ? rows[i] : row_ids[rows[i]];
     const float* row = data.row(rows[i]);
     std::copy(row, row + dims, out_coords->data() + i * dims);
   }
@@ -78,13 +78,14 @@ Status IqTree::WriteEntryPages(DiskHead& head, DirEntry* entry,
   return Status::OK();
 }
 
-Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
-                                              Storage& storage,
-                                              const std::string& name,
-                                              DiskModel& disk,
-                                              const Options& options) {
+Result<std::unique_ptr<IqTree>> IqTree::Build(
+    const Dataset& data, Storage& storage, const std::string& name,
+    DiskModel& disk, const Options& options, std::span<const PointId> ids) {
   if (data.dims() == 0) {
     return Status::InvalidArgument("cannot build over a 0-dimensional set");
+  }
+  if (!ids.empty() && ids.size() != data.size()) {
+    return Status::InvalidArgument("build ids do not match the row count");
   }
   const uint32_t block_size = disk.params().block_size;
   if (QuantPageCapacity(data.dims(), kExactBits, block_size) == 0) {
@@ -125,7 +126,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
   tree->name_ = name;
 
   DiskHead head;
-  IQ_RETURN_NOT_OK(tree->PopulateFromDataset(head, data, nullptr, options));
+  IQ_RETURN_NOT_OK(tree->PopulateFromDataset(head, data, ids, options));
   tree->RefreshFromDirectory();
 
   tree->dirty_ = true;
@@ -135,7 +136,7 @@ Result<std::unique_ptr<IqTree>> IqTree::Build(const Dataset& data,
 }
 
 Status IqTree::PopulateFromDataset(DiskHead& head, const Dataset& data,
-                                   const std::vector<PointId>* row_ids,
+                                   std::span<const PointId> row_ids,
                                    const Options& options) {
   const uint32_t block_size = disk_->params().block_size;
   std::vector<PointId> ids(data.size());

@@ -1,7 +1,6 @@
 #include "shard/sharded_bulk_loader.h"
 
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "data/dataset.h"
@@ -19,49 +18,24 @@ ShardedBulkLoader::ShardedBulkLoader(Storage& storage, std::string base_name,
       planner_(options.plan, options.num_shards == 0 ? 1 : options.num_shards,
                options.plan_dim) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  if (options_.batch_points == 0) options_.batch_points = 1;
-}
-
-Status ShardedBulkLoader::EnsureOpen(size_t dims) {
-  if (dims == 0) {
-    return Status::InvalidArgument("cannot shard zero-dimensional points");
-  }
-  if (options_.plan == ShardPlan::kRankPartition &&
-      options_.plan_dim >= dims) {
-    return Status::InvalidArgument("plan_dim out of range for point dims");
-  }
-  dims_ = dims;
-  shards_.resize(options_.num_shards);
-  const Dataset empty(dims);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ShardState& shard = shards_[i];
-    shard.disk = std::make_unique<DiskModel>(options_.disk);
-    IQ_ASSIGN_OR_RETURN(
-        shard.tree,
-        IqTree::Build(empty, storage_, ShardManifest::ShardIndexName(base_, i),
-                      *shard.disk, options_.tree));
-    shard.bounds = Mbr::Empty(dims);
-    shard.pending_ids.reserve(options_.batch_points);
-    shard.pending_coords.reserve(options_.batch_points * dims);
-  }
-  return Status::OK();
-}
-
-Status ShardedBulkLoader::FlushShard(ShardState& shard) {
-  if (shard.pending_ids.empty()) return Status::OK();
-  const Dataset batch(dims_, std::move(shard.pending_coords));
-  IQ_RETURN_NOT_OK(shard.tree->InsertBatch(
-      std::span<const PointId>(shard.pending_ids), batch));
-  shard.pending_ids.clear();
-  shard.pending_coords.clear();
-  return Status::OK();
 }
 
 Status ShardedBulkLoader::Add(PointView p) {
   if (finished_) {
     return Status::InvalidArgument("ShardedBulkLoader already finished");
   }
-  if (shards_.empty()) IQ_RETURN_NOT_OK(EnsureOpen(p.size()));
+  if (shards_.empty()) {
+    if (p.size() == 0) {
+      return Status::InvalidArgument("cannot shard zero-dimensional points");
+    }
+    if (options_.plan == ShardPlan::kRankPartition &&
+        options_.plan_dim >= p.size()) {
+      return Status::InvalidArgument("plan_dim out of range for point dims");
+    }
+    dims_ = p.size();
+    shards_.resize(options_.num_shards);
+    for (ShardState& shard : shards_) shard.bounds = Mbr::Empty(dims_);
+  }
   if (p.size() != dims_) {
     return Status::InvalidArgument("point dims mismatch in sharded load");
   }
@@ -69,14 +43,10 @@ Status ShardedBulkLoader::Add(PointView p) {
     return Status::OutOfRange("sharded load exceeds PointId range");
   }
   ShardState& shard = shards_[planner_.ShardOf(next_id_, p)];
-  shard.pending_ids.push_back(static_cast<PointId>(next_id_));
-  shard.pending_coords.insert(shard.pending_coords.end(), p.begin(), p.end());
+  shard.ids.push_back(static_cast<PointId>(next_id_));
+  shard.coords.insert(shard.coords.end(), p.begin(), p.end());
   shard.bounds.Extend(p);
-  ++shard.points;
   ++next_id_;
-  if (shard.pending_ids.size() >= options_.batch_points) {
-    return FlushShard(shard);
-  }
   return Status::OK();
 }
 
@@ -93,13 +63,14 @@ Result<ShardManifest> ShardedBulkLoader::Finish() {
                          planner_.plan_dim());
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardState& shard = shards_[i];
-    IQ_RETURN_NOT_OK(FlushShard(shard));
-    if (options_.reoptimize_on_finish && shard.points > 0) {
-      IQ_RETURN_NOT_OK(shard.tree->Reoptimize());
-    }
-    IQ_RETURN_NOT_OK(shard.tree->Flush());
-    manifest.AddShard(ShardInfo{ShardManifest::ShardIndexName(base_, i),
-                                shard.points, shard.bounds});
+    const std::string name = ShardManifest::ShardIndexName(base_, i);
+    // Taking the buffers frees them when this iteration ends.
+    const std::vector<PointId> ids = std::exchange(shard.ids, {});
+    const Dataset rows(dims_, std::exchange(shard.coords, {}));
+    DiskModel disk(options_.disk);
+    IQ_RETURN_NOT_OK(
+        IqTree::Build(rows, storage_, name, disk, options_.tree, ids).status());
+    manifest.AddShard(ShardInfo{name, ids.size(), shard.bounds});
   }
   IQ_RETURN_NOT_OK(manifest.Write(storage_, base_));
   return manifest;

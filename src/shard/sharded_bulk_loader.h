@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,12 +19,14 @@
 
 namespace iq {
 
-/// Streaming bulk load of a sharded IQ-tree layout: points are Add()ed
-/// one at a time (from any producer — a file reader, a generator), the
-/// loader routes each to its shard via ShardPlanner and inserts them in
-/// fixed-size batches, so a build never materializes the dataset in
-/// RAM. Finish() seals the shards (optional per-shard Reoptimize, then
-/// Flush) and writes the ShardManifest the searcher opens.
+/// Bulk load of a sharded IQ-tree layout: points are Add()ed one at a
+/// time (from any producer — a file reader, a generator), the loader
+/// routes each to its shard via ShardPlanner and buffers it in that
+/// shard's RAM buffer. Finish() builds every shard once with
+/// IqTree::Build over its rows in arrival order (the §3.3 partitioning
+/// and §3.5 optimizer under `Options::tree`), frees each buffer as soon
+/// as its shard is built, and writes the ShardManifest the searcher
+/// opens. Memory is O(N) points until Finish, released shard by shard.
 ///
 /// Point ids are assigned by arrival order (0, 1, 2, ...), identical to
 /// the ids a single IqTree::Build over the same stream would assign —
@@ -41,23 +42,16 @@ class ShardedBulkLoader {
     ShardPlan plan = ShardPlan::kRoundRobin;
     /// Partition dimension for ShardPlan::kRankPartition.
     size_t plan_dim = 0;
-    /// Points buffered per shard before an InsertBatch — the RAM
-    /// high-water mark is num_shards * batch_points points.
-    size_t batch_points = 4096;
-    /// Rebuild each shard's partitioning with the cost-model optimizer
-    /// after the stream ends. Insert-built trees drift from the
-    /// optimum; a bulk load wants the optimized layout.
-    bool reoptimize_on_finish = true;
     IqTree::Options tree;
     DiskParameters disk;
   };
 
   IQ_TYPESTATE("loading");
 
-  /// Shard index files are created lazily on the first Add (the
-  /// dimensionality comes from the first point). The two-argument form
-  /// uses default Options (overload rather than `= {}`: GCC rejects
-  /// brace default arguments of nested classes, bug 88165).
+  /// The dimensionality comes from the first Add; no file is written
+  /// before Finish. The two-argument form uses default Options
+  /// (overload rather than `= {}`: GCC rejects brace default arguments
+  /// of nested classes, bug 88165).
   ShardedBulkLoader(Storage& storage, std::string base_name);
   ShardedBulkLoader(Storage& storage, std::string base_name,
                     const Options& options);
@@ -66,25 +60,20 @@ class ShardedBulkLoader {
   /// dimensionality; point ids follow arrival order.
   Status Add(PointView p) IQ_TS_REQUIRES("loading");
 
-  /// Flushes every shard, optionally reoptimizes, writes and returns
-  /// the manifest (stored as `base_name`). At least one point must
-  /// have been added. The loader accepts no further Adds.
+  /// Builds every shard (an empty shard gets an empty tree), writes
+  /// and returns the manifest (stored as `base_name`). At least one
+  /// point must have been added. The loader accepts no further Adds.
   Result<ShardManifest> Finish() IQ_TS_TRANSITION("loading", "finished");
 
   uint64_t points_added() const { return next_id_; }
 
  private:
+  /// One shard's rows in arrival order, held until Finish builds it.
   struct ShardState {
-    std::unique_ptr<DiskModel> disk;
-    std::unique_ptr<IqTree> tree;
-    std::vector<PointId> pending_ids;
-    std::vector<float> pending_coords;
+    std::vector<PointId> ids;
+    std::vector<float> coords;
     Mbr bounds;
-    uint64_t points = 0;
   };
-
-  Status EnsureOpen(size_t dims);
-  Status FlushShard(ShardState& shard);
 
   Storage& storage_;
   std::string base_;

@@ -119,6 +119,33 @@ TEST_F(IqTreeTest, EmptyDatasetBuilds) {
   EXPECT_TRUE((*tree)->NearestNeighbor(q).status().IsNotFound());
 }
 
+TEST_F(IqTreeTest, BuildAssignsGivenIds) {
+  const Dataset data = GenerateUniform(300, 4, 9);
+  std::vector<PointId> ids(data.size());
+  for (size_t r = 0; r < ids.size(); ++r) {
+    ids[r] = static_cast<PointId>(1000 + 3 * r);
+  }
+  auto tree = IqTree::Build(data, storage_, "t", disk_, {}, ids);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_TRUE((*tree)->Validate().ok());
+  for (size_t r = 0; r < data.size(); r += 37) {
+    auto nn = (*tree)->NearestNeighbor(data[r]);
+    ASSERT_TRUE(nn.ok());
+    EXPECT_EQ(nn->id, ids[r]) << "row " << r;
+  }
+}
+
+TEST_F(IqTreeTest, BuildRejectsIdsOfWrongLength) {
+  const Dataset data = GenerateUniform(50, 4, 10);
+  for (size_t n : {data.size() - 1, data.size() + 1}) {
+    const std::vector<PointId> ids(n, 0);
+    EXPECT_TRUE(IqTree::Build(data, storage_, "t", disk_, {}, ids)
+                    .status()
+                    .IsInvalidArgument())
+        << n << " ids";
+  }
+}
+
 TEST_F(IqTreeTest, QueryDimensionalityChecked) {
   const Dataset data = GenerateUniform(100, 4, 6);
   auto tree = IqTree::Build(data, storage_, "t", disk_, {});

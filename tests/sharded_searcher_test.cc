@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/format.h"
 #include "core/iq_tree.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -18,6 +19,8 @@
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
+#include "shard/shard_manifest.h"
+#include "shard/shard_planner.h"
 #include "shard/sharded_bulk_loader.h"
 
 namespace iq {
@@ -34,7 +37,7 @@ struct Fixture {
 
 Fixture MakeFixture(const Dataset& data, size_t num_shards,
                     ShardPlan plan = ShardPlan::kRoundRobin,
-                    size_t batch_points = 32, size_t threads = 3) {
+                    size_t threads = 3) {
   Fixture f;
   f.disk = std::make_unique<DiskModel>(DiskParameters{});
   auto single = IqTree::Build(data, f.storage, "single", *f.disk, {});
@@ -44,7 +47,6 @@ Fixture MakeFixture(const Dataset& data, size_t num_shards,
   ShardedBulkLoader::Options loader_options;
   loader_options.num_shards = num_shards;
   loader_options.plan = plan;
-  loader_options.batch_points = batch_points;
   ShardedBulkLoader loader(f.storage, "sharded", loader_options);
   for (size_t i = 0; i < data.size(); ++i) {
     EXPECT_TRUE(loader.Add(data[i]).ok());
@@ -113,20 +115,6 @@ TEST(ShardedSearcherTest, BitIdenticalUnderRankPartition) {
   ExpectQueriesMatch(f, queries);
 }
 
-TEST(ShardedSearcherTest, StreamingBatchSizeDoesNotChangeResults) {
-  Dataset data = GenerateUniform(140, 4, 3);
-  Dataset queries = data.TakeTail(5);
-  Fixture tiny_batches = MakeFixture(data, 3, ShardPlan::kRoundRobin, 8);
-  Fixture one_shot = MakeFixture(data, 3, ShardPlan::kRoundRobin, 100000);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    auto a = tiny_batches.sharded->KNearestNeighbors(queries[qi], 9);
-    auto b = one_shot.sharded->KNearestNeighbors(queries[qi], 9);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-}
-
 TEST(ShardedSearcherTest, KLargerThanDatasetReturnsEverything) {
   Dataset data = GenerateUniform(90, 4, 5);
   Dataset queries = data.TakeTail(2);
@@ -158,7 +146,7 @@ TEST(ShardedSearcherTest, MbrPruningSkipsFarShardsOnClusteredData) {
   // distance from the near shard is known before the far shard would
   // be dispatched — the far blob must be MINDIST-pruned, not queried.
   Fixture f = MakeFixture(data, 4, ShardPlan::kRankPartition,
-                          /*batch_points=*/32, /*threads=*/1);
+                          /*threads=*/1);
   std::vector<float> q(data[0].begin(), data[0].end());
   ShardQueryStats stats;
   ShardedSearchOptions options;
@@ -538,6 +526,115 @@ TEST(ShardedBulkLoaderTest, RefusesUseAfterFinishAndEmptyFinish) {
   // iqlint: allow(typestate): exercising the runtime guards behind the protocol
   EXPECT_TRUE(loader.Add(PointView(p, 2)).IsInvalidArgument());
   EXPECT_TRUE(loader.Finish().status().IsInvalidArgument());
+}
+
+std::vector<uint8_t> FileBytes(Storage& storage, const std::string& name) {
+  auto file = storage.Open(name);
+  EXPECT_TRUE(file.ok()) << name;
+  if (!file.ok()) return {};
+  std::vector<uint8_t> bytes((*file)->Size());
+  EXPECT_TRUE((*file)->Read(0, bytes.size(), bytes.data()).ok()) << name;
+  return bytes;
+}
+
+/// Loads `data` through a ShardedBulkLoader, then routes the same
+/// stream by hand and builds each shard directly with IqTree::Build
+/// over its rows in arrival order, with the same ids and tree options:
+/// every shard file must match byte for byte. Returns how many shards
+/// got no points.
+size_t ExpectShardsEqualDirectBuild(const Dataset& data, size_t num_shards,
+                                    ShardPlan plan) {
+  IqTree::Options tree_options;
+  tree_options.optimize_for_k = 5;
+  ShardedBulkLoader::Options loader_options;
+  loader_options.num_shards = num_shards;
+  loader_options.plan = plan;
+  loader_options.tree = tree_options;
+  MemoryStorage loaded;
+  ShardedBulkLoader loader(loaded, "s", loader_options);
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_TRUE(loader.Add(data[i]).ok());
+  }
+  auto manifest = loader.Finish();
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return 0;
+
+  const ShardPlanner planner(plan, num_shards);
+  std::vector<Dataset> rows(num_shards, Dataset(data.dims()));
+  std::vector<std::vector<PointId>> ids(num_shards);
+  for (size_t r = 0; r < data.size(); ++r) {
+    const size_t shard = planner.ShardOf(r, data[r]);
+    rows[shard].Append(data[r]);
+    ids[shard].push_back(static_cast<PointId>(r));
+  }
+  size_t empty = 0;
+  for (size_t i = 0; i < num_shards; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    if (rows[i].size() == 0) ++empty;
+    const std::string name = ShardManifest::ShardIndexName("s", i);
+    EXPECT_EQ(manifest->shards()[i].name, name);
+    EXPECT_EQ(manifest->shards()[i].points, rows[i].size());
+    MemoryStorage direct;
+    DiskModel disk(DiskParameters{});
+    EXPECT_TRUE(
+        IqTree::Build(rows[i], direct, name, disk, tree_options, ids[i]).ok());
+    for (const std::string& file :
+         {DirFileName(name), QpgFileName(name), DatFileName(name)}) {
+      EXPECT_EQ(FileBytes(loaded, file), FileBytes(direct, file)) << file;
+    }
+  }
+  return empty;
+}
+
+TEST(ShardedBulkLoaderTest, ShardsEqualDirectBuild) {
+  {
+    SCOPED_TRACE("round-robin");
+    // 403 rows over 4 shards: the round-robin split is uneven.
+    const Dataset data = GenerateCadLike(403, 6, 23);
+    EXPECT_EQ(ExpectShardsEqualDirectBuild(data, 4, ShardPlan::kRoundRobin),
+              0u);
+  }
+  {
+    SCOPED_TRACE("rank partition");
+    // Dimension 0 squeezed into [0, 0.45]: shards 2 and 3 of 4 stay
+    // empty and still get (empty) trees.
+    const Dataset base = GenerateUniform(500, 6, 29);
+    Dataset data(base.dims());
+    for (size_t i = 0; i < base.size(); ++i) {
+      std::vector<float> p(base[i].begin(), base[i].end());
+      p[0] *= 0.45f;
+      data.Append(PointView(p.data(), p.size()));
+    }
+    EXPECT_EQ(
+        ExpectShardsEqualDirectBuild(data, 4, ShardPlan::kRankPartition),
+        2u);
+  }
+}
+
+TEST(ShardedBulkLoaderTest, ShardsHonourTreeOptions) {
+  const Dataset data = GenerateCadLike(4000, 8, 19);
+  MemoryStorage storage;
+  ShardedBulkLoader::Options options;
+  options.num_shards = 2;
+  options.tree.fixed_quant_bits = 8;
+  options.tree.fractal_dimension = 5;
+  ShardedBulkLoader loader(storage, "opts", options);
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(loader.Add(data[i]).ok());
+  }
+  auto manifest = loader.Finish();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (const ShardInfo& shard : manifest->shards()) {
+    SCOPED_TRACE(shard.name);
+    DiskModel disk(DiskParameters{});
+    auto tree = IqTree::Open(storage, shard.name, disk);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    EXPECT_EQ((*tree)->fractal_dimension(), 5.0);
+    EXPECT_GT((*tree)->num_pages(), 0u);
+    for (const DirEntry& entry : (*tree)->directory()) {
+      EXPECT_EQ(entry.quant_bits, 8u);
+    }
+  }
 }
 
 TEST(ShardedBulkLoaderTest, RejectsMixedDimensionalities) {

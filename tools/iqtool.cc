@@ -27,7 +27,7 @@
 //   iqtool reopt    --dir DIR --index NAME
 //   iqtool shard build  --dir DIR --dataset NAME --manifest NAME
 //                       [--shards N] [--plan roundrobin|rank]
-//                       [--plan-dim D] [--batch B] [--metric l2|lmax]
+//                       [--plan-dim D] [--metric l2|lmax]
 //   iqtool shard stats  --dir DIR --manifest NAME [--json]
 //   iqtool shard health --dir DIR --manifest NAME [--json]
 //
@@ -43,8 +43,8 @@
 // QueryFrontEnd with the stitched span tree attached (frontend →
 // wave<i> → shard<i> → per-shard IQ-tree subtree) and exits non-zero
 // when the trace disagrees with the aggregated ShardQueryStats.
-// `shard build` streams a dataset into a multi-shard layout
-// (manifest + one IQ-tree per shard, src/shard/); `shard stats` and
+// `shard build` loads a dataset into a multi-shard layout (manifest +
+// one bulk-built IQ-tree per shard, src/shard/); `shard stats` and
 // `shard health` report per-shard and aggregated figures —
 // `stats --manifest M` / `health --manifest M` are shorthands for the
 // shard forms, so monitoring can point one command at either layout.
@@ -157,7 +157,7 @@ int Usage() {
       "  validate --dir DIR --index NAME\n"
       "  reopt    --dir DIR --index NAME\n"
       "  shard build  --dir DIR --dataset NAME --manifest NAME [--shards N]\n"
-      "               [--plan roundrobin|rank] [--plan-dim D] [--batch B]\n"
+      "               [--plan roundrobin|rank] [--plan-dim D]\n"
       "               [--metric l2|lmax]\n"
       "  shard stats  --dir DIR --manifest NAME [--json]\n"
       "  shard health --dir DIR --manifest NAME [--json]\n");
@@ -945,7 +945,6 @@ int ShardBuild(const Args& args) {
                      ? ShardPlan::kRankPartition
                      : ShardPlan::kRoundRobin;
   options.plan_dim = ParseCount(args.Get("plan-dim"), 0);
-  options.batch_points = ParseCount(args.Get("batch"), 4096);
   options.tree.metric =
       args.Get("metric", "l2") == "lmax" ? Metric::kLMax : Metric::kL2;
   ShardedBulkLoader loader(storage, manifest_name, options);
