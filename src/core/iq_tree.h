@@ -107,7 +107,7 @@ struct IqSearchOptions {
 ///      on one tree (each query's head and counters are its own; the
 ///      DiskModel totals are atomic, and the last_query_stats_
 ///      publication and the stored PredictCost value are locked).
-///   2. Updates (Insert, InsertBatch, Remove, Flush, Reoptimize)
+///   2. Updates (Insert, Remove, Flush, Reoptimize)
 ///      require external exclusion against everything, single-writer
 ///      style — they rewrite live blocks in place.
 class IqTree {
@@ -192,12 +192,6 @@ class IqTree {
   /// the cost model decides between splitting the page and re-quantizing
   /// it at coarser granularity.
   Status Insert(PointId id, PointView p);
-
-  /// Inserts a batch in one pass: points are routed to their target
-  /// pages first, then every affected page is rewritten exactly once —
-  /// far fewer page writes than a loop of Insert(). `points` row r gets
-  /// id `ids[r]`.
-  Status InsertBatch(std::span<const PointId> ids, const Dataset& points);
 
   /// Removes a point by id and location. NotFound if absent. The page is
   /// re-quantized at finer granularity when the removal makes that
@@ -311,12 +305,9 @@ class IqTree {
   /// their path reads it.
   Status FinishUpdate(const Status& update);
 
-  /// Bodies of Insert, InsertBatch and Remove past their argument
-  /// checks. Here and below, `head` is the calling public operation's
-  /// disk head.
+  /// Bodies of Insert and Remove past their argument checks. Here and
+  /// below, `head` is the calling public operation's disk head.
   Status InsertPoint(DiskHead& head, PointId id, PointView p);
-  Status InsertRows(DiskHead& head, std::span<const PointId> ids,
-                    const Dataset& points);
   Status RemovePoint(DiskHead& head, PointId id, PointView p);
 
   /// Charges the per-query sequential scan of the first-level directory
@@ -337,15 +328,9 @@ class IqTree {
                       std::vector<PointId> ids, std::vector<float> coords);
 
   /// Appends a brand-new entry (qpage at end of file). The records must
-  /// fit one page; use InsertRecords when they might not.
+  /// fit one page; Internal if they do not.
   Status AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
                      const std::vector<float>& coords);
-
-  /// Appends the records as one or more new pages, splitting at medians
-  /// until every piece fits (covers batch inserts that overflow a page
-  /// by more than 2x).
-  Status InsertRecords(DiskHead& head, std::vector<PointId> ids,
-                       std::vector<float> coords);
 
   /// Encodes + writes the qpage/extent for an entry whose points fit.
   Status WriteEntryPages(DiskHead& head, DirEntry* entry,

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
 
 #include "core/iq_tree.h"
@@ -10,9 +9,14 @@ namespace iq {
 
 namespace {
 
-/// Tight MBR of `count` row-major points.
-Mbr MbrOfCoords(const float* coords, size_t count, size_t dims) {
-  return Mbr::Of(coords, count, dims);
+/// Finest level at which `count` records fit one page: the quantization
+/// ladder for a quantized tree, g = 32 or nothing otherwise; 0 when they
+/// do not fit.
+unsigned FitLevel(bool quantized, size_t dims, size_t count,
+                  uint32_t block_size) {
+  if (quantized) return BestQuantLevel(dims, count, block_size);
+  return count <= QuantPageCapacity(dims, kExactBits, block_size) ? kExactBits
+                                                                   : 0;
 }
 
 /// Margin (sum of extents) enlargement if `p` joins `mbr` — the
@@ -107,11 +111,9 @@ RecordSplit SplitRecordsAtMedian(const std::vector<PointId>& ids,
 Status IqTree::AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
                            const std::vector<float>& coords) {
   DirEntry entry;
-  entry.mbr = MbrOfCoords(coords.data(), ids.size(), meta_.dims);
-  entry.quant_bits = meta_.quantized
-                         ? BestQuantLevel(meta_.dims, ids.size(),
-                                          disk_->params().block_size)
-                         : kExactBits;
+  entry.mbr = Mbr::Of(coords.data(), ids.size(), meta_.dims);
+  entry.quant_bits = FitLevel(meta_.quantized != 0, meta_.dims, ids.size(),
+                              disk_->params().block_size);
   if (entry.quant_bits == 0) {
     return Status::Internal("AppendEntry called with an oversized page");
   }
@@ -133,14 +135,10 @@ Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
     dirty_ = true;
     return Status::OK();
   }
-  const Mbr mbr = MbrOfCoords(coords.data(), ids.size(), dims);
+  const Mbr mbr = Mbr::Of(coords.data(), ids.size(), dims);
   const uint32_t block_size = disk_->params().block_size;
-  unsigned g_fit = meta_.quantized
-                       ? BestQuantLevel(dims, ids.size(), block_size)
-                       : (ids.size() <= QuantPageCapacity(dims, kExactBits,
-                                                          block_size)
-                              ? kExactBits
-                              : 0);
+  const unsigned g_fit =
+      FitLevel(meta_.quantized != 0, dims, ids.size(), block_size);
 
   bool split = g_fit == 0;
   if (!split && meta_.quantized && g_fit < kExactBits && ids.size() >= 2) {
@@ -174,12 +172,12 @@ Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
   if (split) {
     // Reorder records at the median and write the halves: the left half
     // reuses this entry's quantized block, the right half is appended.
+    // A page holds at most one point more than fits, so each half fits.
     RecordSplit halves = SplitRecordsAtMedian(ids, coords, dims, mbr);
     IQ_RETURN_NOT_OK(RewriteEntry(head, dir_index,
                                   std::move(halves.left_ids),
                                   std::move(halves.left_coords)));
-    return InsertRecords(head, std::move(halves.right_ids),
-                         std::move(halves.right_coords));
+    return AppendEntry(head, halves.right_ids, halves.right_coords);
   }
 
   // Mutate a copy and publish it only once the pages are durably
@@ -193,27 +191,6 @@ Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
   dir_[dir_index] = entry;
   dirty_ = true;
   return Status::OK();
-}
-
-Status IqTree::InsertRecords(DiskHead& head, std::vector<PointId> ids,
-                             std::vector<float> coords) {
-  if (ids.empty()) return Status::OK();
-  const size_t dims = meta_.dims;
-  const uint32_t block_size = disk_->params().block_size;
-  const unsigned g_fit =
-      meta_.quantized
-          ? BestQuantLevel(dims, ids.size(), block_size)
-          : (ids.size() <= QuantPageCapacity(dims, kExactBits, block_size)
-                 ? kExactBits
-                 : 0);
-  if (g_fit != 0) return AppendEntry(head, ids, coords);
-  // Too many records for any level: median-split and recurse.
-  const Mbr mbr = MbrOfCoords(coords.data(), ids.size(), dims);
-  RecordSplit halves = SplitRecordsAtMedian(ids, coords, dims, mbr);
-  IQ_RETURN_NOT_OK(InsertRecords(head, std::move(halves.left_ids),
-                                 std::move(halves.left_coords)));
-  return InsertRecords(head, std::move(halves.right_ids),
-                       std::move(halves.right_coords));
 }
 
 Status IqTree::FinishUpdate(const Status& update) {
@@ -252,54 +229,6 @@ Status IqTree::InsertPoint(DiskHead& head, PointId id, PointView p) {
   IQ_RETURN_NOT_OK(
       RewriteEntry(head, best, std::move(ids), std::move(coords)));
   meta_.total_points += 1;
-  return Status::OK();
-}
-
-Status IqTree::InsertBatch(std::span<const PointId> ids,
-                           const Dataset& points) {
-  if (points.dims() != meta_.dims) {
-    return Status::InvalidArgument("batch dimensionality mismatch");
-  }
-  if (ids.size() != points.size()) {
-    return Status::InvalidArgument("ids/points size mismatch");
-  }
-  DiskHead head;
-  return FinishUpdate(InsertRows(head, ids, points));
-}
-
-Status IqTree::InsertRows(DiskHead& head, std::span<const PointId> ids,
-                          const Dataset& points) {
-  size_t first = 0;
-  if (dir_.empty()) {
-    if (points.size() == 0) return Status::OK();
-    // Seed the directory with the first point, then route the rest.
-    IQ_RETURN_NOT_OK(InsertPoint(head, ids[0], points[0]));
-    first = 1;
-  }
-  // Route every point to its target page under the *current* directory,
-  // then rewrite each affected page once. Splits triggered by a rewrite
-  // only append entries, so earlier routing decisions stay valid.
-  std::map<size_t, std::vector<size_t>> by_entry;
-  for (size_t r = first; r < points.size(); ++r) {
-    by_entry[LeastEnlargementTarget(dir_, points[r])].push_back(r);
-  }
-  for (const auto& [dir_index, rows] : by_entry) {
-    std::vector<PointId> page_ids;
-    std::vector<float> page_coords;
-    IQ_RETURN_NOT_OK(
-        LoadExactPage(head, dir_index, &page_ids, &page_coords));
-    for (size_t r : rows) {
-      page_ids.push_back(ids[r]);
-      const PointView p = points[r];
-      page_coords.insert(page_coords.end(), p.begin(), p.end());
-    }
-    IQ_RETURN_NOT_OK(RewriteEntry(head, dir_index, std::move(page_ids),
-                                  std::move(page_coords)));
-    // Count each group only after its rewrite lands. A failed group
-    // leaves the earlier (successful) groups both written and counted,
-    // so metadata still matches on-disk contents.
-    meta_.total_points += rows.size();
-  }
   return Status::OK();
 }
 

@@ -77,8 +77,7 @@ double CostModel::RefinementProbability(const Mbr& mbr, uint64_t m,
   const double scale = std::pow(2.0, static_cast<double>(g));
   std::vector<double> cell_sides(params_.dims);
   for (size_t i = 0; i < params_.dims; ++i) {
-    cell_sides[i] = std::max<double>(mbr.Extent(i), kMinExtent) / scale *
-                    params_.refinement_cell_slack;
+    cell_sides[i] = std::max<double>(mbr.Extent(i), kMinExtent) / scale;
   }
   // Eqns 11/12: Minkowski sum of the cell and the NN ball. The model is
   // evaluated as the *ratio* to the NN ball volume: under the fractal

@@ -29,14 +29,6 @@ struct CostModelParams {
   /// in which an expected number of k points is located"). Defaults to
   /// plain NN.
   unsigned knn_k = 1;
-  /// Calibration factor on the quantization cell inside the refinement
-  /// model. A point is refined when its cell's MINDIST undercuts the
-  /// final pruning distance; the box lower bound understates the true
-  /// distance by up to the cell diameter, and the pruning distance
-  /// itself varies per query — both effects add refinements that the
-  /// plain Minkowski volume misses. Inflating the cell sides by a small
-  /// constant compensates; 1.0 disables the calibration.
-  double refinement_cell_slack = 1.25;
 };
 
 /// The IQ-tree cost model (paper §3.4): expected nearest-neighbor query

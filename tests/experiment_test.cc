@@ -1,5 +1,8 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
@@ -84,6 +87,26 @@ TEST(ExperimentTest, ClusteredOrdering) {
   EXPECT_LT(iq->avg_query_time_s, va->avg_query_time_s);
   EXPECT_LT(iq->avg_query_time_s, x->avg_query_time_s);
   EXPECT_LT(x->avg_query_time_s, scan->avg_query_time_s);
+}
+
+TEST(ExperimentTest, OptimizerTracksBestFixedLevelOnUniformData) {
+  // abl_quantization's UNIFORM-16d row at 30k points: the §3.5
+  // optimizer's layout must cost no more than 1.1x the best layout that
+  // stores every page at one fixed level g.
+  Dataset data = GenerateUniform(30020, 16, 42);
+  const Dataset queries = data.TakeTail(20);
+  Experiment experiment(data, queries, DiskParameters{});
+  double best_fixed = std::numeric_limits<double>::infinity();
+  for (unsigned g : {1u, 2u, 4u, 8u, 16u, 32u}) {
+    auto fixed = experiment.RunIqTree(true, true, g);
+    ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+    best_fixed = std::min(best_fixed, fixed->avg_query_time_s);
+  }
+  auto optimized = experiment.RunIqTree();
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  EXPECT_LE(optimized->avg_query_time_s, 1.1 * best_fixed)
+      << "optimizer " << optimized->avg_query_time_s << " s, best fixed "
+      << best_fixed << " s";
 }
 
 TEST(ExperimentTest, KnnSupported) {

@@ -473,12 +473,15 @@ TEST_F(FilterKernelEndToEnd, QueriesBitIdenticalAcrossKernels) {
     for (KernelDispatch d :
          {KernelDispatch::kScalar, KernelDispatch::kAvx2}) {
       ScopedDispatch dispatch(d);
-      auto t_knn = (*tree)->KNearestNeighbors(queries[qi], 10);
-      tree_stats[slot].push_back((*tree)->last_query_stats());
+      IqQueryStats stats;
+      IqSearchOptions search;
+      search.stats = &stats;
+      auto t_knn = (*tree)->KNearestNeighbors(queries[qi], 10, search);
+      tree_stats[slot].push_back(stats);
       auto v_knn = (*va)->KNearestNeighbors(queries[qi], 10);
       auto s_knn = (*scan)->KNearestNeighbors(queries[qi], 10);
-      auto t_range = (*tree)->RangeSearch(queries[qi], radius);
-      tree_stats[slot].push_back((*tree)->last_query_stats());
+      auto t_range = (*tree)->RangeSearch(queries[qi], radius, search);
+      tree_stats[slot].push_back(stats);
       auto v_range = (*va)->RangeSearch(queries[qi], radius);
       auto s_range = (*scan)->RangeSearch(queries[qi], radius);
       ASSERT_TRUE(t_knn.ok() && v_knn.ok() && s_knn.ok());

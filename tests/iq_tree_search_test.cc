@@ -267,10 +267,10 @@ TEST_F(IqQueryValidationTest, RangeSearchRejectsNonFiniteQueryOrNaNRadius) {
 // into one FNV-1a digest; the totals make a mismatch readable. A change
 // to the access probabilities (§2.2), the higher-priority set or the
 // batching arithmetic moves at least one value. Pages reach the HS loop
-// and the eq. 3 product in (MINDIST, dir_index) order. The expected
-// values were recorded from the planner that recomputed every region's
-// eq. 3 moments per call and left MINDIST ties in std::sort's order;
-// the tie-breaking order reproduces them unchanged.
+// and the eq. 3 product in (MINDIST, dir_index) order. The CAD cases
+// pin their layout with inputs the cost model does not decide (a fixed
+// g and a given D_F), so a change to the §3.5 optimizer or the D_F
+// estimator moves none of their values; the pruner-cap case gives D_F.
 struct GoldenPlan {
   uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
   size_t batches = 0;
@@ -300,6 +300,8 @@ struct GoldenSetup {
   size_t first_query = 0;
   /// Passed to the build; 0 estimates it from the data.
   double fractal_dimension = 0.0;
+  /// Passed to the build; 0 lets the §3.5 optimizer choose every g.
+  unsigned fixed_quant_bits = 0;
   DiskParameters disk{0.010, 0.002, 4096};
 };
 
@@ -314,19 +316,20 @@ GoldenPlan RunGoldenPlan(const GoldenSetup& setup) {
   options.metric = setup.metric;
   options.optimize_for_k = 10;
   options.fractal_dimension = setup.fractal_dimension;
+  options.fixed_quant_bits = setup.fixed_quant_bits;
   auto tree = IqTree::Build(data, storage, "t", disk, options);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   GoldenPlan plan;
   if (!tree.ok()) return plan;
-  IqSearchOptions search;
-  search.optimized_access = true;
   for (size_t qi = setup.first_query; qi < queries.size(); ++qi) {
-    disk.ResetStats();
+    IqQueryStats stats;
+    IqSearchOptions search;
+    search.optimized_access = true;
+    search.stats = &stats;
     auto got = (*tree)->KNearestNeighbors(queries[qi], 10, search);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (!got.ok()) return plan;
-    const IqTree::QueryStats stats = (*tree)->last_query_stats();
-    const IoStats io = disk.stats();
+    const IoStats& io = stats.io;
     for (uint64_t word :
          {uint64_t{stats.batches}, uint64_t{stats.blocks_transferred},
           uint64_t{stats.pages_decoded}, uint64_t{stats.cells_enqueued},
@@ -364,28 +367,34 @@ void ExpectGoldenPlan(const GoldenPlan& got, const GoldenPlan& want) {
 
 TEST(IqSearchGoldenPlanTest, L2KnnPlansAreUnchanged) {
   GoldenPlan want;
-  want.batches = 2265;
-  want.blocks_transferred = 9615;
-  want.pages_decoded = 8022;
-  want.cells_enqueued = 386;
-  want.refinements = 23;
-  want.seeks = 2445;
-  want.io_time_s = 0x1.d10624dd2f1acp+5;
-  want.digest = 0xf257d873eab5dc03ull;
-  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kL2}), want);
+  want.batches = 386;
+  want.blocks_transferred = 5835;
+  want.pages_decoded = 5809;
+  want.cells_enqueued = 1476210;
+  want.refinements = 2996;
+  want.seeks = 3409;
+  want.io_time_s = 0x1.aeac083126e95p+5;
+  want.digest = 0xb19f17d388947f54ull;
+  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kL2,
+                                  .fractal_dimension = 3.0,
+                                  .fixed_quant_bits = 8}),
+                   want);
 }
 
 TEST(IqSearchGoldenPlanTest, LMaxKnnPlansAreUnchanged) {
   GoldenPlan want;
-  want.batches = 722;
-  want.blocks_transferred = 7828;
-  want.pages_decoded = 5669;
-  want.cells_enqueued = 603;
-  want.refinements = 22;
-  want.seeks = 941;
-  want.io_time_s = 0x1.3c147ae147adep+5;
-  want.digest = 0x856eca5a012489a2ull;
-  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kLMax}), want);
+  want.batches = 255;
+  want.blocks_transferred = 7645;
+  want.pages_decoded = 7644;
+  want.cells_enqueued = 1945503;
+  want.refinements = 2445;
+  want.seeks = 2728;
+  want.io_time_s = 0x1.8c2d0e560418ep+5;
+  want.digest = 0x128e64619eebf3b7ull;
+  ExpectGoldenPlan(RunGoldenPlan({.metric = Metric::kLMax,
+                                  .fractal_dimension = 3.0,
+                                  .fixed_quant_bits = 8}),
+                   want);
 }
 
 // Uniform data, 200k points, with a small fractal dimension and the
@@ -396,7 +405,9 @@ TEST(IqSearchGoldenPlanTest, LMaxKnnPlansAreUnchanged) {
 // probability. Of the 107 held-out queries only the last 10 run; the
 // last of them (tail query 106) gets a different plan when the cap is
 // raised to 600 or more or lowered to 450. D_F is passed explicitly so
-// that a change to the estimator does not move the layout.
+// that a change to the estimator does not move the layout. g is left to
+// the optimizer: a fixed g = 32 partitions into different pages and
+// changes these values.
 TEST(IqSearchGoldenPlanTest, L2KnnPlansAtThePrunerCapAreUnchanged) {
   GoldenPlan want;
   want.batches = 2164;

@@ -160,94 +160,15 @@ TEST_F(IqTreeUpdateTest, FlushPersistsUpdates) {
   EXPECT_EQ(nn->distance, 0.0);
 }
 
-TEST_F(IqTreeUpdateTest, InsertBatchMatchesLoopOfInserts) {
-  Dataset data = GenerateCadLike(1500, 6, 20);
-  const Dataset batch = GenerateCadLike(800, 6, 21);
-  std::vector<PointId> batch_ids(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch_ids[i] = static_cast<PointId>(1500 + i);
-  }
-
-  auto loop_tree = IqTree::Build(data, storage_, "loop", disk_, {});
-  ASSERT_TRUE(loop_tree.ok());
-  const IoStats before_loop = disk_.stats();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE((*loop_tree)->Insert(batch_ids[i], batch[i]).ok());
-  }
-  const uint64_t loop_writes =
-      (disk_.stats() - before_loop).blocks_written;
-
-  auto batch_tree = IqTree::Build(data, storage_, "batch", disk_, {});
-  ASSERT_TRUE(batch_tree.ok());
-  const IoStats before_batch = disk_.stats();
-  ASSERT_TRUE((*batch_tree)->InsertBatch(batch_ids, batch).ok());
-  const uint64_t batch_writes =
-      (disk_.stats() - before_batch).blocks_written;
-
-  EXPECT_EQ((*batch_tree)->size(), (*loop_tree)->size());
-  EXPECT_TRUE((*batch_tree)->Validate().ok());
-  EXPECT_LT(batch_writes, loop_writes / 2) << "batching should save writes";
-  // Identical answers.
-  const Dataset queries = GenerateCadLike(10, 6, 22);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    auto a = (*loop_tree)->NearestNeighbor(queries[qi]);
-    auto b = (*batch_tree)->NearestNeighbor(queries[qi]);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a->distance, b->distance, 1e-6);
-  }
-}
-
-TEST_F(IqTreeUpdateTest, InsertBatchIntoEmptyTree) {
-  auto tree = IqTree::Build(Dataset(4), storage_, "t", disk_, {});
-  ASSERT_TRUE(tree.ok());
-  const Dataset batch = GenerateUniform(500, 4, 23);
-  std::vector<PointId> ids(batch.size());
-  std::iota(ids.begin(), ids.end(), 0);
-  ASSERT_TRUE((*tree)->InsertBatch(ids, batch).ok());
-  EXPECT_EQ((*tree)->size(), 500u);
-  EXPECT_TRUE((*tree)->Validate().ok());
-  auto nn = (*tree)->NearestNeighbor(batch[77]);
-  ASSERT_TRUE(nn.ok());
-  EXPECT_EQ(nn->distance, 0.0);
-}
-
-TEST_F(IqTreeUpdateTest, InsertBatchOverflowingOnePageManyTimes) {
-  // Regression: routing a batch much larger than a page's capacity to a
-  // single target page must cascade-split, not fail.
-  Dataset tiny = GenerateUniform(2, 8, 29);
-  auto tree = IqTree::Build(tiny, storage_, "t", disk_, {});
-  ASSERT_TRUE(tree.ok());
-  const Dataset batch = GenerateUniform(6000, 8, 30);
-  std::vector<PointId> ids(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ids[i] = static_cast<PointId>(2 + i);
-  }
-  ASSERT_TRUE((*tree)->InsertBatch(ids, batch).ok());
-  EXPECT_EQ((*tree)->size(), 6002u);
-  EXPECT_TRUE((*tree)->Validate().ok());
-}
-
-TEST_F(IqTreeUpdateTest, InsertBatchValidatesInputs) {
-  Dataset data = GenerateUniform(100, 4, 24);
-  auto tree = IqTree::Build(data, storage_, "t", disk_, {});
-  ASSERT_TRUE(tree.ok());
-  const Dataset wrong_dims = GenerateUniform(5, 3, 25);
-  std::vector<PointId> ids(5, 0);
-  EXPECT_TRUE(
-      (*tree)->InsertBatch(ids, wrong_dims).IsInvalidArgument());
-  const Dataset ok_dims = GenerateUniform(5, 4, 26);
-  std::vector<PointId> too_few(3, 0);
-  EXPECT_TRUE((*tree)->InsertBatch(too_few, ok_dims).IsInvalidArgument());
-}
-
 TEST_F(IqTreeUpdateTest, QueryStatsAreFilled) {
   Dataset data = GenerateUniform(20000, 16, 27);
   auto tree = IqTree::Build(data, storage_, "t", disk_, {});
   ASSERT_TRUE(tree.ok());
   const Dataset queries = GenerateUniform(3, 16, 28);
-  ASSERT_TRUE((*tree)->NearestNeighbor(queries[0]).ok());
-  const auto& stats = (*tree)->last_query_stats();
+  IqQueryStats stats;
+  IqSearchOptions search;
+  search.stats = &stats;
+  ASSERT_TRUE((*tree)->NearestNeighbor(queries[0], search).ok());
   EXPECT_GT(stats.pages_decoded, 0u);
   EXPECT_GT(stats.blocks_transferred, 0u);
   EXPECT_GT(stats.batches, 0u);
@@ -377,67 +298,32 @@ TEST_F(IqTreeUpdateTest, FailedFirstInsertLeavesEmptyTreeEmpty) {
   EXPECT_EQ(DirPointSum(**tree), 1u);
 }
 
-/// Regression: InsertBatch used to count the whole batch up front; a
-/// group failing mid-batch left size() ahead of the written groups.
-/// Now earlier (successful) groups stay written AND counted, and the
-/// failed group is neither.
-TEST_F(IqTreeUpdateTest, FailedInsertBatchCountsOnlyWrittenGroups) {
-  FaultyStorage storage;
-  Dataset data = GenerateUniform(3000, 4, 32);
-  Dataset initial(4);
-  Dataset batch(4);
-  for (size_t i = 0; i < data.size(); ++i) {
-    (i < 2800 ? initial : batch).Append(data[i]);
-  }
-  auto tree = IqTree::Build(initial, storage, "t", disk_, {});
-  ASSERT_TRUE(tree.ok());
-
-  std::vector<PointId> ids(batch.size());
-  std::iota(ids.begin(), ids.end(), 2800u);
-  // A batch over many pages needs many writes; let a few through so
-  // some groups land before the injected failure.
-  storage.FailAfter(3);
-  const Status status = (*tree)->InsertBatch(ids, batch);
-  storage.Heal();
-  EXPECT_TRUE(status.IsIOError());
-
-  // Whatever landed, the metadata must match the directory exactly.
-  EXPECT_EQ((*tree)->size(), DirPointSum(**tree));
-  EXPECT_GE((*tree)->size(), initial.size());
-  EXPECT_LE((*tree)->size(), initial.size() + batch.size());
-  ASSERT_TRUE((*tree)->Flush().ok());
-  auto reopened = IqTree::Open(storage, "t", disk_);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), DirPointSum(**reopened));
-}
-
 /// An update refreshes the query mirror once, at its end, on
-/// failure too: the groups of a failed batch that landed before the
-/// fault must show in the mirror the searches read.
-TEST_F(IqTreeUpdateTest, FailedInsertBatchStillRefreshesTheMirror) {
+/// failure too: when an insert splits a page, rewrites the left half
+/// over it and then fails to append the right half, the mirror the
+/// searches read must show the rewritten page.
+TEST_F(IqTreeUpdateTest, FailedInsertStillRefreshesTheMirror) {
   FaultyStorage storage;
-  Dataset initial = GenerateUniform(2800, 4, 33);
-  auto tree = IqTree::Build(initial, storage, "t", disk_, {});
+  // One full exact page: the next insert overflows it and must split.
+  const size_t capacity =
+      QuantPageCapacity(4, kExactBits, disk_.params().block_size);
+  const Dataset data = GenerateUniform(capacity, 4, 33);
+  IqTree::Options options;
+  options.quantize = false;
+  auto tree = IqTree::Build(data, storage, "t", disk_, options);
   ASSERT_TRUE(tree.ok());
+  ASSERT_EQ((*tree)->num_pages(), 1u);
 
-  // Points pushed out of the unit cube on every side grow every page
-  // they land on, and spread over many pages.
-  Dataset batch(4);
-  std::vector<float> p(4);
-  for (size_t i = 0; i < 200; ++i) {
-    for (size_t d = 0; d < 4; ++d) {
-      const float x = initial[i][d];
-      p[d] = x < 0.5f ? x - 1.0f : x + 1.0f;
-    }
-    batch.Append(p);
-  }
-  std::vector<PointId> ids(batch.size());
-  std::iota(ids.begin(), ids.end(), 2800u);
-  storage.FailAfter(3);
-  const Status status = (*tree)->InsertBatch(ids, batch);
+  // The split's first write (the left half over the old page) lands,
+  // the second (the appended right half) fails.
+  storage.FailAfter(1);
+  const std::vector<float> p{0.5f, 0.5f, 0.5f, 0.5f};
+  const Status status = (*tree)->Insert(static_cast<PointId>(capacity), p);
   storage.Heal();
   ASSERT_TRUE(status.IsIOError());
-  ASSERT_GT((*tree)->size(), initial.size()) << "no group landed";
+  ASSERT_EQ((*tree)->num_pages(), 1u);
+  ASSERT_LT((*tree)->directory()[0].count, capacity)
+      << "the left half was not written";
   EXPECT_TRUE((*tree)->CheckDirGeometry().ok());
 }
 
@@ -518,13 +404,12 @@ TEST_F(IqTreeUpdateTest, DirectoryMirrorFollowsEveryMutation) {
   check(*tree, "insert");
 
   const Dataset batch = GenerateUniform(60, kDims, 43);
-  std::vector<PointId> batch_ids(batch.size());
-  std::iota(batch_ids.begin(), batch_ids.end(), PointId{6000});
-  ASSERT_TRUE(tree->InsertBatch(batch_ids, batch).ok());
   for (size_t r = 0; r < batch.size(); ++r) {
-    live[batch_ids[r]].assign(batch[r].begin(), batch[r].end());
+    const PointId id = static_cast<PointId>(6000 + r);
+    ASSERT_TRUE(tree->Insert(id, batch[r]).ok());
+    live[id].assign(batch[r].begin(), batch[r].end());
   }
-  check(*tree, "insert batch");
+  check(*tree, "insert loop");
 
   // Empty one whole page. Pick the smallest page whose MBR holds exactly
   // its own points, so those are the points it stores.

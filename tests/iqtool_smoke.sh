@@ -79,4 +79,28 @@ if "$IQTOOL" bogus-subcommand 2>/dev/null; then
   exit 1
 fi
 
+# Bad arguments exit 2 with an error that names the option: one the
+# command does not list, or a value that does not parse.
+expect_arg_error() {
+  option="$1"
+  shift
+  rc=0
+  "$IQTOOL" "$@" >/dev/null 2>"$DIR/err.txt" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -e "^error: .*$option" "$DIR/err.txt"; then
+    echo "expected exit 2 and an error naming $option for: $*" >&2
+    exit 1
+  fi
+}
+expect_arg_error --bogus-flag shard build --dir "$DIR" --dataset ds \
+    --manifest m2 --shards 2 --bogus-flag 3
+expect_arg_error --batch shard build --dir "$DIR" --dataset ds \
+    --manifest m2 --batch 8
+expect_arg_error --k query --dir "$DIR" --index idx \
+    --point 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5 --k 10x
+expect_arg_error --radius query --dir "$DIR" --index idx \
+    --point 0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5 --radius 0.4x
+expect_arg_error --metric build --dir "$DIR" --dataset ds --index idx2 \
+    --metric l3
+expect_arg_error --json stats --dir "$DIR" --index idx --json yes
+
 echo "iqtool smoke OK"

@@ -76,8 +76,10 @@ TEST(CalibrationTrackerTest, JsonReportHasAllComponents) {
 /// T_2nd and T_3rd means must be within this factor of the observed
 /// means. The model is analytic and the I/O simulated, so the factor
 /// absorbs only model approximations (independence assumptions,
-/// fractal-dimension fit), not machine noise.
-constexpr double kCalibrationFactor = 3.0;
+/// fractal-dimension fit), not machine noise. The worst measured ratio
+/// is observed/predicted T_2nd = 2.20 at d = 8; every T_3rd ratio is
+/// within 1.09.
+constexpr double kCalibrationFactor = 2.5;
 
 bool WithinFactor(double predicted, double observed, double factor) {
   if (predicted <= 0.0 || observed <= 0.0) return false;

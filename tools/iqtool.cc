@@ -4,36 +4,10 @@
 // the binary format of data/dataset_io.h. All query costs are printed
 // in simulated disk seconds (see io/disk_model.h).
 //
-//   iqtool generate --out DIR/NAME --workload uniform|cad|color|weather
-//                   --n N --dims D [--seed S]
-//   iqtool build    --dir DIR --dataset NAME --index NAME
-//                   [--metric l2|lmax] [--no-quantize] [--fixed-bits G]
-//                   [--k K]
-//   iqtool query    --dir DIR --index NAME --point x,y,... [--k K]
-//                   [--radius R]
-//   iqtool stats    --dir DIR --index NAME [--metrics] [--json]
-//   iqtool health   --dir DIR --index NAME [--json]
-//   iqtool profile  --dir DIR --index NAME (--point x,y,... |
-//                   --queries DSNAME [--limit N]) [--k K] [--radius R]
-//                   [--threads T] [--json]
-//   iqtool slowlog  --dir DIR --index NAME --queries DSNAME [--limit N]
-//                   [--k K] [--radius R] [--threads T] [--capacity C]
-//                   [--threshold S] [--quantile Q] [--json]
-//   iqtool trace    --dir DIR --manifest NAME (--point x,y,... |
-//                   --queries DSNAME [--limit N]) [--k K] [--radius R]
-//                   [--threads T] [--max-in-flight N] [--max-queued N]
-//                   [--deadline S] [--json]
-//   iqtool validate --dir DIR --index NAME
-//   iqtool reopt    --dir DIR --index NAME
-//   iqtool shard build  --dir DIR --dataset NAME --manifest NAME
-//                       [--shards N] [--plan roundrobin|rank]
-//                       [--plan-dim D] [--metric l2|lmax]
-//   iqtool shard stats  --dir DIR --manifest NAME [--json]
-//   iqtool shard health --dir DIR --manifest NAME [--json]
-//
-// `profile` runs the queries with a QueryTracer attached and prints the
-// recorded span tree (or a JSON trace dump with --json) plus the
-// cost-model calibration report (predicted vs observed T_1st/T_2nd/
+// Run without arguments, it prints the commands and their options
+// (Usage() below). `profile` runs the queries with a QueryTracer
+// attached and prints the recorded span tree (or a JSON trace dump
+// with --json) plus the cost-model calibration report (predicted vs observed T_1st/T_2nd/
 // T_3rd); `slowlog` runs a query batch on a ThreadPool, each query
 // with its own tracer and all with one slow-query log attached, and
 // dumps the retained outliers with their span trees; `health`
@@ -48,7 +22,13 @@
 // `shard health` report per-shard and aggregated figures —
 // `stats --manifest M` / `health --manifest M` are shorthands for the
 // shard forms, so monitoring can point one command at either layout.
+// Every command rejects, with `error: ...` and exit code 2, an option
+// that its line of Usage() does not list and a value that does not
+// parse.
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,52 +58,120 @@
 namespace iq {
 namespace {
 
-/// strtoull with a fallback instead of the throwing std::stoull.
+// The value of an option that CheckArgs accepted, or `fallback` when
+// the option was not given.
 uint64_t ParseCount(const std::string& text, uint64_t fallback) {
-  if (text.empty()) return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? value : fallback;
+  return text.empty() ? fallback : std::strtoull(text.c_str(), nullptr, 10);
 }
 
 double ParseNumber(const std::string& text, double fallback) {
-  if (text.empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? value : fallback;
+  return text.empty() ? fallback : std::strtod(text.c_str(), nullptr);
 }
 
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::vector<std::string> flags;
+  /// Tokens that are neither an option nor an option's value.
+  std::vector<std::string> stray;
 
   std::string Get(const std::string& key, const std::string& fallback = "") const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
   bool Has(const std::string& flag) const {
-    for (const std::string& f : flags) {
-      if (f == flag) return true;
-    }
-    return false;
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
   }
 };
 
+/// `--name value` is an option unless the next token is itself an
+/// option, so a value may start with a single '-' (a negative
+/// coordinate); `--name` alone is a flag.
 Args Parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
+    if (token.rfind("--", 0) != 0) {
+      args.stray.push_back(token);
+      continue;
+    }
     token = token.substr(2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       args.options[token] = argv[++i];
     } else {
       args.flags.push_back(token);
     }
   }
   return args;
+}
+
+/// One command: what it runs and the options its line of Usage()
+/// lists, by what their values must parse as.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> text, count, number, flag;
+};
+
+/// The accepted words of the text options that take one of a set.
+const std::map<std::string, std::string> kChoices = {
+    {"metric", "l2|lmax"},
+    {"plan", "roundrobin|rank"},
+    {"workload", "uniform|cad|color|weather"}};
+
+int ArgError(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
+}
+
+/// Rejects an argument that `command` does not list and a value that
+/// does not parse as its option's kind: prints `error: ...` naming the
+/// option and returns 2. Returns 0 when every argument is valid.
+int CheckArgs(const Args& args, const Command& command) {
+  auto listed = [](const std::vector<std::string>& names,
+                   const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  if (!args.stray.empty()) {
+    return ArgError("unexpected argument '" + args.stray.front() + "'");
+  }
+  for (const std::string& flag : args.flags) {
+    if (listed(command.flag, flag)) continue;
+    return ArgError(listed(command.text, flag) || listed(command.count, flag) ||
+                            listed(command.number, flag)
+                        ? "option --" + flag + " needs a value"
+                        : "unknown option --" + flag);
+  }
+  for (const auto& [name, value] : args.options) {
+    const std::string got = " for --" + name + ", got '" + value + "'";
+    char* end = nullptr;
+    if (listed(command.count, name)) {
+      errno = 0;
+      std::strtoull(value.c_str(), &end, 10);
+      if (value.empty() || value.find_first_not_of("0123456789") !=
+                               std::string::npos || errno == ERANGE) {
+        return ArgError("expected a count" + got);
+      }
+    } else if (listed(command.number, name)) {
+      const double number = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !std::isfinite(number)) {
+        return ArgError("expected a number" + got);
+      }
+    } else if (listed(command.text, name)) {
+      const auto choices = kChoices.find(name);
+      if (choices != kChoices.end() &&
+          ("|" + choices->second + "|").find("|" + value + "|") ==
+              std::string::npos) {
+        return ArgError("expected one of " + choices->second + got);
+      }
+    } else {
+      return ArgError(listed(command.flag, name)
+                          ? "option --" + name + " takes no value" + got
+                          : "unknown option --" + name);
+    }
+  }
+  return 0;
 }
 
 int Fail(const Status& status) {
@@ -136,14 +184,15 @@ int Usage() {
       stderr,
       "usage: iqtool "
       "<generate|build|query|stats|health|profile|slowlog|trace|"
-      "validate|reopt> ...\n"
+      "validate|reopt|shard> ...\n"
       "  generate --out DIR/NAME --workload uniform|cad|color|weather\n"
       "           --n N --dims D [--seed S]\n"
       "  build    --dir DIR --dataset NAME --index NAME [--metric l2|lmax]\n"
       "           [--no-quantize] [--fixed-bits G] [--k K]\n"
       "  query    --dir DIR --index NAME --point x,y,... [--k K] [--radius R]\n"
-      "  stats    --dir DIR --index NAME [--metrics] [--json]\n"
-      "  health   --dir DIR --index NAME [--json]\n"
+      "  stats    --dir DIR (--index NAME | --manifest NAME) [--metrics]\n"
+      "           [--json]\n"
+      "  health   --dir DIR (--index NAME | --manifest NAME) [--json]\n"
       "  profile  --dir DIR --index NAME (--point x,y,... |\n"
       "           --queries DSNAME [--limit N]) [--k K] [--radius R]\n"
       "           [--threads T] [--json]\n"
@@ -159,7 +208,7 @@ int Usage() {
       "  shard build  --dir DIR --dataset NAME --manifest NAME [--shards N]\n"
       "               [--plan roundrobin|rank] [--plan-dim D]\n"
       "               [--metric l2|lmax]\n"
-      "  shard stats  --dir DIR --manifest NAME [--json]\n"
+      "  shard stats  --dir DIR --manifest NAME [--metrics] [--json]\n"
       "  shard health --dir DIR --manifest NAME [--json]\n");
   return 2;
 }
@@ -182,11 +231,8 @@ int Generate(const Args& args) {
     data = GenerateCadLike(n, dims, seed);
   } else if (workload == "color") {
     data = GenerateColorLike(n, dims, seed);
-  } else if (workload == "weather") {
-    data = GenerateWeatherLike(n, dims, seed);
   } else {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return 2;
+    data = GenerateWeatherLike(n, dims, seed);
   }
   FileStorage storage(dir);
   if (Status s = WriteDataset(storage, name, data); !s.ok()) return Fail(s);
@@ -1128,30 +1174,51 @@ int ShardHealth(const Args& args) {
   return 0;
 }
 
-int Shard(int argc, char** argv) {
-  // `iqtool shard build ...` re-parses with `shard` stripped so the
-  // sub-verb lands in Args::command and the flags parse as usual.
-  const Args sub = Parse(argc - 1, argv + 1);
-  if (sub.command == "build") return ShardBuild(sub);
-  if (sub.command == "stats") return ShardStats(sub);
-  if (sub.command == "health") return ShardHealth(sub);
+int Dispatch(const std::vector<Command>& commands, const Args& args) {
+  for (const Command& command : commands) {
+    if (args.command != command.name) continue;
+    if (int rc = CheckArgs(args, command); rc != 0) return rc;
+    return command.run(args);
+  }
   return Usage();
 }
 
+int Shard(int argc, char** argv) {
+  // `iqtool shard build ...` re-parses with `shard` stripped so the
+  // sub-verb lands in Args::command and the flags parse as usual.
+  static const std::vector<Command> kShardCommands = {
+      {"build", ShardBuild, {"dir", "dataset", "manifest", "plan", "metric"},
+       {"shards", "plan-dim"}, {}, {}},
+      {"stats", ShardStats, {"dir", "manifest"}, {}, {}, {"metrics", "json"}},
+      {"health", ShardHealth, {"dir", "manifest"}, {}, {}, {"json"}},
+  };
+  return Dispatch(kShardCommands, Parse(argc - 1, argv + 1));
+}
+
 int Run(int argc, char** argv) {
+  static const std::vector<Command> kCommands = {
+      {"generate", Generate, {"out", "workload"}, {"n", "dims", "seed"}, {},
+       {}},
+      {"build", Build, {"dir", "dataset", "index", "metric"},
+       {"fixed-bits", "k"}, {}, {"no-quantize"}},
+      {"query", Query, {"dir", "index", "point"}, {"k"}, {"radius"}, {}},
+      {"stats", Stats, {"dir", "index", "manifest"}, {}, {},
+       {"metrics", "json"}},
+      {"health", Health, {"dir", "index", "manifest"}, {}, {}, {"json"}},
+      {"profile", Profile, {"dir", "index", "point", "queries"},
+       {"limit", "k", "threads"}, {"radius"}, {"json"}},
+      {"slowlog", SlowLog, {"dir", "index", "queries"},
+       {"limit", "k", "threads", "capacity"},
+       {"radius", "threshold", "quantile"}, {"json"}},
+      {"trace", Trace, {"dir", "manifest", "point", "queries"},
+       {"limit", "k", "threads", "max-in-flight", "max-queued"},
+       {"radius", "deadline"}, {"json"}},
+      {"validate", Validate, {"dir", "index"}, {}, {}, {}},
+      {"reopt", Reoptimize, {"dir", "index"}, {}, {}, {}},
+  };
   const Args args = Parse(argc, argv);
-  if (args.command == "generate") return Generate(args);
-  if (args.command == "build") return Build(args);
-  if (args.command == "query") return Query(args);
-  if (args.command == "stats") return Stats(args);
-  if (args.command == "health") return Health(args);
-  if (args.command == "profile") return Profile(args);
-  if (args.command == "slowlog") return SlowLog(args);
-  if (args.command == "trace") return Trace(args);
-  if (args.command == "validate") return Validate(args);
-  if (args.command == "reopt") return Reoptimize(args);
   if (args.command == "shard") return Shard(argc, argv);
-  return Usage();
+  return Dispatch(kCommands, args);
 }
 
 }  // namespace
