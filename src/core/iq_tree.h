@@ -28,8 +28,8 @@
 
 namespace iq {
 
-/// Observability counters of one NN/k-NN/range query (what its I/O
-/// time was spent on), and the query's own simulated I/O.
+/// Observability counters of one NN/k-NN/range/window query (what its
+/// I/O time was spent on), and the query's own simulated I/O.
 struct IqQueryStats {
   /// Quantized pages actually decoded.
   size_t pages_decoded = 0;
@@ -66,14 +66,15 @@ struct IqSearchOptions {
   /// own I/O clock. The tracer is thread-safe, but a tracer per query
   /// keeps each query's span tree (and span cap) its own.
   obs::QueryTracer* tracer = nullptr;
-  /// When `tracer` is set, the query's root span ("knn"/"range") is
-  /// opened under this span instead of as a new root — the sharded
-  /// engine grafts each per-shard subtree under its own shard<i> span
-  /// so one query yields one stitched tree (docs/observability.md,
-  /// "Sharded queries"). Ignored without a tracer.
+  /// When `tracer` is set, the query's root span ("knn", "range" or
+  /// "window") is opened under this span instead of as a new root —
+  /// the sharded engine grafts each per-shard subtree under its own
+  /// shard<i> span so one query yields one stitched tree
+  /// (docs/observability.md, "Sharded queries"). Ignored without a
+  /// tracer.
   obs::SpanId parent_span = obs::kNoSpan;
   /// Optional slow-query sink (docs/observability.md): every finished
-  /// NN/k-NN/range query is offered with its own observed breakdown
+  /// query is offered with its own observed breakdown
   /// (IqQueryStats::observed) and the cost model's predicted one; the
   /// log retains outliers, with `tracer`'s spans when it is set.
   /// Thread-safe; one log may be shared by concurrent queries.
@@ -85,6 +86,9 @@ struct IqSearchOptions {
   /// (invalid arguments, k = 0).
   IqQueryStats* stats = nullptr;
 };
+
+/// One page of an update's write plan (IqTree::PlanPages).
+struct PlannedPage;
 
 /// The IQ-tree (paper §3): a three-level compressed index for exact
 /// similarity search in high-dimensional point data.
@@ -182,11 +186,11 @@ class IqTree {
   Result<std::vector<Neighbor>> RangeSearch(
       PointView q, double radius, const IqSearchOptions& options = {}) const;
 
-  /// All point ids inside the window (inclusive bounds). Untraced and
-  /// never slow-logged; when `io` is set, the query's own I/O is
-  /// written there.
-  Result<std::vector<PointId>> WindowQuery(const Mbr& window,
-                                           IoStats* io = nullptr) const;
+  /// All point ids inside the window (inclusive bounds), in page order.
+  /// Its page set is known from the directory, so it is read like a
+  /// range query's (§2).
+  Result<std::vector<PointId>> WindowQuery(
+      const Mbr& window, const IqSearchOptions& options = {}) const;
 
   /// Inserts a point (§6): the target page is re-encoded; on overflow
   /// the cost model decides between splitting the page and re-quantizing
@@ -234,7 +238,7 @@ class IqTree {
   size_t num_pages() const { return dir_.size(); }
   double fractal_dimension() const { return meta_.fractal_dimension; }
   const BuildStats& build_stats() const { return build_stats_; }
-  /// Counters of the most recent completed NN/k-NN/range query on this
+  /// Counters of the most recent completed query on this
   /// tree — a convenience for sequential callers (perfbench's benchmark
   /// loop). With concurrent queries "most recent" means whichever
   /// finished last; read a query's own stats through
@@ -243,7 +247,7 @@ class IqTree {
     MutexLock lock(&query_stats_mu_);
     return last_query_stats_;
   }
-  /// What every finished NN/k-NN/range query does to report itself:
+  /// What every finished query does to report itself:
   /// publishes its stats as last_query_stats() and folds its counters
   /// into the process-wide metric registry. Public so bench/micro_obs
   /// can time that report path on its own.
@@ -322,20 +326,36 @@ class IqTree {
                        std::vector<float>* coords) const;
 
   /// Rewrites the pages of directory entry `dir_index` from exact
-  /// records, choosing the best quantization level; splits if the cost
-  /// model prefers it on overflow.
+  /// records, choosing the best quantization level; splits on overflow
+  /// or when the cost model prefers it (PlanPages). A failed write
+  /// leaves the directory as it was.
   Status RewriteEntry(DiskHead& head, size_t dir_index,
                       std::vector<PointId> ids, std::vector<float> coords);
+
+  /// Appends the pages the records are written as (§6): one page at its
+  /// best level, or the left half's pages and then the right half's
+  /// page when the page overflows or the cost model prefers the split.
+  void PlanPages(std::vector<PointId> ids, std::vector<float> coords,
+                 std::vector<PlannedPage>* pages) const;
 
   /// Appends a brand-new entry (qpage at end of file). The records must
   /// fit one page; Internal if they do not.
   Status AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
                      const std::vector<float>& coords);
 
-  /// Encodes + writes the qpage/extent for an entry whose points fit.
-  Status WriteEntryPages(DiskHead& head, DirEntry* entry,
-                         const std::vector<PointId>& ids,
-                         const std::vector<float>& coords, bool append_qpage);
+  /// Encodes the quantized page of an entry whose points fit into
+  /// `qpage` (one block) and, for a quantized entry, appends its
+  /// third-level page (entry->exact); the quantized page is not written.
+  Status EncodeEntryPages(DiskHead& head, DirEntry* entry,
+                          const std::vector<PointId>& ids,
+                          const std::vector<float>& coords,
+                          std::vector<uint8_t>* qpage);
+
+  /// EncodeEntryPages, then appends the quantized page
+  /// (entry->qpage_block).
+  Status AppendEntryPages(DiskHead& head, DirEntry* entry,
+                          const std::vector<PointId>& ids,
+                          const std::vector<float>& coords);
 
   /// Partitions/optimizes `data` and writes all pages into the (fresh)
   /// files. Row r of `data` gets id `row_ids[r]` (or r if empty).

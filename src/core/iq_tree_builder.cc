@@ -37,44 +37,44 @@ size_t LevelIndex(unsigned g) {
 
 }  // namespace
 
-Status IqTree::WriteEntryPages(DiskHead& head, DirEntry* entry,
-                               const std::vector<PointId>& ids,
-                               const std::vector<float>& coords,
-                               bool append_qpage) {
+Status IqTree::EncodeEntryPages(DiskHead& head, DirEntry* entry,
+                                const std::vector<PointId>& ids,
+                                const std::vector<float>& coords,
+                                std::vector<uint8_t>* qpage) {
   const size_t dims = meta_.dims;
   const uint32_t block_size = disk_->params().block_size;
   QuantPageCodec codec(dims, block_size);
-  std::vector<uint8_t> page(block_size);
+  qpage->assign(block_size, 0);
   entry->count = static_cast<uint32_t>(ids.size());
   if (entry->quant_bits >= kExactBits) {
-    IQ_RETURN_NOT_OK(codec.EncodeExact(ids, coords, page.data()));
     entry->exact = Extent{};  // no third-level page for exact entries
-  } else {
-    GridQuantizer quantizer(entry->mbr, entry->quant_bits);
-    std::vector<uint32_t> cells;
-    cells.reserve(ids.size() * dims);
-    std::vector<uint32_t> point_cells;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      quantizer.Encode(PointView(coords.data() + i * dims, dims),
-                       point_cells);
-      cells.insert(cells.end(), point_cells.begin(), point_cells.end());
-    }
-    IQ_RETURN_NOT_OK(codec.EncodeCells(entry->quant_bits, cells, page.data()));
-    ExactPageCodec exact_codec(dims);
-    std::vector<uint8_t> exact_page;
-    exact_codec.Encode(ids, coords, &exact_page);
-    IQ_ASSIGN_OR_RETURN(entry->exact,
-                        exact_->Append(head, exact_page.data(),
-                                       exact_page.size()));
+    return codec.EncodeExact(ids, coords, qpage->data());
   }
-  if (append_qpage) {
-    IQ_ASSIGN_OR_RETURN(uint64_t block,
-                        qpages_->AppendBlock(head, page.data()));
-    entry->qpage_block = static_cast<uint32_t>(block);
-  } else {
-    IQ_RETURN_NOT_OK(
-        qpages_->WriteBlock(head, entry->qpage_block, page.data()));
+  GridQuantizer quantizer(entry->mbr, entry->quant_bits);
+  std::vector<uint32_t> cells;
+  cells.reserve(ids.size() * dims);
+  std::vector<uint32_t> point_cells;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    quantizer.Encode(PointView(coords.data() + i * dims, dims), point_cells);
+    cells.insert(cells.end(), point_cells.begin(), point_cells.end());
   }
+  IQ_RETURN_NOT_OK(codec.EncodeCells(entry->quant_bits, cells, qpage->data()));
+  ExactPageCodec exact_codec(dims);
+  std::vector<uint8_t> exact_page;
+  exact_codec.Encode(ids, coords, &exact_page);
+  IQ_ASSIGN_OR_RETURN(entry->exact,
+                      exact_->Append(head, exact_page.data(),
+                                     exact_page.size()));
+  return Status::OK();
+}
+
+Status IqTree::AppendEntryPages(DiskHead& head, DirEntry* entry,
+                                const std::vector<PointId>& ids,
+                                const std::vector<float>& coords) {
+  std::vector<uint8_t> page;
+  IQ_RETURN_NOT_OK(EncodeEntryPages(head, entry, ids, coords, &page));
+  IQ_ASSIGN_OR_RETURN(uint64_t block, qpages_->AppendBlock(head, page.data()));
+  entry->qpage_block = static_cast<uint32_t>(block);
   return Status::OK();
 }
 
@@ -205,8 +205,7 @@ Status IqTree::PopulateFromDataset(DiskHead& head, const Dataset& data,
                   std::span<const PointId>(ids.data() + page.begin,
                                            page.end - page.begin),
                   row_ids, &page_ids, &page_coords);
-    IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, page_ids, page_coords,
-                                     /*append_qpage=*/true));
+    IQ_RETURN_NOT_OK(AppendEntryPages(head, &entry, page_ids, page_coords));
     dir_.push_back(std::move(entry));
   }
   return Status::OK();

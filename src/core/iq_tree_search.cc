@@ -89,9 +89,22 @@ inline bool LaterPage(const RankedPage& a, const RankedPage& b) {
          (a.mindist == b.mindist && a.dir_index > b.dir_index);
 }
 
+/// The region of a range query: the ball of `radius` around the query.
+struct Ball {
+  using Hit = Neighbor;
+  double radius;
+};
+
+/// The region of a window query: the box itself (inclusive bounds).
+struct Window {
+  using Hit = PointId;
+  const Mbr& box;
+};
+
 }  // namespace
 
-/// Per-query state shared by NN, k-NN and range search over one IqTree.
+/// Per-query state shared by NN, k-NN, range and window search over one
+/// IqTree.
 class IqTreeSearcher {
  public:
   static constexpr uint32_t kNoEntry = IqTree::DirGeometry::kNoEntry;
@@ -107,7 +120,7 @@ class IqTreeSearcher {
         block_size_(tree.disk_->params().block_size),
         codec_(tree.dims(), tree.disk_->params().block_size) {}
 
-  /// Ends the query whose RunKnn/RunRange returned `run`: stamps its
+  /// Ends the query whose Run* call returned `run`: stamps its
   /// I/O into its stats, writes them to the options_.stats sink, and on
   /// success publishes them and offers the query to options_.slow_log
   /// (the root span has ended, so the caller's trace is complete).
@@ -132,7 +145,7 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, kind_, options_.parent_span);
     root_span_ = root.id();
     root.AddAttr("k", static_cast<double>(k));
-    ScanDirectory(/*knn=*/true);
+    ScanDirectory(PageSetup::kOrder);
     // HS search (§2.2) over two sources: the next unprocessed page of
     // the page order and the cell heap; on equal MINDIST the page goes
     // first.
@@ -160,27 +173,8 @@ class IqTreeSearcher {
         continue;
       }
       const size_t page_pos = next_page++;
-      const RankedPage page = OrderedPage(page_pos);
-      if (options_.optimized_access) {
-        IQ_RETURN_NOT_OK(LoadBatch(page.dir_index, page_pos, &batch_buf));
-        continue;
-      }
-      const uint32_t qpage_block = tree_.dir_[page.dir_index].qpage_block;
-      obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-      const double io_before = head_.stats.io_time_s;
-      batch_buf.resize(block_size_);
       IQ_RETURN_NOT_OK(
-          tree_.qpages_->ReadBlock(head_, qpage_block, batch_buf.data()));
-      stats_.batches += 1;
-      stats_.blocks_transferred += 1;
-      batch_span.AddAttr("first_block", static_cast<double>(qpage_block));
-      batch_span.AddAttr("blocks", 1);
-      batch_span.AddAttr(
-          "pred_io_s", BatchCost(BatchRange{qpage_block, qpage_block},
-                                 tree_.disk_->params()));
-      batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
-      IQ_RETURN_NOT_OK(
-          ProcessPage(page.dir_index, batch_buf.data(), batch_span.id()));
+          LoadBatch(OrderedPage(page_pos).dir_index, page_pos, &batch_buf));
     }
     out->assign(results_.begin(), results_.end());
     std::sort(out->begin(), out->end(),
@@ -195,41 +189,8 @@ class IqTreeSearcher {
     obs::ScopedSpan root(tracer_, kind_, options_.parent_span);
     root_span_ = root.id();
     root.AddAttr("radius", radius);
-    ScanDirectory(/*knn=*/false);
-    // The page set is known in advance: all pages whose MBR intersects
-    // the query ball. Fetch them with the optimal known-set plan (§2).
-    std::vector<uint64_t> blocks;
-    for (size_t i = 0; i < tree_.dir_.size(); ++i) {
-      if (page_mindist_[i] <= radius) {
-        blocks.push_back(tree_.dir_[i].qpage_block);
-      }
-    }
-    std::sort(blocks.begin(), blocks.end());
-    const std::vector<FetchRun> runs =
-        PlanKnownSetFetch(blocks, tree_.disk_->params());
-    std::vector<uint8_t> buf;
-    for (const FetchRun& run : runs) {
-      obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
-      const double io_before = head_.stats.io_time_s;
-      buf.resize(run.count * block_size_);
-      IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(head_, run.first, run.count,
-                                                buf.data()));
-      stats_.batches += 1;
-      stats_.blocks_transferred += run.count;
-      batch_span.AddAttr("first_block", static_cast<double>(run.first));
-      batch_span.AddAttr("blocks", static_cast<double>(run.count));
-      batch_span.AddAttr("pred_io_s",
-                         PlanCost(std::span(&run, 1), tree_.disk_->params()));
-      batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
-      for (uint64_t b = 0; b < run.count; ++b) {
-        const uint32_t dir_index = tree_.dir_geom_.EntryAt(run.first + b);
-        if (dir_index == kNoEntry) continue;  // over-read gap
-        if (page_mindist_[dir_index] > radius) continue;
-        IQ_RETURN_NOT_OK(CollectInBall(dir_index,
-                                       buf.data() + b * block_size_, radius,
-                                       out, batch_span.id()));
-      }
-    }
+    ScanDirectory(PageSetup::kMinDist);
+    IQ_RETURN_NOT_OK(ReadKnownSet(Ball{radius}, out));
     std::sort(out->begin(), out->end(),
               [](const Neighbor& a, const Neighbor& b) {
                 return a.distance < b.distance;
@@ -237,15 +198,30 @@ class IqTreeSearcher {
     return Status::OK();
   }
 
+  /// Window ids come out in page order: by qpage block, then by slot.
+  Status RunWindow(const Mbr& window, std::vector<PointId>* out) {
+    kind_ = "window";
+    obs::ScopedSpan root(tracer_, kind_, options_.parent_span);
+    root_span_ = root.id();
+    ScanDirectory(PageSetup::kNone);
+    return ReadKnownSet(Window{window}, out);
+  }
+
  private:
-  /// The charged level-1 directory scan plus in-memory MINDIST setup,
-  /// as one traced span. `knn` also sets up the page order and, with
-  /// optimized access, the §2.1 planner's moments cache.
-  void ScanDirectory(bool knn) {
+  /// What a query sets up from the directory besides charging its scan.
+  enum class PageSetup {
+    kNone,     // window: its screen reads the MBRs directly
+    kMinDist,  // range: every page's MINDIST to the query
+    kOrder,    // kNN: the MINDISTs plus the page order (and planner state)
+  };
+
+  /// The charged level-1 directory scan plus the in-memory page setup,
+  /// as one traced span.
+  void ScanDirectory(PageSetup setup) {
     obs::ScopedSpan span(tracer_, "dir_scan", root_span_);
     const double io_before = head_.stats.io_time_s;
     tree_.ChargeDirectoryScan(head_);
-    InitPages(knn);
+    InitPages(setup);
     span.AddAttr("pages", static_cast<double>(tree_.dir_.size()));
     span.AddAttr("io_s", Charged(io_before, &stats_.observed.t1));
   }
@@ -258,14 +234,15 @@ class IqTreeSearcher {
     return io_s;
   }
 
-  void InitPages(bool knn) {
+  void InitPages(PageSetup setup) {
+    if (setup == PageSetup::kNone) return;
     const size_t n = tree_.dir_.size();
     page_mindist_.resize(n);
-    processed_.assign(n, 0);
     const IqTree::DirGeometry& geom = tree_.dir_geom_;
     FilterKernel::BoxMinDists(q_, metric_, geom.lo.data(), geom.hi.data(),
                               geom.stride, n, page_mindist_.data());
-    if (!knn) return;
+    if (setup == PageSetup::kMinDist) return;
+    processed_.assign(n, 0);
     // The one page order of the HS loop and the §2.1 planner:
     // (MINDIST, dir_index) ascending, so tied pages enter the eq. 3
     // product by directory index (IqSearchGoldenPlanTest pins the
@@ -366,23 +343,26 @@ class IqTreeSearcher {
                                           kMinCandidateProbability));
   }
 
-  /// The paper's time-optimized load step (§2.1): batch the pivot page
-  /// with neighboring on-disk pages whose access probability makes
-  /// over-reading cheaper than a later seek, then process everything
-  /// that was transferred.
+  /// The kNN load step. With optimized access, the paper's
+  /// time-optimized one (§2.1): batch the pivot page with neighboring
+  /// on-disk pages whose access probability makes over-reading cheaper
+  /// than a later seek; with standard access, the pivot page alone.
+  /// Then process everything that was transferred.
   Status LoadBatch(size_t pivot_dir_index, size_t pivot_pos,
                    std::vector<uint8_t>* buf) {
     obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
     const double io_before = head_.stats.io_time_s;
     const uint64_t pivot_block = tree_.dir_[pivot_dir_index].qpage_block;
-    IQ_HOT_NOALLOC_BEGIN;
-    const BatchRange range = PlanNnBatch(
-        pivot_block, tree_.dir_geom_.block_entry.size(),
-        tree_.disk_->params(),
-        [&](uint64_t block) {
-          return AccessProbability(block, pivot_block, pivot_pos);
-        });
-    IQ_HOT_NOALLOC_END;
+    BatchRange range{pivot_block, pivot_block};
+    if (options_.optimized_access) {
+      IQ_HOT_NOALLOC_BEGIN;
+      range = PlanNnBatch(pivot_block, tree_.dir_geom_.block_entry.size(),
+                          tree_.disk_->params(), [&](uint64_t block) {
+                            return AccessProbability(block, pivot_block,
+                                                     pivot_pos);
+                          });
+      IQ_HOT_NOALLOC_END;
+    }
     buf->resize(range.count() * block_size_);
     IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(head_, range.first,
                                               range.count(), buf->data()));
@@ -565,12 +545,55 @@ class IqTreeSearcher {
     return Status::OK();
   }
 
-  /// Range-search page handler: evaluates every point of the page whose
-  /// cell approximation intersects the ball, loading the exact page at
-  /// most once.
+  /// The known-set loop of range and window queries: their page set is
+  /// known from the directory alone (the pages `region` keeps), so it
+  /// is read with the optimal seek-vs-overread plan (§2), and every
+  /// kept page is searched for `region`'s hits.
+  template <typename Region>
+  Status ReadKnownSet(const Region& region,
+                      std::vector<typename Region::Hit>* out) {
+    std::vector<uint64_t> blocks;
+    for (size_t i = 0; i < tree_.dir_.size(); ++i) {
+      if (Keeps(region, i)) blocks.push_back(tree_.dir_[i].qpage_block);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    const std::vector<FetchRun> runs =
+        PlanKnownSetFetch(blocks, tree_.disk_->params());
+    std::vector<uint8_t> buf;
+    for (const FetchRun& run : runs) {
+      obs::ScopedSpan batch_span(tracer_, "batch", root_span_);
+      const double io_before = head_.stats.io_time_s;
+      buf.resize(run.count * block_size_);
+      IQ_RETURN_NOT_OK(tree_.qpages_->ReadRange(head_, run.first, run.count,
+                                                buf.data()));
+      stats_.batches += 1;
+      stats_.blocks_transferred += run.count;
+      batch_span.AddAttr("first_block", static_cast<double>(run.first));
+      batch_span.AddAttr("blocks", static_cast<double>(run.count));
+      batch_span.AddAttr("pred_io_s",
+                         PlanCost(std::span(&run, 1), tree_.disk_->params()));
+      batch_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t2));
+      for (uint64_t b = 0; b < run.count; ++b) {
+        const uint32_t dir_index = tree_.dir_geom_.EntryAt(run.first + b);
+        if (dir_index == kNoEntry) continue;  // over-read gap
+        if (!Keeps(region, dir_index)) continue;  // over-read page
+        IQ_RETURN_NOT_OK(SearchPage(region, dir_index,
+                                    buf.data() + b * block_size_, out,
+                                    batch_span.id()));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Known-set page handler: appends the page's points that lie in
+  /// `region`, loading the exact page at most once and only when a cell
+  /// approximation leaves a point undecided.
+  template <typename Region>
   IQ_HOT_NOALLOC
-  Status CollectInBall(size_t dir_index, const uint8_t* page, double radius,
-                       std::vector<Neighbor>* out, obs::SpanId parent_span) {
+  Status SearchPage(const Region& region, size_t dir_index,
+                    const uint8_t* page,
+                    std::vector<typename Region::Hit>* out,
+                    obs::SpanId parent_span) {
     stats_.pages_decoded += 1;
     const DirEntry& entry = tree_.dir_[dir_index];
     obs::ScopedSpan span(tracer_, "page", parent_span);
@@ -584,26 +607,14 @@ class IqTreeSearcher {
     if (entry.quant_bits >= kExactBits) {
       IQ_RETURN_NOT_OK(codec_.DecodeExact(page, &ids_scratch_,
                                           &coords_scratch_));
-      // iqlint: allow(hotpath-alloc): reused member scratch (see above).
-      dist_scratch_.resize(ids_scratch_.size());
-      FilterKernel::BatchDistances(q_, metric_, coords_scratch_.data(),
-                                   ids_scratch_.size(), dist_scratch_.data());
-      for (size_t s = 0; s < ids_scratch_.size(); ++s) {
-        if (dist_scratch_[s] <= radius) {
-          // iqlint: allow(hotpath-alloc): append to the caller-owned
-          // result vector — the query's output, not scratch.
-          out->push_back(Neighbor{ids_scratch_[s], dist_scratch_[s]});
-        }
-      }
+      CollectAll(region, out);
       return Status::OK();
     }
     IQ_RETURN_NOT_OK(codec_.DecodeCells(page, &cells_scratch_));
-    // One kernel batch instead of per-point CellBox+MinDist (the bounds
-    // are bit-identical, so the candidate set is too).
-    kernel_.BindMinDist(q_, metric_, entry.mbr, entry.quant_bits);
+    // One kernel batch per page instead of a per-point cell box (the
+    // kernel's answers are bit-identical, so the candidate set is too).
     candidates_scratch_.clear();
-    kernel_.SelectCandidates(cells_scratch_.data(), entry.count, radius,
-                             &candidates_scratch_);
+    SelectCandidates(region, entry);
     if (candidates_scratch_.empty()) return Status::OK();
     stats_.refinements += candidates_scratch_.size();
     obs::ScopedSpan exact_span(tracer_, "exact_page", span.id());
@@ -614,14 +625,77 @@ class IqTreeSearcher {
     IQ_RETURN_NOT_OK(tree_.LoadExactPage(head_, dir_index, &ids_scratch_,
                                          &coords_scratch_));
     exact_span.AddAttr("io_s", Charged(io_before, &stats_.observed.t3));
-    for (uint32_t s : candidates_scratch_) {
-      const double dist = Distance(
-          q_, PointView(coords_scratch_.data() + s * dims_, dims_), metric_);
-      // iqlint: allow(hotpath-alloc): append to the caller-owned
-      // result vector.
-      if (dist <= radius) out->push_back(Neighbor{ids_scratch_[s], dist});
-    }
+    for (uint32_t s : candidates_scratch_) Collect(region, s, out);
     return Status::OK();
+  }
+
+  // What each region supplies to the known-set loop: its page screen,
+  // its cell filter (into candidates_scratch_), and its exact test of
+  // the loaded records (ids_scratch_, coords_scratch_) with the hit
+  // that test appends. The ball's whole-page test is one batch of
+  // distances.
+
+  bool Keeps(const Ball& ball, size_t dir_index) const {
+    return page_mindist_[dir_index] <= ball.radius;
+  }
+  bool Keeps(const Window& window, size_t dir_index) const {
+    return window.box.Intersects(tree_.dir_[dir_index].mbr);
+  }
+
+  IQ_HOT_NOALLOC
+  void SelectCandidates(const Ball& ball, const DirEntry& entry) {
+    kernel_.BindMinDist(q_, metric_, entry.mbr, entry.quant_bits);
+    kernel_.SelectCandidates(cells_scratch_.data(), entry.count, ball.radius,
+                             &candidates_scratch_);
+  }
+  IQ_HOT_NOALLOC
+  void SelectCandidates(const Window& window, const DirEntry& entry) {
+    kernel_.BindWindow(window.box, entry.mbr, entry.quant_bits);
+    kernel_.WindowCandidates(cells_scratch_.data(), entry.count,
+                             &candidates_scratch_);
+  }
+
+  PointView Record(uint32_t slot) const {
+    return PointView(coords_scratch_.data() + slot * dims_, dims_);
+  }
+
+  IQ_HOT_NOALLOC
+  void Collect(const Ball& ball, uint32_t slot, std::vector<Neighbor>* out) {
+    const double dist = Distance(q_, Record(slot), metric_);
+    if (dist <= ball.radius) {
+      // iqlint: allow(hotpath-alloc): append to the caller-owned result
+      // vector — the query's output, not scratch.
+      out->push_back(Neighbor{ids_scratch_[slot], dist});
+    }
+  }
+  IQ_HOT_NOALLOC
+  void Collect(const Window& window, uint32_t slot,
+               std::vector<PointId>* out) {
+    // iqlint: allow(hotpath-alloc): append to the caller-owned result
+    // vector.
+    if (window.box.Contains(Record(slot))) out->push_back(ids_scratch_[slot]);
+  }
+
+  IQ_HOT_NOALLOC
+  void CollectAll(const Ball& ball, std::vector<Neighbor>* out) {
+    // iqlint: allow(hotpath-alloc): reused member scratch; steady
+    // state stays under the high-water capacity.
+    dist_scratch_.resize(ids_scratch_.size());
+    FilterKernel::BatchDistances(q_, metric_, coords_scratch_.data(),
+                                 ids_scratch_.size(), dist_scratch_.data());
+    for (size_t s = 0; s < ids_scratch_.size(); ++s) {
+      if (dist_scratch_[s] <= ball.radius) {
+        // iqlint: allow(hotpath-alloc): append to the caller-owned
+        // result vector.
+        out->push_back(Neighbor{ids_scratch_[s], dist_scratch_[s]});
+      }
+    }
+  }
+  IQ_HOT_NOALLOC
+  void CollectAll(const Window& window, std::vector<PointId>* out) {
+    for (uint32_t s = 0; s < ids_scratch_.size(); ++s) {
+      Collect(window, s, out);
+    }
   }
 
   const IqTree& tree_;
@@ -631,7 +705,8 @@ class IqTreeSearcher {
   /// null (one pointer test inside ScopedSpan).
   obs::QueryTracer* tracer_;
   obs::SpanId root_span_ = obs::kNoSpan;
-  /// The root span's name, "knn" or "range": the slow-log record's kind.
+  /// The root span's name, "knn", "range" or "window": the slow-log
+  /// record's kind.
   const char* kind_ = "";
   Metric metric_;
   size_t dims_;
@@ -712,72 +787,14 @@ Result<std::vector<Neighbor>> IqTree::RangeSearch(
   return out;
 }
 
-Result<std::vector<PointId>> IqTree::WindowQuery(const Mbr& window,
-                                                 IoStats* io) const {
+Result<std::vector<PointId>> IqTree::WindowQuery(
+    const Mbr& window, const IqSearchOptions& options) const {
   if (window.dims() != meta_.dims) {
     return Status::InvalidArgument("window dimensionality mismatch");
   }
-  DiskHead head;
+  IqTreeSearcher searcher(*this, PointView(), options);
   std::vector<PointId> out;
-  const auto search = [&]() -> Status {
-    ChargeDirectoryScan(head);
-    QuantPageCodec codec(meta_.dims, disk_->params().block_size);
-    std::vector<uint64_t> blocks;
-    for (const DirEntry& entry : dir_) {
-      if (window.Intersects(entry.mbr)) blocks.push_back(entry.qpage_block);
-    }
-    std::sort(blocks.begin(), blocks.end());
-    const std::vector<FetchRun> runs =
-        PlanKnownSetFetch(blocks, disk_->params());
-    std::vector<uint8_t> buf;
-    // Hoisted per-page scratch + filter kernel: the per-point window test
-    // is a table lookup per dimension, and steady state allocates nothing
-    // (the former code built a cell-box Mbr per point).
-    FilterKernel kernel;
-    std::vector<uint32_t> cells;
-    std::vector<uint32_t> candidates;
-    std::vector<PointId> ids;
-    std::vector<float> coords;
-    const uint32_t block_size = disk_->params().block_size;
-    for (const FetchRun& run : runs) {
-      buf.resize(run.count * block_size);
-      IQ_RETURN_NOT_OK(
-          qpages_->ReadRange(head, run.first, run.count, buf.data()));
-      for (uint64_t b = 0; b < run.count; ++b) {
-        const uint32_t dir_index = dir_geom_.EntryAt(run.first + b);
-        if (dir_index == DirGeometry::kNoEntry) continue;
-        const DirEntry& entry = dir_[dir_index];
-        if (!window.Intersects(entry.mbr)) continue;  // over-read page
-        const uint8_t* page = buf.data() + b * block_size;
-        if (entry.quant_bits >= kExactBits) {
-          IQ_RETURN_NOT_OK(codec.DecodeExact(page, &ids, &coords));
-          for (size_t s = 0; s < ids.size(); ++s) {
-            if (window.Contains(
-                    PointView(coords.data() + s * meta_.dims, meta_.dims))) {
-              out.push_back(ids[s]);
-            }
-          }
-          continue;
-        }
-        IQ_RETURN_NOT_OK(codec.DecodeCells(page, &cells));
-        kernel.BindWindow(window, entry.mbr, entry.quant_bits);
-        candidates.clear();
-        kernel.WindowCandidates(cells.data(), entry.count, &candidates);
-        if (candidates.empty()) continue;
-        IQ_RETURN_NOT_OK(LoadExactPage(head, dir_index, &ids, &coords));
-        for (uint32_t s : candidates) {
-          if (window.Contains(
-                  PointView(coords.data() + s * meta_.dims, meta_.dims))) {
-            out.push_back(ids[s]);
-          }
-        }
-      }
-    }
-    return Status::OK();
-  };
-  const Status searched = search();
-  if (io != nullptr) *io = head.stats;
-  IQ_RETURN_NOT_OK(searched);
+  IQ_RETURN_NOT_OK(searcher.Finish(searcher.RunWindow(window, &out)));
   return out;
 }
 

@@ -68,44 +68,6 @@ size_t MedianPartition(const std::vector<float>& coords, size_t dims,
   return mid;
 }
 
-/// Tight MBRs of the two halves of a MedianPartition — used for the
-/// hypothetical-split cost comparison without materialising the halves.
-void PartitionMbrs(const std::vector<uint32_t>& perm, size_t mid,
-                   const std::vector<float>& coords, size_t dims, Mbr* left,
-                   Mbr* right) {
-  *left = Mbr::Empty(dims);
-  *right = Mbr::Empty(dims);
-  for (size_t i = 0; i < perm.size(); ++i) {
-    PointView p(coords.data() + perm[i] * dims, dims);
-    (i < mid ? *left : *right).Extend(p);
-  }
-}
-
-/// A page's record set split into two halves at the median.
-struct RecordSplit {
-  std::vector<PointId> left_ids;
-  std::vector<float> left_coords;
-  std::vector<PointId> right_ids;
-  std::vector<float> right_coords;
-};
-
-/// Materialised median split of a record set along `mbr`'s longest side.
-RecordSplit SplitRecordsAtMedian(const std::vector<PointId>& ids,
-                                 const std::vector<float>& coords, size_t dims,
-                                 const Mbr& mbr) {
-  std::vector<uint32_t> perm;
-  const size_t mid = MedianPartition(coords, dims, mbr, &perm);
-  RecordSplit split;
-  for (size_t i = 0; i < perm.size(); ++i) {
-    auto& out_ids = i < mid ? split.left_ids : split.right_ids;
-    auto& out_coords = i < mid ? split.left_coords : split.right_coords;
-    out_ids.push_back(ids[perm[i]]);
-    out_coords.insert(out_coords.end(), coords.begin() + perm[i] * dims,
-                      coords.begin() + (perm[i] + 1) * dims);
-  }
-  return split;
-}
-
 }  // namespace
 
 Status IqTree::AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
@@ -117,17 +79,89 @@ Status IqTree::AppendEntry(DiskHead& head, const std::vector<PointId>& ids,
   if (entry.quant_bits == 0) {
     return Status::Internal("AppendEntry called with an oversized page");
   }
-  IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, ids, coords,
-                                   /*append_qpage=*/true));
+  IQ_RETURN_NOT_OK(AppendEntryPages(head, &entry, ids, coords));
   dir_.push_back(std::move(entry));
   dirty_ = true;
   return Status::OK();
 }
 
+/// One page an update writes: its records and its directory entry
+/// (MBR and level; the write fills in the rest).
+struct PlannedPage {
+  DirEntry entry;
+  std::vector<PointId> ids;
+  std::vector<float> coords;
+};
+
+void IqTree::PlanPages(std::vector<PointId> ids, std::vector<float> coords,
+                       std::vector<PlannedPage>* pages) const {
+  const size_t dims = meta_.dims;
+  const auto page_of = [&](std::vector<PointId> page_ids,
+                           std::vector<float> page_coords) {
+    PlannedPage page;
+    page.entry.mbr = Mbr::Of(page_coords.data(), page_ids.size(), dims);
+    page.entry.quant_bits = FitLevel(meta_.quantized != 0, dims,
+                                     page_ids.size(),
+                                     disk_->params().block_size);
+    page.ids = std::move(page_ids);
+    page.coords = std::move(page_coords);
+    return page;
+  };
+  PlannedPage whole = page_of(std::move(ids), std::move(coords));
+  const unsigned g_fit = whole.entry.quant_bits;
+  if (g_fit != 0 &&
+      !(meta_.quantized && g_fit < kExactBits && whole.ids.size() >= 2)) {
+    pages->push_back(std::move(whole));
+    return;
+  }
+  // The split at the median of the longest side, computed once: the
+  // cost comparison weighs it and the split writes it.
+  std::vector<uint32_t> perm;
+  const size_t mid = MedianPartition(whole.coords, dims, whole.entry.mbr,
+                                     &perm);
+  const auto half = [&](size_t begin, size_t end) {
+    std::vector<PointId> half_ids;
+    std::vector<float> half_coords;
+    for (size_t i = begin; i < end; ++i) {
+      half_ids.push_back(whole.ids[perm[i]]);
+      half_coords.insert(half_coords.end(),
+                         whole.coords.begin() + perm[i] * dims,
+                         whole.coords.begin() + (perm[i] + 1) * dims);
+    }
+    return page_of(std::move(half_ids), std::move(half_coords));
+  };
+  PlannedPage left = half(0, mid);
+  PlannedPage right = half(mid, perm.size());
+  if (g_fit != 0) {
+    // §6: on overflow (and more generally whenever both options exist),
+    // let the cost model decide between keeping one page at the coarser
+    // level and splitting into two finer pages. Only the affected
+    // pages' refinement costs and the page count change; everything
+    // else is a shared constant.
+    const CostModel model = MakeCostModel();
+    const double keep_cost = model.TotalCost(
+        dir_.size(),
+        model.PageRefinementCost(whole.entry.mbr, whole.ids.size(), g_fit));
+    const double split_cost = model.TotalCost(
+        dir_.size() + 1,
+        model.PageRefinementCost(left.entry.mbr, left.ids.size(),
+                                 left.entry.quant_bits) +
+            model.PageRefinementCost(right.entry.mbr, right.ids.size(),
+                                     right.entry.quant_bits));
+    if (!(split_cost < keep_cost)) {
+      pages->push_back(std::move(whole));
+      return;
+    }
+  }
+  // A page holds at most one point more than fits, so each half fits;
+  // the left half may split again, the right half is one page.
+  PlanPages(std::move(left.ids), std::move(left.coords), pages);
+  pages->push_back(std::move(right));
+}
+
 Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
                             std::vector<PointId> ids,
                             std::vector<float> coords) {
-  const size_t dims = meta_.dims;
   if (ids.empty()) {
     // Page became empty: drop the directory entry. The quantized block
     // and old extent become garbage (reclaimed by a rebuild).
@@ -135,67 +169,40 @@ Status IqTree::RewriteEntry(DiskHead& head, size_t dir_index,
     dirty_ = true;
     return Status::OK();
   }
-  const Mbr mbr = Mbr::Of(coords.data(), ids.size(), dims);
-  const uint32_t block_size = disk_->params().block_size;
-  const unsigned g_fit =
-      FitLevel(meta_.quantized != 0, dims, ids.size(), block_size);
-
-  bool split = g_fit == 0;
-  if (!split && meta_.quantized && g_fit < kExactBits && ids.size() >= 2) {
-    // §6: on overflow (and more generally whenever both options exist),
-    // let the cost model decide between keeping one page at the coarser
-    // level and splitting into two finer pages. Only the affected pages'
-    // refinement costs and the page count change; everything else is a
-    // shared constant.
-    const CostModel model = MakeCostModel();
-    const double keep_cost =
-        model.TotalCost(dir_.size(),
-                        model.PageRefinementCost(mbr, ids.size(), g_fit));
-    // Hypothetical split at the median of the longest side.
-    std::vector<uint32_t> perm;
-    const size_t mid = MedianPartition(coords, dims, mbr, &perm);
-    Mbr left = Mbr::Empty(dims);
-    Mbr right = Mbr::Empty(dims);
-    PartitionMbrs(perm, mid, coords, dims, &left, &right);
-    const unsigned g_left = BestQuantLevel(dims, mid, block_size);
-    const unsigned g_right =
-        BestQuantLevel(dims, perm.size() - mid, block_size);
-    const double split_cost = model.TotalCost(
-        dir_.size() + 1,
-        model.PageRefinementCost(left, mid, g_left) +
-            model.PageRefinementCost(right, perm.size() - mid, g_right));
-    if (split_cost < keep_cost) {
-      split = true;
-    }
+  std::vector<PlannedPage> pages;
+  PlanPages(std::move(ids), std::move(coords), &pages);
+  // The first page keeps this entry's quantized block, the others are
+  // appended. Every appended page (all third-level pages, then the
+  // others' quantized pages, each file in page order) is written
+  // before the first quantized page overwrites the old one, and the
+  // entries are published only once all writes landed: a failed write
+  // leaves the directory exactly as it was, and what it appended is
+  // garbage a rebuild reclaims.
+  std::vector<std::vector<uint8_t>> qpages(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    IQ_RETURN_NOT_OK(EncodeEntryPages(head, &pages[i].entry, pages[i].ids,
+                                      pages[i].coords, &qpages[i]));
   }
-
-  if (split) {
-    // Reorder records at the median and write the halves: the left half
-    // reuses this entry's quantized block, the right half is appended.
-    // A page holds at most one point more than fits, so each half fits.
-    RecordSplit halves = SplitRecordsAtMedian(ids, coords, dims, mbr);
-    IQ_RETURN_NOT_OK(RewriteEntry(head, dir_index,
-                                  std::move(halves.left_ids),
-                                  std::move(halves.left_coords)));
-    return AppendEntry(head, halves.right_ids, halves.right_coords);
+  for (size_t i = 1; i < pages.size(); ++i) {
+    IQ_ASSIGN_OR_RETURN(uint64_t block,
+                        qpages_->AppendBlock(head, qpages[i].data()));
+    pages[i].entry.qpage_block = static_cast<uint32_t>(block);
   }
-
-  // Mutate a copy and publish it only once the pages are durably
-  // written: a failed write must leave the in-memory directory exactly
-  // as it was.
-  DirEntry entry = dir_[dir_index];
-  entry.mbr = mbr;
-  entry.quant_bits = g_fit;
-  IQ_RETURN_NOT_OK(WriteEntryPages(head, &entry, ids, coords,
-                                   /*append_qpage=*/false));
-  dir_[dir_index] = entry;
+  pages[0].entry.qpage_block = dir_[dir_index].qpage_block;
+  IQ_RETURN_NOT_OK(qpages_->WriteBlock(head, pages[0].entry.qpage_block,
+                                       qpages[0].data()));
+  dir_[dir_index] = std::move(pages[0].entry);
+  for (size_t i = 1; i < pages.size(); ++i) {
+    dir_.push_back(std::move(pages[i].entry));
+  }
   dirty_ = true;
   return Status::OK();
 }
 
 Status IqTree::FinishUpdate(const Status& update) {
-  // Refresh on failure too: a failed update may have published part of
-  // its directory changes before the failing write.
+  // Refresh on failure too: a failed update publishes no directory
+  // change, but it may have appended quantized pages, and the mirror
+  // covers the whole file.
   RefreshFromDirectory();
   IQ_RETURN_NOT_OK(update);
   return DebugCheckInvariants();

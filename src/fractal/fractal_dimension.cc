@@ -124,30 +124,4 @@ FractalEstimate EstimateCorrelationDimension(const float* rows, size_t count,
   return FitLevels(log_side, log_value, dims);
 }
 
-FractalEstimate EstimateBoxCountingDimension(const float* rows, size_t count,
-                                             size_t dims,
-                                             const FractalOptions& options) {
-  FractalEstimate fallback;
-  fallback.dimension = static_cast<double>(dims);
-  if (count < 2 || dims == 0) return fallback;
-  const auto sample =
-      Subsample(rows, count, dims, options.max_sample, options.seed);
-  const Mbr bounds = [&] {
-    Mbr m = Mbr::Empty(dims);
-    for (const float* p : sample) m.Extend(PointView(p, dims));
-    return m;
-  }();
-
-  std::vector<double> log_side, log_value;
-  for (unsigned level = options.min_level; level <= options.max_level;
-       ++level) {
-    const LevelStats stats = GridStats(sample, dims, bounds, level);
-    if (stats.occupied * 10 > sample.size() * 9) break;
-    // N(s) ~ s^-D0, so log N = -D0 log s; negate to reuse the slope fit.
-    log_side.push_back(-static_cast<double>(level) * std::log(2.0));
-    log_value.push_back(-std::log(static_cast<double>(stats.occupied)));
-  }
-  return FitLevels(log_side, log_value, dims);
-}
-
 }  // namespace iq

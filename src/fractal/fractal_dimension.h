@@ -40,12 +40,6 @@ FractalEstimate EstimateCorrelationDimension(
     const float* rows, size_t count, size_t dims,
     const FractalOptions& options = FractalOptions());
 
-/// Box-counting (Hausdorff-like) dimension D0: the number of occupied
-/// cells scales as s^-D0. Provided for diagnostics and tests.
-FractalEstimate EstimateBoxCountingDimension(
-    const float* rows, size_t count, size_t dims,
-    const FractalOptions& options = FractalOptions());
-
 }  // namespace iq
 
 #endif  // IQ_FRACTAL_FRACTAL_DIMENSION_H_

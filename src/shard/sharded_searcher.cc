@@ -405,22 +405,14 @@ Result<std::vector<PointId>> ShardedSearcher::WindowQuery(
   if (window.dims() != dims_) {
     return Status::InvalidArgument("window dims mismatch in sharded query");
   }
-  // The single tree's WindowQuery splits no cost by level, so a window
-  // offer would carry 0 s of observed I/O and drag the slow log's
-  // adaptive threshold down; window queries are never offered. The
-  // facade still stitches its wave/shard skeleton with io_s into a
-  // caller's tracer.
-  ShardedSearchOptions unlogged = options;
-  unlogged.slow_log = nullptr;
-
   std::vector<PointId> ids;
   IQ_RETURN_NOT_OK(ScatterGather<PointId>(
-      FanOut{"sharded_window", nullptr, 0.0}, unlogged, queue_wait_s,
+      FanOut{"sharded_window", nullptr, 0.0}, options, queue_wait_s,
       [&window](const Mbr& bounds) {
         return Screening{bounds.Intersects(window), 0.0, -1.0};
       },
       [&window](const IqTree& tree, const IqSearchOptions& shard_options) {
-        return tree.WindowQuery(window, &shard_options.stats->io);
+        return tree.WindowQuery(window, shard_options);
       },
       [&ids](const std::vector<PointId>& hits) {
         ids.insert(ids.end(), hits.begin(), hits.end());

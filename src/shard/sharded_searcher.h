@@ -45,14 +45,11 @@ struct ShardedSearchOptions {
   /// When `tracer` is set, the `sharded_*` root opens under this span
   /// — QueryFrontEnd grafts the whole query under its `frontend` span.
   obs::SpanId parent_span = obs::kNoSpan;
-  /// Optional slow-query sink for kNN and range queries: the finished
-  /// query is offered once with its own observed breakdown (the sum of
-  /// its shards' IqQueryStats::observed), the summed prediction, its
-  /// queue wait and per-shard predicted-vs-observed samples, plus
-  /// `tracer`'s spans when it is set. Window queries are never offered:
-  /// the single tree's WindowQuery splits no cost by level, so the
-  /// record would carry 0 s of observed I/O and drag the log's adaptive
-  /// threshold down.
+  /// Optional slow-query sink: the finished query is offered once with
+  /// its own observed breakdown (the sum of its shards'
+  /// IqQueryStats::observed), the summed prediction, its queue wait and
+  /// per-shard predicted-vs-observed samples, plus `tracer`'s spans
+  /// when it is set.
   obs::SlowQueryLog* slow_log = nullptr;
   /// Wall-clock budget in seconds from query start; 0 disables. The
   /// deadline is checked between fan-out waves (a running per-shard
@@ -75,9 +72,7 @@ struct ShardQueryStats {
   /// Shards skipped by manifest-MBR pruning (MINDIST >= current kth
   /// distance / radius, window disjointness, or empty shards).
   size_t shards_pruned = 0;
-  /// Sums of the per-shard IqQueryStats. For window queries only `io`
-  /// is non-zero: the single tree's WindowQuery counts nothing else
-  /// either.
+  /// Sums of the per-shard IqQueryStats.
   IqQueryStats totals;
   /// Simulated I/O seconds: sum over queried shards, and the largest
   /// single shard (the critical path of a perfectly parallel gather).

@@ -1,6 +1,5 @@
 #include "vafile/va_file.h"
 
-#include <atomic>
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -296,10 +295,7 @@ Result<std::vector<Neighbor>> VaFile::KNearestNeighbors(PointView q,
   }
   VaMetrics::Get().queries->Increment();
   std::vector<Neighbor> out;
-  if (k == 0 || count_ == 0) {
-    last_visit_fraction_.store(0.0, std::memory_order_relaxed);
-    return out;
-  }
+  if (k == 0 || count_ == 0) return out;
   // Phase 1 (filter): sequential scan of the approximation file; track
   // delta = k-th smallest upper bound. The approximations are decoded
   // in chunks and bounded through the batch filter kernel, which is
@@ -366,9 +362,6 @@ Result<std::vector<Neighbor>> VaFile::KNearestNeighbors(PointView q,
     }
   }
   VaMetrics::Get().refinements->Add(visited);
-  last_visit_fraction_.store(
-      count_ > 0 ? static_cast<double>(visited) / count_ : 0.0,
-      std::memory_order_relaxed);
   std::sort(best.begin(), best.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance < b.distance;
@@ -391,7 +384,6 @@ Result<std::vector<PointId>> VaFile::WindowQuery(const Mbr& window) const {
   const unsigned bits = options_.bits_per_dim;
   const uint32_t cells = uint32_t{1} << bits;
   std::vector<PointId> out;
-  size_t visited = 0;
   for (size_t index = 0; index < count_; ++index) {
     BitReader reader(approx_.data(),
                      index * dims_ * static_cast<size_t>(bits));
@@ -417,14 +409,10 @@ Result<std::vector<PointId>> VaFile::WindowQuery(const Mbr& window) const {
       continue;
     }
     ChargeVectorLookup(head, index);
-    ++visited;
     if (window.Contains(Vector(index))) {
       out.push_back(static_cast<PointId>(index));
     }
   }
-  last_visit_fraction_.store(
-      count_ > 0 ? static_cast<double>(visited) / count_ : 0.0,
-      std::memory_order_relaxed);
   return out;
 }
 
@@ -468,9 +456,6 @@ Result<std::vector<Neighbor>> VaFile::RangeSearch(PointView q,
   }
   IQ_HOT_NOALLOC_END;
   VaMetrics::Get().refinements->Add(visited);
-  last_visit_fraction_.store(
-      count_ > 0 ? static_cast<double>(visited) / count_ : 0.0,
-      std::memory_order_relaxed);
   std::sort(out.begin(), out.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance < b.distance;

@@ -1,7 +1,6 @@
 #ifndef IQ_VAFILE_VA_FILE_H_
 #define IQ_VAFILE_VA_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,14 +67,6 @@ class VaFile {
   unsigned bits_per_dim() const { return options_.bits_per_dim; }
   const Mbr& domain() const { return domain_; }
 
-  /// Fraction of points whose exact vector the last query visited
-  /// (diagnostic for the bits-per-dim ablation). Relaxed atomic: under
-  /// a parallel runner concurrent queries race on "last", but every
-  /// read observes some complete query's value rather than a torn one.
-  double last_visit_fraction() const {
-    return last_visit_fraction_.load(std::memory_order_relaxed);
-  }
-
  private:
   VaFile() = default;
 
@@ -112,7 +103,6 @@ class VaFile {
   DiskModel* disk_ = nullptr;
   uint32_t approx_file_id_ = 0;
   uint32_t vector_file_id_ = 0;
-  mutable std::atomic<double> last_visit_fraction_{0.0};
 };
 
 }  // namespace iq

@@ -11,6 +11,7 @@
 
 #include "core/iq_tree.h"
 #include "data/generators.h"
+#include "obs/trace.h"
 #include "scan/seq_scan.h"
 
 namespace iq {
@@ -141,6 +142,83 @@ TEST(IqWindowQueryTest, MatchesBruteForce) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(std::set<PointId>(got->begin(), got->end()), expected);
   }
+}
+
+// Golden window answers: each window's ids in returned (page) order and
+// its own I/O, pinned bitwise on the MatchesBruteForce index.
+TEST(IqWindowQueryTest, PageOrderAndIoAreUnchanged) {
+  Dataset data = GenerateUniform(5000, 4, 21);
+  MemoryStorage storage;
+  DiskModel disk(DiskParameters{0.010, 0.002, 2048});
+  auto tree = IqTree::Build(data, storage, "t", disk, {});
+  ASSERT_TRUE(tree.ok());
+  struct Golden {
+    Mbr window;
+    size_t count;
+    uint64_t digest;  // FNV-1a over the ids in returned order
+    uint64_t seeks;
+    uint64_t blocks_read;
+    uint64_t io_time_bits;
+  };
+  const Golden goldens[] = {
+      {Mbr::FromBounds({0.1f, 0.1f, 0.1f, 0.1f}, {0.3f, 0.4f, 0.9f, 0.2f}),
+       27, 0xe16a95341adbe066ull, 4, 15, 0x3fb1eb851eb851ecull},
+      {Mbr::FromBounds({0, 0, 0, 0}, {1, 1, 1, 1}), 5000,
+       0x2059c412c407cd8dull, 12, 69, 0x3fd083126e978d51ull},
+      {Mbr::FromBounds({0.9f, 0.9f, 0.9f, 0.9f},
+                       {0.91f, 0.91f, 0.91f, 0.91f}),
+       0, 0xcbf29ce484222325ull, 2, 2, 0x3f989374bc6a7efaull},
+  };
+  for (const Golden& golden : goldens) {
+    obs::QueryTracer tracer;
+    IqQueryStats stats;
+    IqSearchOptions options;
+    options.tracer = &tracer;
+    options.stats = &stats;
+    auto got = (*tree)->WindowQuery(golden.window, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    uint64_t digest = 14695981039346656037ull;
+    for (PointId id : *got) {
+      digest ^= id;
+      digest *= 1099511628211ull;
+    }
+    EXPECT_EQ(got->size(), golden.count);
+    EXPECT_EQ(digest, golden.digest);
+    EXPECT_EQ(stats.io.seeks, golden.seeks);
+    EXPECT_EQ(stats.io.blocks_read, golden.blocks_read);
+    EXPECT_EQ(std::bit_cast<uint64_t>(stats.io.io_time_s),
+              golden.io_time_bits);
+    // The query's own record: its level split adds up to its I/O, and
+    // its spans agree with its counters.
+    EXPECT_EQ(stats.observed.t1 + stats.observed.t2 + stats.observed.t3,
+              stats.io.io_time_s);
+    EXPECT_GT(stats.observed.t1, 0.0);
+    EXPECT_EQ(stats.cells_enqueued, 0u);
+    if (!obs::kEnabled) continue;
+    const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+    EXPECT_EQ(obs::AggregateSpans(spans, "window", nullptr), 1.0);
+    EXPECT_EQ(obs::AggregateSpans(spans, "page", nullptr),
+              static_cast<double>(stats.pages_decoded));
+    EXPECT_EQ(obs::AggregateSpans(spans, "batch", nullptr),
+              static_cast<double>(stats.batches));
+    EXPECT_EQ(obs::AggregateSpans(spans, "batch", "blocks"),
+              static_cast<double>(stats.blocks_transferred));
+    EXPECT_EQ(obs::AggregateSpans(spans, "exact_page", "refinements"),
+              static_cast<double>(stats.refinements));
+    EXPECT_EQ(obs::AggregateSpans(spans, "dir_scan", "io_s"),
+              stats.observed.t1);
+    EXPECT_EQ(obs::AggregateSpans(spans, "batch", "io_s"), stats.observed.t2);
+    EXPECT_EQ(obs::AggregateSpans(spans, "exact_page", "io_s"),
+              stats.observed.t3);
+  }
+  // The first window's ids in full.
+  auto first = (*tree)->WindowQuery(goldens[0].window);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first,
+            (std::vector<PointId>{2639, 1512, 3848, 2840, 1491, 4736, 3548,
+                                  4683, 892,  3923, 1669, 4175, 3264, 917,
+                                  4522, 330,  1785, 2761, 4904, 4443, 3288,
+                                  1548, 3307, 3130, 3938, 1795, 873}));
 }
 
 TEST(IqSearchIoTest, OptimizedAccessUsesFewerSeeks) {

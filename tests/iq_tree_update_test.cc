@@ -298,10 +298,11 @@ TEST_F(IqTreeUpdateTest, FailedFirstInsertLeavesEmptyTreeEmpty) {
   EXPECT_EQ(DirPointSum(**tree), 1u);
 }
 
-/// An update refreshes the query mirror once, at its end, on
-/// failure too: when an insert splits a page, rewrites the left half
-/// over it and then fails to append the right half, the mirror the
-/// searches read must show the rewritten page.
+/// An update refreshes the query mirror once, at its end, on failure
+/// too. A split whose writes fail part-way must leave no trace: every
+/// appended page is written before the left half overwrites the old
+/// page, and neither entry is published until all writes landed, so the
+/// directory, size() and the mirror stay exactly as they were.
 TEST_F(IqTreeUpdateTest, FailedInsertStillRefreshesTheMirror) {
   FaultyStorage storage;
   // One full exact page: the next insert overflows it and must split.
@@ -313,17 +314,36 @@ TEST_F(IqTreeUpdateTest, FailedInsertStillRefreshesTheMirror) {
   auto tree = IqTree::Build(data, storage, "t", disk_, options);
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ((*tree)->num_pages(), 1u);
+  const std::vector<DirEntry> before = (*tree)->directory();
 
-  // The split's first write (the left half over the old page) lands,
-  // the second (the appended right half) fails.
-  storage.FailAfter(1);
   const std::vector<float> p{0.5f, 0.5f, 0.5f, 0.5f};
-  const Status status = (*tree)->Insert(static_cast<PointId>(capacity), p);
-  storage.Heal();
-  ASSERT_TRUE(status.IsIOError());
-  ASSERT_EQ((*tree)->num_pages(), 1u);
-  ASSERT_LT((*tree)->directory()[0].count, capacity)
-      << "the left half was not written";
+  // No write lands, then only the appended right half lands.
+  for (int budget : {0, 1}) {
+    SCOPED_TRACE("FailAfter(" + std::to_string(budget) + ")");
+    storage.FailAfter(budget);
+    const Status status = (*tree)->Insert(static_cast<PointId>(capacity), p);
+    storage.Heal();
+    ASSERT_TRUE(status.IsIOError());
+    EXPECT_EQ((*tree)->size(), capacity);
+    EXPECT_EQ(DirPointSum(**tree), capacity);
+    const std::vector<DirEntry>& after = (*tree)->directory();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(after[i].mbr, before[i].mbr);
+      EXPECT_EQ(after[i].qpage_block, before[i].qpage_block);
+      EXPECT_EQ(after[i].count, before[i].count);
+      EXPECT_EQ(after[i].quant_bits, before[i].quant_bits);
+      EXPECT_EQ(after[i].exact, before[i].exact);
+    }
+    EXPECT_TRUE((*tree)->CheckDirGeometry().ok());
+    auto nn = (*tree)->NearestNeighbor(p);
+    ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+  }
+  // After healing, the same insert splits the page cleanly.
+  ASSERT_TRUE((*tree)->Insert(static_cast<PointId>(capacity), p).ok());
+  EXPECT_EQ((*tree)->num_pages(), 2u);
+  EXPECT_EQ((*tree)->size(), capacity + 1);
+  EXPECT_EQ(DirPointSum(**tree), capacity + 1);
   EXPECT_TRUE((*tree)->CheckDirGeometry().ok());
 }
 

@@ -82,7 +82,8 @@ void ExpectSameStats(const IqQueryStats& got, const IqQueryStats& want) {
 
 /// A query's per-level split is its spans' io_s folded per level in
 /// span order, bit for bit. A query records `refine` spans (kNN) or
-/// `exact_page` spans (range), never both, so the t3 sum adds 0.
+/// `exact_page` spans (range, window), never both, so the t3 sum adds
+/// 0.
 void ExpectSplitIsSpanFold(const std::vector<obs::SpanRecord>& spans,
                            const obs::CostBreakdown& observed) {
   if (!obs::kEnabled) return;
@@ -107,11 +108,29 @@ bool SameStats(const IqQueryStats& a, const IqQueryStats& b) {
          a.observed.t3 == b.observed.t3;
 }
 
-enum class Kind { kKnn, kRange };
+enum class Kind { kKnn, kRange, kWindow };
 
-/// What one query reports about itself.
+const char* KindName(Kind kind) {
+  return kind == Kind::kKnn ? "knn" : kind == Kind::kRange ? "range" : "window";
+}
+
+/// The window of a kWindow query: the cube of half-side `half_side`
+/// around `q`.
+Mbr WindowAround(PointView q, double half_side) {
+  std::vector<float> lo(q.begin(), q.end());
+  std::vector<float> hi(q.begin(), q.end());
+  for (size_t i = 0; i < q.size(); ++i) {
+    lo[i] -= static_cast<float>(half_side);
+    hi[i] += static_cast<float>(half_side);
+  }
+  return Mbr::FromBounds(std::move(lo), std::move(hi));
+}
+
+/// What one query reports about itself: its neighbors (kNN, range) or
+/// ids (window), its stats and its spans.
 struct TreeRecord {
   std::vector<Neighbor> answers;
+  std::vector<PointId> ids;
   IqQueryStats stats;
   std::map<std::string, SpanIo> span_io;
 };
@@ -140,13 +159,20 @@ class PerQueryIoTest : public ::testing::Test {
     options.optimized_access = optimized;
     options.tracer = &tracer;
     options.stats = &record.stats;
-    auto result =
-        kind == Kind::kKnn
-            ? tree_->KNearestNeighbors(queries_[qi],
-                                       static_cast<size_t>(param), options)
-            : tree_->RangeSearch(queries_[qi], param, options);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (result.ok()) record.answers = std::move(result).value();
+    if (kind == Kind::kWindow) {
+      auto ids =
+          tree_->WindowQuery(WindowAround(queries_[qi], param), options);
+      EXPECT_TRUE(ids.ok()) << ids.status().ToString();
+      if (ids.ok()) record.ids = std::move(ids).value();
+    } else {
+      auto result =
+          kind == Kind::kKnn
+              ? tree_->KNearestNeighbors(queries_[qi],
+                                         static_cast<size_t>(param), options)
+              : tree_->RangeSearch(queries_[qi], param, options);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) record.answers = std::move(result).value();
+    }
     const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
     ExpectSplitIsSpanFold(spans, record.stats.observed);
     record.span_io = IoSpansByShard(spans);
@@ -192,6 +218,7 @@ class PerQueryIoTest : public ::testing::Test {
       // operator== on Neighbor is exact: ids and double distances must
       // match bit for bit, not just approximately.
       EXPECT_EQ(got[qi].answers, want[qi].answers);
+      EXPECT_EQ(got[qi].ids, want[qi].ids);
       ExpectSameStats(got[qi].stats, want[qi].stats);
       EXPECT_EQ(got[qi].span_io, want[qi].span_io);
     }
@@ -248,9 +275,27 @@ TEST_F(PerQueryIoTest, RangeMatchesAloneInBothAccessModes) {
   }
 }
 
+TEST_F(PerQueryIoTest, WindowMatchesAlone) {
+  BuildTree(2500, 6, 11);
+  size_t hits = 0;
+  for (double half_side : {0.05, 0.2}) {
+    SCOPED_TRACE("half-side " + std::to_string(half_side));
+    const std::vector<TreeRecord> alone =
+        RunAlone(Kind::kWindow, half_side, true);
+    for (const TreeRecord& record : alone) hits += record.ids.size();
+    for (size_t threads : {1u, 4u}) {
+      ExpectSameRecords(
+          RunConcurrently(threads, Kind::kWindow, half_side, true), alone);
+      ExpectLastIsOneQuerys(alone);
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
 /// What one sharded query reports about itself.
 struct ShardedRecord {
   std::vector<Neighbor> answers;
+  std::vector<PointId> ids;
   ShardQueryStats stats;
   std::map<std::string, SpanIo> span_io;
 };
@@ -262,11 +307,17 @@ ShardedRecord RunSharded(const QueryFrontEnd& front_end, PointView q,
   ShardedSearchOptions options;
   options.tracer = &tracer;
   options.stats = &record.stats;
-  auto result = kind == Kind::kKnn
-                    ? front_end.KNearestNeighbors(q, 7, options)
-                    : front_end.RangeSearch(q, 0.15, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (result.ok()) record.answers = std::move(result).value();
+  if (kind == Kind::kWindow) {
+    auto ids = front_end.WindowQuery(WindowAround(q, 0.15), options);
+    EXPECT_TRUE(ids.ok()) << ids.status().ToString();
+    if (ids.ok()) record.ids = std::move(ids).value();
+  } else {
+    auto result = kind == Kind::kKnn
+                      ? front_end.KNearestNeighbors(q, 7, options)
+                      : front_end.RangeSearch(q, 0.15, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (result.ok()) record.answers = std::move(result).value();
+  }
   record.span_io = IoSpansByShard(tracer.Snapshot());
   return record;
 }
@@ -296,8 +347,8 @@ TEST(PerQueryIoShardedTest, FrontEndQueriesMatchAlone) {
   fe_options.max_queued = 64;
   const QueryFrontEnd front_end(**searcher, fe_options);
 
-  for (Kind kind : {Kind::kKnn, Kind::kRange}) {
-    SCOPED_TRACE(kind == Kind::kKnn ? "knn" : "range");
+  for (Kind kind : {Kind::kKnn, Kind::kRange, Kind::kWindow}) {
+    SCOPED_TRACE(KindName(kind));
     std::vector<ShardedRecord> alone;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       alone.push_back(RunSharded(front_end, queries[qi], kind));
@@ -322,6 +373,7 @@ TEST(PerQueryIoShardedTest, FrontEndQueriesMatchAlone) {
       const ShardedRecord& got = together[qi];
       const ShardedRecord& want = alone[qi];
       EXPECT_EQ(got.answers, want.answers);
+      EXPECT_EQ(got.ids, want.ids);
       EXPECT_EQ(got.stats.shards_total, want.stats.shards_total);
       EXPECT_EQ(got.stats.shards_queried, want.stats.shards_queried);
       EXPECT_EQ(got.stats.shards_pruned, want.stats.shards_pruned);

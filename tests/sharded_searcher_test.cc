@@ -231,15 +231,21 @@ TEST(ShardedSearcherTest, OffersOneAggregateRecordPerQueryToSlowLog) {
   EXPECT_GT(record.predicted.total(), 0.0);
   ASSERT_TRUE(f.sharded->RangeSearch(queries[1], 0.3, options).ok());
   EXPECT_EQ(log.offered(), 2u);
-  // Window queries are never offered: their shard searches record no
-  // I/O spans, so a record would carry 0 s of observed I/O and drag
-  // the adaptive threshold down.
+  // A window query is offered like the others, with its own observed
+  // I/O split by level.
   const Mbr window = Mbr::FromBounds(std::vector<float>(4, 0.1f),
                                      std::vector<float>(4, 0.9f));
   auto ids = f.sharded->WindowQuery(window, options);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   EXPECT_FALSE(ids->empty());
-  EXPECT_EQ(log.offered(), 2u);
+  EXPECT_EQ(log.offered(), 3u);
+  ASSERT_EQ(log.retained(), 3u);
+  const obs::SlowQueryRecord window_record = log.Snapshot()[2];
+  EXPECT_EQ(window_record.kind, "sharded_window");
+  EXPECT_GT(window_record.observed.t1, 0.0);
+  EXPECT_GT(window_record.observed.t2, 0.0);
+  EXPECT_GT(window_record.observed_io_s, 0.0);
+  EXPECT_GT(window_record.predicted.total(), 0.0);
 }
 
 /// Satellite fix (ISSUE 8): sharded fan-out multiplies span volume, so
@@ -341,9 +347,8 @@ bool RunShardedQuery(const ShardedSearcher& sharded, QueryKind kind,
 /// One sharded query of any kind records one stitched span tree — a
 /// `sharded_<kind>` root, `wave<i>` children, and a `shard<i>` span per
 /// shard (pruned shards as zero-cost annotated leaves) with the shard's
-/// whole IQ-tree subtree grafted underneath (kNN/range; the single
-/// tree's window query is untraced) — and the tree's sums agree with
-/// ShardQueryStats exactly.
+/// whole IQ-tree subtree grafted underneath — and the tree's sums agree
+/// with ShardQueryStats exactly.
 TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with IQ_OBS_DISABLED";
   Dataset data = GenerateClustered(400, 4, 37, {});
@@ -353,11 +358,10 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
   for (QueryKind kind :
        {QueryKind::kKnn, QueryKind::kRange, QueryKind::kWindow}) {
     const std::string root_name = RootSpanName(kind);
-    // The per-shard IQ-tree root each queried shard grafts ("" for
-    // window: no per-shard subtree).
+    // The per-shard IQ-tree root each queried shard grafts.
     const std::string subtree = kind == QueryKind::kKnn     ? "knn"
                                 : kind == QueryKind::kRange ? "range"
-                                                            : "";
+                                                            : "window";
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE(root_name + " query " + std::to_string(qi));
       obs::QueryTracer tracer;
@@ -400,7 +404,7 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
             EXPECT_EQ(spans[span.parent].name.rfind("wave", 0), 0u);
           }
         }
-        if (!subtree.empty() && span.name == subtree) {
+        if (span.name == subtree) {
           ++subtrees;
           ASSERT_NE(span.parent, obs::kNoSpan);
           EXPECT_EQ(spans[span.parent].name.rfind("shard", 0), 0u);
@@ -408,9 +412,7 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
       }
       EXPECT_EQ(shard_spans, stats.shards_queried + stats.shards_pruned);
       EXPECT_EQ(pruned_spans, stats.shards_pruned);
-      if (!subtree.empty()) {
-        EXPECT_EQ(subtrees, stats.shards_queried);
-      }
+      EXPECT_EQ(subtrees, stats.shards_queried);
       EXPECT_EQ(stats.shards_queried + stats.shards_pruned,
                 stats.shards_total);
 
@@ -422,14 +424,15 @@ TEST(ShardedSearcherTest, StitchedTraceMatchesAggregateStats) {
                 static_cast<double>(stats.shards_pruned));
       EXPECT_EQ(obs::AggregateSpans(spans, "page", nullptr),
                 static_cast<double>(stats.totals.pages_decoded));
-      if (kind == QueryKind::kWindow) {
-        // The single tree's WindowQuery reports only its io.
-        EXPECT_EQ(stats.totals.pages_decoded, 0u);
-        EXPECT_EQ(stats.totals.blocks_transferred, 0u);
-        EXPECT_EQ(stats.totals.batches, 0u);
-        EXPECT_EQ(stats.totals.refinements, 0u);
-        EXPECT_EQ(stats.totals.cells_enqueued, 0u);
-      }
+      EXPECT_EQ(obs::AggregateSpans(spans, "batch", "blocks"),
+                static_cast<double>(stats.totals.blocks_transferred));
+      EXPECT_EQ(obs::AggregateSpans(spans, "batch", nullptr),
+                static_cast<double>(stats.totals.batches));
+      // Every kind reports the shards' whole record, not just their io.
+      EXPECT_GT(stats.shards_queried, 0u);
+      EXPECT_GT(stats.totals.pages_decoded, 0u);
+      EXPECT_GT(stats.totals.observed.t1, 0.0);
+      EXPECT_GT(stats.totals.observed.t2, 0.0);
     }
   }
 }

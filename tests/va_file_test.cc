@@ -47,21 +47,24 @@ INSTANTIATE_TEST_SUITE_P(BitSettings, VaFileTest,
 TEST_F(VaFileTest, MoreBitsVisitFewerVectors) {
   Dataset data = GenerateUniform(5000, 8, 5);
   const Dataset queries = data.TakeTail(5);
-  double fractions[2];
+  // Each query's vector lookups are its seeks past the one of its
+  // approximation scan, read from the disk model's totals.
+  uint64_t lookups[2];
   int slot = 0;
   for (unsigned bits : {2u, 8u}) {
     VaFile::Options options;
     options.bits_per_dim = bits;
     auto va = VaFile::Build(data, storage_, "va", disk_, options);
     ASSERT_TRUE(va.ok());
-    double total = 0;
+    uint64_t total = 0;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
+      disk_.ResetStats();
       ASSERT_TRUE((*va)->NearestNeighbor(queries[qi]).ok());
-      total += (*va)->last_visit_fraction();
+      total += disk_.stats().seeks - 1;
     }
-    fractions[slot++] = total / queries.size();
+    lookups[slot++] = total;
   }
-  EXPECT_LT(fractions[1], fractions[0]);
+  EXPECT_LT(lookups[1], lookups[0]);
 }
 
 TEST_F(VaFileTest, RangeSearchMatchesBruteForce) {
@@ -165,10 +168,12 @@ TEST_F(VaFileTest, WindowQueryMatchesBruteForce) {
     std::sort(got->begin(), got->end());
     EXPECT_EQ(*got, expected);
   }
-  // Fully contained cells skip the exact lookup: the visit fraction on
-  // the whole-domain window is zero.
+  // Fully contained cells skip the exact lookup: the whole-domain
+  // window seeks once, for its approximation scan, and looks up no
+  // vector.
+  disk_.ResetStats();
   ASSERT_TRUE((*va)->WindowQuery(windows[1]).ok());
-  EXPECT_EQ((*va)->last_visit_fraction(), 0.0);
+  EXPECT_EQ(disk_.stats().seeks, 1u);
 }
 
 TEST_F(VaFileTest, RejectsBadBits) {

@@ -288,6 +288,38 @@ Result<Point> ParsePoint(const std::string& text) {
   return p;
 }
 
+/// The query set of profile, slowlog and trace: one --point, or the
+/// first --limit rows (default `default_limit`) of the --queries
+/// dataset, appended to `queries`, whose dims are those of `target`
+/// (the index or manifest). Returns 0, or the exit code to fail with.
+int LoadQueries(const Args& args, Storage& storage, const char* target,
+                size_t default_limit, Dataset* queries) {
+  if (!args.Get("point").empty()) {
+    auto q = ParsePoint(args.Get("point"));
+    if (!q.ok()) return Fail(q.status());
+    if (q->size() != queries->dims()) {
+      std::fprintf(stderr, "point has %zu dims, %s has %zu\n", q->size(),
+                   target, queries->dims());
+      return 2;
+    }
+    queries->Append(PointView(q->data(), q->size()));
+    return 0;
+  }
+  if (args.Get("queries").empty()) return Usage();
+  auto data = ReadDataset(storage, args.Get("queries"));
+  if (!data.ok()) return Fail(data.status());
+  if (data->dims() != queries->dims()) {
+    std::fprintf(stderr, "dataset has %zu dims, %s has %zu\n", data->dims(),
+                 target, queries->dims());
+    return 2;
+  }
+  const size_t limit = ParseCount(args.Get("limit"), default_limit);
+  for (size_t i = 0; i < data->size() && i < limit; ++i) {
+    queries->Append((*data)[i]);
+  }
+  return 0;
+}
+
 int Query(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   const std::string index = args.Get("index");
@@ -433,6 +465,17 @@ int Health(const Args& args) {
   return 0;
 }
 
+/// One counter of a trace consistency check: true when the trace and
+/// the stats agree; appends ` what trace=X stats=Y` otherwise.
+bool CheckCounter(const char* what, double from_trace, double from_stats,
+                  std::string* problems) {
+  if (from_trace == from_stats) return true;
+  *problems += std::string(" ") + what + " trace=" +
+               std::to_string(from_trace) +
+               " stats=" + std::to_string(from_stats);
+  return false;
+}
+
 /// Checks the recorded span tree against the query's QueryStats: the
 /// trace and the counters are produced independently, so agreement is
 /// strong evidence both are right (the acceptance check behind
@@ -441,29 +484,24 @@ int Health(const Args& args) {
 bool CheckTraceConsistency(const std::vector<obs::SpanRecord>& spans,
                            const IqTree::QueryStats& stats,
                            std::string* problems) {
-  const auto check = [&](const char* what, double from_trace,
-                         double from_stats) {
-    if (from_trace == from_stats) return true;
-    *problems += std::string(" ") + what +
-                 " trace=" + std::to_string(from_trace) +
-                 " stats=" + std::to_string(from_stats);
-    return false;
-  };
   bool ok = true;
-  ok &= check("pages_decoded", obs::AggregateSpans(spans, "page", nullptr),
-              static_cast<double>(stats.pages_decoded));
-  ok &= check("batches", obs::AggregateSpans(spans, "batch", nullptr),
-              static_cast<double>(stats.batches));
-  ok &= check("blocks_transferred",
-              obs::AggregateSpans(spans, "batch", "blocks"),
-              static_cast<double>(stats.blocks_transferred));
-  ok &= check("refinements",
-              obs::AggregateSpans(spans, "refine", nullptr) +
-                  obs::AggregateSpans(spans, "exact_page", "refinements"),
-              static_cast<double>(stats.refinements));
-  ok &= check("cells_enqueued",
-              obs::AggregateSpans(spans, "page", "cells_enqueued"),
-              static_cast<double>(stats.cells_enqueued));
+  ok &= CheckCounter("pages_decoded",
+                     obs::AggregateSpans(spans, "page", nullptr),
+                     static_cast<double>(stats.pages_decoded), problems);
+  ok &= CheckCounter("batches", obs::AggregateSpans(spans, "batch", nullptr),
+                     static_cast<double>(stats.batches), problems);
+  ok &= CheckCounter("blocks_transferred",
+                     obs::AggregateSpans(spans, "batch", "blocks"),
+                     static_cast<double>(stats.blocks_transferred),
+                     problems);
+  ok &= CheckCounter(
+      "refinements",
+      obs::AggregateSpans(spans, "refine", nullptr) +
+          obs::AggregateSpans(spans, "exact_page", "refinements"),
+      static_cast<double>(stats.refinements), problems);
+  ok &= CheckCounter("cells_enqueued",
+                     obs::AggregateSpans(spans, "page", "cells_enqueued"),
+                     static_cast<double>(stats.cells_enqueued), problems);
   return ok;
 }
 
@@ -506,31 +544,9 @@ int Profile(const Args& args) {
   auto tree = IqTree::Open(storage, index, disk);
   if (!tree.ok()) return Fail(tree.status());
 
-  // Query set: one --point, or the first --limit rows of a dataset.
   Dataset queries((*tree)->dims());
-  if (!args.Get("point").empty()) {
-    auto q = ParsePoint(args.Get("point"));
-    if (!q.ok()) return Fail(q.status());
-    if (q->size() != (*tree)->dims()) {
-      std::fprintf(stderr, "point has %zu dims, index has %zu\n", q->size(),
-                   (*tree)->dims());
-      return 2;
-    }
-    queries.Append(PointView(q->data(), q->size()));
-  } else if (!args.Get("queries").empty()) {
-    auto data = ReadDataset(storage, args.Get("queries"));
-    if (!data.ok()) return Fail(data.status());
-    if (data->dims() != (*tree)->dims()) {
-      std::fprintf(stderr, "dataset has %zu dims, index has %zu\n",
-                   data->dims(), (*tree)->dims());
-      return 2;
-    }
-    const size_t limit = ParseCount(args.Get("limit"), 8);
-    for (size_t i = 0; i < data->size() && i < limit; ++i) {
-      queries.Append((*data)[i]);
-    }
-  } else {
-    return Usage();
+  if (const int rc = LoadQueries(args, storage, "index", 8, &queries)) {
+    return rc;
   }
 
   const bool json = args.Has("json");
@@ -657,23 +673,14 @@ int Profile(const Args& args) {
 int SlowLog(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   const std::string index = args.Get("index");
-  const std::string queries_name = args.Get("queries");
-  if (index.empty() || queries_name.empty()) return Usage();
+  if (index.empty() || args.Get("queries").empty()) return Usage();
   FileStorage storage(dir);
   DiskModel disk;
   auto tree = IqTree::Open(storage, index, disk);
   if (!tree.ok()) return Fail(tree.status());
-  auto data = ReadDataset(storage, queries_name);
-  if (!data.ok()) return Fail(data.status());
-  if (data->dims() != (*tree)->dims()) {
-    std::fprintf(stderr, "dataset has %zu dims, index has %zu\n",
-                 data->dims(), (*tree)->dims());
-    return 2;
-  }
-  const size_t limit = ParseCount(args.Get("limit"), 32);
   Dataset queries((*tree)->dims());
-  for (size_t i = 0; i < data->size() && i < limit; ++i) {
-    queries.Append((*data)[i]);
+  if (const int rc = LoadQueries(args, storage, "index", 32, &queries)) {
+    return rc;
   }
 
   obs::SlowLogOptions log_options;
@@ -759,14 +766,6 @@ bool CheckShardedTraceConsistency(const std::vector<obs::SpanRecord>& spans,
                                   const ShardQueryStats& stats,
                                   std::string* problems) {
   bool ok = CheckTraceConsistency(spans, stats.totals, problems);
-  const auto check = [&](const char* what, double from_trace,
-                         double from_stats) {
-    if (from_trace == from_stats) return true;
-    *problems += std::string(" ") + what +
-                 " trace=" + std::to_string(from_trace) +
-                 " stats=" + std::to_string(from_stats);
-    return false;
-  };
   // The prefix "shard" also matches the `sharded_*` root, but the root
   // carries neither io_s nor pruned, so the attribute sums see only
   // the per-shard spans. Counting the shard spans themselves needs the
@@ -783,13 +782,14 @@ bool CheckShardedTraceConsistency(const std::vector<obs::SpanRecord>& spans,
     if (digits) ++shard_spans;
   }
   const double pruned = obs::AggregateSpansByPrefix(spans, "shard", "pruned");
-  ok &= check("io_s_sum",
-              obs::AggregateSpansByPrefix(spans, "shard", "io_s"),
-              stats.io_s_sum);
-  ok &= check("shards_pruned", pruned,
-              static_cast<double>(stats.shards_pruned));
-  ok &= check("shards_queried", static_cast<double>(shard_spans) - pruned,
-              static_cast<double>(stats.shards_queried));
+  ok &= CheckCounter("io_s_sum",
+                     obs::AggregateSpansByPrefix(spans, "shard", "io_s"),
+                     stats.io_s_sum, problems);
+  ok &= CheckCounter("shards_pruned", pruned,
+                     static_cast<double>(stats.shards_pruned), problems);
+  ok &= CheckCounter("shards_queried",
+                     static_cast<double>(shard_spans) - pruned,
+                     static_cast<double>(stats.shards_queried), problems);
   return ok;
 }
 
@@ -824,31 +824,9 @@ int Trace(const Args& args) {
   auto searcher = ShardedSearcher::Open(storage, *manifest, open_options);
   if (!searcher.ok()) return Fail(searcher.status());
 
-  // Query set: one --point, or the first --limit rows of a dataset.
   Dataset queries((*searcher)->dims());
-  if (!args.Get("point").empty()) {
-    auto q = ParsePoint(args.Get("point"));
-    if (!q.ok()) return Fail(q.status());
-    if (q->size() != (*searcher)->dims()) {
-      std::fprintf(stderr, "point has %zu dims, manifest has %zu\n",
-                   q->size(), (*searcher)->dims());
-      return 2;
-    }
-    queries.Append(PointView(q->data(), q->size()));
-  } else if (!args.Get("queries").empty()) {
-    auto data = ReadDataset(storage, args.Get("queries"));
-    if (!data.ok()) return Fail(data.status());
-    if (data->dims() != (*searcher)->dims()) {
-      std::fprintf(stderr, "dataset has %zu dims, manifest has %zu\n",
-                   data->dims(), (*searcher)->dims());
-      return 2;
-    }
-    const size_t limit = ParseCount(args.Get("limit"), 4);
-    for (size_t i = 0; i < data->size() && i < limit; ++i) {
-      queries.Append((*data)[i]);
-    }
-  } else {
-    return Usage();
+  if (const int rc = LoadQueries(args, storage, "manifest", 4, &queries)) {
+    return rc;
   }
 
   QueryFrontEnd::Options fe_options;
